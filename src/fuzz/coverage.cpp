@@ -1,7 +1,9 @@
 #include "src/fuzz/coverage.hpp"
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
+
+#include "src/vm/cpu.hpp"
 
 namespace connlab::fuzz {
 
@@ -27,91 +29,62 @@ struct ClassTable {
 };
 constexpr ClassTable kClasses;
 
-// The zero-word skip: maps are almost entirely zero after Clear (one exec
-// touches a few hundred cells), so 8 bytes at a time with an early-out is
-// the whole optimisation. memcpy keeps the loads alignment-agnostic and
-// UB-free; it compiles to a single 64-bit load.
-static_assert(CoverageMap::kSize % 8 == 0);
-
-inline std::uint64_t LoadWord(const std::uint8_t* p) noexcept {
-  std::uint64_t w;
-  std::memcpy(&w, p, sizeof(w));
-  return w;
-}
-
-inline void StoreWord(std::uint8_t* p, std::uint64_t w) noexcept {
-  std::memcpy(p, &w, sizeof(w));
-}
-
 }  // namespace
 
 std::uint8_t CountClass(std::uint8_t raw) noexcept { return kClasses.t[raw]; }
 
-void CoverageMap::Classify() noexcept {
-  std::uint8_t* m = map_.data();
-  for (std::uint32_t i = 0; i < kSize; i += 8) {
-    if (LoadWord(m + i) == 0) continue;
-    for (std::uint32_t j = i; j < i + 8; ++j) m[j] = kClasses.t[m[j]];
+void CoverageMap::AttachTo(vm::Cpu& cpu) noexcept {
+  cpu.AttachCoverage(map_.data(), kMask, &touched_);
+}
+
+void CoverageMap::OrCell(std::uint32_t index, std::uint8_t bits) noexcept {
+  std::uint8_t& cell = map_[index];
+  if (cell == 0 && bits != 0) {
+    touched_.push_back(static_cast<std::uint16_t>(index));
   }
+  cell |= bits;
+}
+
+void CoverageMap::Clear() noexcept {
+  for (const std::uint16_t i : touched_) map_[i] = 0;
+  touched_.clear();
+}
+
+void CoverageMap::Classify() noexcept {
+  for (const std::uint16_t i : touched_) map_[i] = kClasses.t[map_[i]];
 }
 
 void CoverageMap::MergeClassified(const CoverageMap& other) noexcept {
-  std::uint8_t* m = map_.data();
-  const std::uint8_t* o = other.map_.data();
-  for (std::uint32_t i = 0; i < kSize; i += 8) {
-    const std::uint64_t theirs = LoadWord(o + i);
-    if (theirs == 0) continue;
-    StoreWord(m + i, LoadWord(m + i) | theirs);
-  }
+  for (const std::uint16_t i : other.touched_) OrCell(i, other.map_[i]);
 }
 
 int CoverageMap::AbsorbInto(CoverageMap& virgin,
                             std::vector<CoverageDelta>* delta) const {
   int news = 0;
-  const std::uint8_t* m = map_.data();
-  std::uint8_t* v = virgin.map_.data();
-  for (std::uint32_t i = 0; i < kSize; i += 8) {
-    const std::uint64_t fresh_w = LoadWord(m + i);
-    if (fresh_w == 0) continue;
-    if ((fresh_w & ~LoadWord(v + i)) == 0) continue;
-    for (std::uint32_t j = i; j < i + 8; ++j) {
-      const std::uint8_t fresh = m[j];
-      const std::uint8_t gained = static_cast<std::uint8_t>(fresh & ~v[j]);
-      if (gained == 0) continue;
-      const int cell_news = v[j] == 0 ? 2 : 1;
-      if (cell_news > news) news = cell_news;
-      if (delta != nullptr) delta->push_back(CoverageDelta{j, gained});
-      v[j] |= fresh;
-    }
+  for (const std::uint16_t i : touched_) {
+    const std::uint8_t known = virgin.map_[i];
+    const std::uint8_t gained = static_cast<std::uint8_t>(map_[i] & ~known);
+    if (gained == 0) continue;
+    const int cell_news = known == 0 ? 2 : 1;
+    if (cell_news > news) news = cell_news;
+    if (delta != nullptr) delta->push_back(CoverageDelta{i, gained});
+    virgin.OrCell(i, gained);
   }
   return news;
 }
 
 void CoverageMap::ApplyDelta(std::span<const CoverageDelta> delta) noexcept {
-  for (const CoverageDelta& d : delta) map_[d.index & kMask] |= d.bits;
-}
-
-std::uint32_t CoverageMap::CountNonZero() const noexcept {
-  std::uint32_t n = 0;
-  const std::uint8_t* m = map_.data();
-  for (std::uint32_t i = 0; i < kSize; i += 8) {
-    if (LoadWord(m + i) == 0) continue;
-    for (std::uint32_t j = i; j < i + 8; ++j) n += m[j] != 0;
-  }
-  return n;
+  for (const CoverageDelta& d : delta) OrCell(d.index & kMask, d.bits);
 }
 
 std::uint64_t CoverageMap::Digest() const noexcept {
-  // FNV-1a over (index, value) pairs of non-zero cells.
+  // FNV-1a over (index, value) pairs of non-zero cells, in index order.
+  std::vector<std::uint16_t> order(touched_.begin(), touched_.end());
+  std::sort(order.begin(), order.end());
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  const std::uint8_t* m = map_.data();
-  for (std::uint32_t i = 0; i < kSize; i += 8) {
-    if (LoadWord(m + i) == 0) continue;
-    for (std::uint32_t j = i; j < i + 8; ++j) {
-      if (m[j] == 0) continue;
-      h = (h ^ j) * 0x100000001b3ULL;
-      h = (h ^ m[j]) * 0x100000001b3ULL;
-    }
+  for (const std::uint32_t i : order) {
+    h = (h ^ i) * 0x100000001b3ULL;
+    h = (h ^ map_[i]) * 0x100000001b3ULL;
   }
   return h;
 }

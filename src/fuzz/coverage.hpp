@@ -1,21 +1,33 @@
 // AFL-style edge-coverage bitmap.
 //
-// The CPU (Cpu::AttachCoverage) increments one 8-bit cell per retired
-// instruction, indexed by hash(prev pc) ^ hash(cur pc); targets fold extra
-// semantic features in (outcome kinds, expansion-volume buckets, raised
-// events) through AddFeature. Raw hit counts are bucketed into the classic
-// count classes (1, 2, 3, 4-7, 8-15, 16-31, 32-127, 128+) before novelty
-// comparison, so "the copy loop ran twice as long" is new coverage but
-// "ran 41 vs 42 times" is not — exactly the signal that walks the fuzzer
-// from benign names toward the 1024-byte boundary and past it.
+// The CPU (attached through CoverageMap::AttachTo) increments one 8-bit
+// cell per retired instruction, indexed by hash(prev pc) ^ hash(cur pc);
+// targets fold extra semantic features in (outcome kinds, expansion-volume
+// buckets, raised events) through AddFeature. Raw hit counts are bucketed
+// into the classic count classes (1, 2, 3, 4-7, 8-15, 16-31, 32-127, 128+)
+// before novelty comparison, so "the copy loop ran twice as long" is new
+// coverage but "ran 41 vs 42 times" is not — exactly the signal that walks
+// the fuzzer from benign names toward the 1024-byte boundary and past it.
 //
-// Every whole-map walk (Classify, MergeClassified, AbsorbInto, CountNonZero,
-// Digest) is word-wise with a zero-word skip: a single execution touches a
-// few hundred of the 65536 cells, so the common case is "load 8 bytes, see
-// zero, move on" and the per-exec bookkeeping cost collapses from ~64K byte
-// loads to ~8K word loads. The observable results are bit-identical to the
-// byte-at-a-time originals — same classification table, same absorb
-// semantics, same FNV digest over the same (index, value) stream.
+// Beside the 64 KiB of cells the map keeps a first-touch log: the index of
+// every nonzero cell, each exactly once, in the order the cells left zero.
+// One execution lights a few to a few hundred of the 65536 cells, so every
+// per-exec operation (Clear, Classify, AbsorbInto) and every per-campaign
+// one (MergeClassified, CountNonZero, Digest) walks the log instead of the
+// map and costs O(cells lit). The invariant holds because
+//   - a cell is logged exactly when it goes from 0 to nonzero, by whoever
+//     writes it: the CPU's edge recorder in both execution tiers
+//     (Cpu::RecordCoverageEdge, fed through AttachTo), AddFeature, the
+//     virgin side of AbsorbInto, ApplyDelta and MergeClassified;
+//   - no operation but Clear ever returns a cell to 0 (Classify maps a
+//     nonzero count to a nonzero class bit, the others only OR or
+//     saturate), and Clear empties the log with it;
+//   - nothing else can write a cell: the only mutable view of the cells is
+//     the one AttachTo hands the CPU together with the log.
+// Every result equals a byte-at-a-time scan of the whole map (same class
+// table, absorb semantics and FNV stream in index order), except that
+// AbsorbInto emits its deltas in log order; ApplyDelta ORs them, so their
+// order never reaches a digest.
 #pragma once
 
 #include <array>
@@ -23,6 +35,10 @@
 #include <span>
 #include <string>
 #include <vector>
+
+namespace connlab::vm {
+class Cpu;
+}  // namespace connlab::vm
 
 namespace connlab::fuzz {
 
@@ -41,19 +57,27 @@ class CoverageMap {
   /// (a few hundred distinct locations) essentially never collide.
   static constexpr std::uint32_t kSize = 1u << 16;
   static constexpr std::uint32_t kMask = kSize - 1;
+  static_assert(kSize <= 65536, "log entries are 16-bit cell indices");
 
-  CoverageMap() { Clear(); }
-
-  [[nodiscard]] std::uint8_t* data() noexcept { return map_.data(); }
   [[nodiscard]] const std::uint8_t* data() const noexcept { return map_.data(); }
-  [[nodiscard]] static constexpr std::uint32_t mask() noexcept { return kMask; }
 
-  void Clear() noexcept { map_.fill(0); }
+  /// Indices of the nonzero cells, each once, in first-touch order.
+  [[nodiscard]] std::span<const std::uint16_t> touched() const noexcept {
+    return touched_;
+  }
+
+  /// Points `cpu`'s edge recorder at this map's cells and log until
+  /// Cpu::DetachCoverage. The map must outlive the attachment.
+  void AttachTo(vm::Cpu& cpu) noexcept;
+
+  void Clear() noexcept;
 
   /// Folds a non-edge feature (outcome kind, size bucket, event kind) into
   /// the same bitmap. Saturating, like the edge counters.
   void AddFeature(std::uint32_t feature) noexcept {
-    std::uint8_t& cell = map_[feature & kMask];
+    const std::uint32_t index = feature & kMask;
+    std::uint8_t& cell = map_[index];
+    if (cell == 0) touched_.push_back(static_cast<std::uint16_t>(index));
     if (cell != 0xFF) ++cell;
   }
 
@@ -79,7 +103,9 @@ class CoverageMap {
   void ApplyDelta(std::span<const CoverageDelta> delta) noexcept;
 
   /// Number of cells with any bit set.
-  [[nodiscard]] std::uint32_t CountNonZero() const noexcept;
+  [[nodiscard]] std::uint32_t CountNonZero() const noexcept {
+    return static_cast<std::uint32_t>(touched_.size());
+  }
 
   /// Order-independent digest of the (classified) map, for determinism
   /// checks across runs / worker counts.
@@ -88,7 +114,11 @@ class CoverageMap {
   [[nodiscard]] std::string Summary() const;
 
  private:
-  std::array<std::uint8_t, kSize> map_;
+  /// ORs `bits` into cell `index`, logging the cell if it leaves zero.
+  void OrCell(std::uint32_t index, std::uint8_t bits) noexcept;
+
+  std::array<std::uint8_t, kSize> map_{};
+  std::vector<std::uint16_t> touched_;
 };
 
 /// The count-class bucket (a single bit) for a raw hit count.

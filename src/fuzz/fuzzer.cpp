@@ -1,5 +1,6 @@
 #include "src/fuzz/fuzzer.hpp"
 
+#include <bit>
 #include <chrono>
 #include <ctime>
 #include <vector>
@@ -337,12 +338,9 @@ std::uint32_t NewBits(const CoverageMap& candidate,
   std::uint32_t bits = 0;
   const std::uint8_t* c = candidate.data();
   const std::uint8_t* v = covered.data();
-  for (std::uint32_t i = 0; i < CoverageMap::kSize; ++i) {
-    std::uint8_t fresh = static_cast<std::uint8_t>(c[i] & ~v[i]);
-    while (fresh != 0) {
-      fresh &= static_cast<std::uint8_t>(fresh - 1);
-      ++bits;
-    }
+  for (const std::uint16_t i : candidate.touched()) {
+    bits += static_cast<std::uint32_t>(
+        std::popcount(static_cast<std::uint8_t>(c[i] & ~v[i])));
   }
   return bits;
 }

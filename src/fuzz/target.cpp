@@ -305,7 +305,7 @@ class DnsproxyTarget : public BootedTarget {
       return result;
     }
     auto& cpu = *sys_->cpu;
-    cpu.AttachCoverage(map.data(), CoverageMap::mask());
+    map.AttachTo(cpu);
     cpu.ResetCoverageEdge();
     const connman::ProxyOutcome outcome = proxy_->HandleServerResponse(input);
     cpu.DetachCoverage();
@@ -428,7 +428,7 @@ class MinimasqTarget : public BootedTarget {
       return result;
     }
     auto& cpu = *sys_->cpu;
-    cpu.AttachCoverage(map.data(), CoverageMap::mask());
+    map.AttachTo(cpu);
     cpu.ResetCoverageEdge();
     const adapt::ServiceOutcome outcome = service_->HandleReply(input);
     cpu.DetachCoverage();
@@ -503,7 +503,7 @@ class HttpcamdTarget : public BootedTarget {
   ExecResult Execute(util::ByteSpan input, CoverageMap& map) override {
     ExecResult result;
     auto& cpu = *sys_->cpu;
-    cpu.AttachCoverage(map.data(), CoverageMap::mask());
+    map.AttachTo(cpu);
     cpu.ResetCoverageEdge();
     const adapt::ServiceOutcome outcome = service_->HandleRequest(input);
     cpu.DetachCoverage();
@@ -591,7 +591,7 @@ class ResolvdTarget : public BootedTarget {
     ExecResult result;
     auto& cpu = *sys_->cpu;
     cpu.ClearEvents();
-    cpu.AttachCoverage(map.data(), CoverageMap::mask());
+    map.AttachTo(cpu);
     cpu.ResetCoverageEdge();
     const adapt::ServiceOutcome outcome = service_->HandleQuery(input);
     cpu.DetachCoverage();
@@ -700,7 +700,7 @@ class CamstoredTarget : public BootedTarget {
     ExecResult result;
     auto& cpu = *sys_->cpu;
     cpu.ClearEvents();
-    cpu.AttachCoverage(map.data(), CoverageMap::mask());
+    map.AttachTo(cpu);
     cpu.ResetCoverageEdge();
     const adapt::ServiceOutcome outcome = service_->HandleRequest(input);
     cpu.DetachCoverage();

@@ -309,9 +309,13 @@ std::string Cpu::TraceString() const {
   return out;
 }
 
+void Cpu::LogCoverageCell(std::uint32_t index) noexcept {
+  cov_touched_->push_back(static_cast<std::uint16_t>(index));
+}
+
 void Cpu::Step() {
   if (stopped()) return;
-  if (cov_bitmap_ != nullptr) RecordCoverageEdge();
+  if (cov_bitmap_ != nullptr) RecordCoverageEdge(CoverageLocation(pc_));
 
   if (predecode_enabled_) {
     const PredecodeEntry& slot = PredecodeSlot(pc_);

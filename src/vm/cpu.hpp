@@ -299,15 +299,24 @@ class Cpu {
   // --- Edge coverage (AFL-style, for src/fuzz) ------------------------------
   /// Attaches a coverage bitmap: from now on every retired instruction and
   /// host-function transit records the (previous location ^ current
-  /// location) edge with a saturating 8-bit counter. `index_mask` must be
-  /// bitmap-size-1 for a power-of-two bitmap. Cheap enough to leave on —
-  /// one hash, one xor, one increment per step; zero cost when detached.
-  void AttachCoverage(std::uint8_t* bitmap, std::uint32_t index_mask) noexcept {
+  /// location) edge with a saturating 8-bit counter, and appends the cell's
+  /// index to `touched` the moment the cell leaves zero. `touched` must
+  /// already list exactly the bitmap's nonzero cells (fuzz::CoverageMap's
+  /// first-touch log; CoverageMap::AttachTo is the caller). `index_mask`
+  /// must be bitmap-size-1 for a power-of-two bitmap of at most 65536
+  /// cells. Cheap enough to leave on — one hash, one xor, one increment per
+  /// step, plus one append per newly lit cell; zero cost when detached.
+  void AttachCoverage(std::uint8_t* bitmap, std::uint32_t index_mask,
+                      std::vector<std::uint16_t>* touched) noexcept {
     cov_bitmap_ = bitmap;
     cov_mask_ = index_mask;
+    cov_touched_ = touched;
     cov_prev_ = 0;
   }
-  void DetachCoverage() noexcept { cov_bitmap_ = nullptr; }
+  void DetachCoverage() noexcept {
+    cov_bitmap_ = nullptr;
+    cov_touched_ = nullptr;
+  }
   [[nodiscard]] bool coverage_attached() const noexcept {
     return cov_bitmap_ != nullptr;
   }
@@ -395,12 +404,19 @@ class Cpu {
                                     mem::GuestAddr target);
 
   void Fault(std::string detail);
-  void RecordCoverageEdge() noexcept {
-    const std::uint32_t cur = CoverageLocation(pc_);
-    std::uint8_t& cell = cov_bitmap_[(cur ^ cov_prev_) & cov_mask_];
+  /// The one edge recorder both tiers share (Step, and the superblock
+  /// tier's per-op entry and host-call transit): bumps the edge cell into
+  /// location `cur`, logging the cell on its first touch.
+  void RecordCoverageEdge(std::uint32_t cur) noexcept {
+    const std::uint32_t index = (cur ^ cov_prev_) & cov_mask_;
+    std::uint8_t& cell = cov_bitmap_[index];
+    if (cell == 0) LogCoverageCell(index);
     if (cell != 0xFF) ++cell;  // saturate instead of wrapping to 0
     cov_prev_ = cur >> 1;      // AFL's shift keeps A->B distinct from B->A
   }
+  /// The first-touch append, kept out of line so it is not inlined into
+  /// every superblock handler.
+  void LogCoverageCell(std::uint32_t index) noexcept;
   void ExecuteInstr(const isa::Instr& ins);
   void ExecVX86(const isa::Instr& ins, mem::GuestAddr pc_next);
   void ExecVARM(const isa::Instr& ins, mem::GuestAddr pc_next);
@@ -422,6 +438,7 @@ class Cpu {
   std::deque<TraceEntry> trace_;
   std::uint8_t* cov_bitmap_ = nullptr;
   std::uint32_t cov_mask_ = 0;
+  std::vector<std::uint16_t>* cov_touched_ = nullptr;
   std::uint32_t cov_prev_ = 0;
   std::vector<PredecodeEntry> predecode_;
   std::uint32_t predecode_shift_ = 0;  // 2 on VARM (4-byte aligned), 0 on VX86

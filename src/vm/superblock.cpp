@@ -214,6 +214,7 @@ const Superblock* Cpu::SuperblockFor(const mem::Segment* seg,
   // continuation), and mixing shapes across CPUs would blur that A/B knob.
   const bool shareable = shared_superblocks_enabled_ && block_links_enabled_ &&
                          plan != nullptr && breakpoints_.empty();
+  bool import_refused = false;
   if (shareable) {
     auto canonical = SharedSuperblockRegistry::Instance().Lookup(
         arch_, plan->base(), plan->size(), plan->content_hash(), entry);
@@ -247,6 +248,7 @@ const Superblock* Cpu::SuperblockFor(const mem::Segment* seg,
         auto [pos, inserted] = store.blocks.emplace(entry, std::move(copy));
         return &pos->second;
       }
+      import_refused = true;
     }
   }
 
@@ -326,7 +328,10 @@ const Superblock* Cpu::SuperblockFor(const mem::Segment* seg,
       exit_op.pc_next = pc;
       block.ops.push_back(exit_op);
     }
-    ++sb_->compiles;
+    // A CPU whose publish loses the race to an identical canonical counts an
+    // import, as if its lookup had come a moment later: a campaign records
+    // one compile per canonical however its workers interleave.
+    bool lost_race = false;
     if (shareable) {
       // Publish a scrubbed canonical: link slots and host-fn pointers are
       // per-CPU state; everything that remains is a pure function of the
@@ -337,10 +342,12 @@ const Superblock* Cpu::SuperblockFor(const mem::Segment* seg,
         op.link_taken = nullptr;
         op.link_fall = nullptr;
       }
-      SharedSuperblockRegistry::Instance().Publish(
-          arch_, plan->base(), plan->size(), plan->content_hash(), entry,
-          std::move(canonical));
+      lost_race = !SharedSuperblockRegistry::Instance().Publish(
+                      arch_, plan->base(), plan->size(), plan->content_hash(),
+                      entry, std::move(canonical)) &&
+                  !import_refused;
     }
+    ++(lost_race ? sb_->imports : sb_->compiles);
   }
   // Unusable blocks are inserted too: they negative-cache this entry pc so
   // the interpreter region is not re-scanned every visit.
@@ -439,12 +446,7 @@ bool Cpu::TrySuperblocks(std::uint64_t remaining) {
 // sentinel is the one handler that must NOT run this (it retires nothing).
 #define CL_ENTER()                                                          \
   do {                                                                      \
-    if (cov_bitmap_ != nullptr) {                                           \
-      const std::uint32_t cl_cur = op->cov_loc;                             \
-      std::uint8_t& cl_cell = cov_bitmap_[(cl_cur ^ cov_prev_) & cov_mask_]; \
-      if (cl_cell != 0xFF) ++cl_cell;                                       \
-      cov_prev_ = cl_cur >> 1;                                              \
-    }                                                                       \
+    if (cov_bitmap_ != nullptr) RecordCoverageEdge(op->cov_loc);            \
     ++steps_;                                                               \
   } while (0)
 
@@ -526,12 +528,7 @@ bool Cpu::TrySuperblocks(std::uint64_t remaining) {
 #define CL_HOST_DISPATCH()                                                   \
   do {                                                                       \
     if (steps_ >= steps_cap) return nullptr;                                 \
-    if (cov_bitmap_ != nullptr) {                                            \
-      const std::uint32_t cl_cur = op->cov_host;                             \
-      std::uint8_t& cl_cell = cov_bitmap_[(cl_cur ^ cov_prev_) & cov_mask_]; \
-      if (cl_cell != 0xFF) ++cl_cell;                                        \
-      cov_prev_ = cl_cur >> 1;                                               \
-    }                                                                        \
+    if (cov_bitmap_ != nullptr) RecordCoverageEdge(op->cov_host);            \
     DispatchHostFn(                                                          \
         *static_cast<const std::pair<std::string, HostFn>*>(op->host));      \
     if (stopped() || pc_ != op->pc_next || !breakpoints_.empty()) {          \
@@ -1092,7 +1089,7 @@ std::shared_ptr<const Superblock> SharedSuperblockRegistry::Lookup(
   return it->second;
 }
 
-void SharedSuperblockRegistry::Publish(isa::Arch arch, mem::GuestAddr base,
+bool SharedSuperblockRegistry::Publish(isa::Arch arch, mem::GuestAddr base,
                                        std::uint32_t size,
                                        std::uint64_t content_hash,
                                        mem::GuestAddr entry,
@@ -1101,13 +1098,14 @@ void SharedSuperblockRegistry::Publish(isa::Arch arch, mem::GuestAddr base,
                 entry};
   std::unique_lock lock(mu_);
   auto [it, inserted] = blocks_.emplace(key, std::move(block));
-  if (!inserted) return;  // racing publish of identical content: first wins
+  if (!inserted) return false;  // racing publish of identical content
   publishes_.fetch_add(1, std::memory_order_relaxed);
   insertion_order_.push_back(key);
   while (blocks_.size() > kMaxBlocks) {
     blocks_.erase(insertion_order_.front());
     insertion_order_.pop_front();
   }
+  return true;
 }
 
 SharedSuperblockRegistry::Stats SharedSuperblockRegistry::GetStats() const {

@@ -167,7 +167,8 @@ class SuperblockCache {
   // Tier counters, batched per-CPU like ObsBatch and flushed to the obs
   // registry as vm.superblock.{compiles,hits,fallbacks,invalidations,
   // links,resumes,imports}.
-  std::uint64_t compiles = 0;       // usable blocks built
+  std::uint64_t compiles = 0;       // usable blocks built (a lost publish
+                                    // race counts as an import instead)
   std::uint64_t hits = 0;           // blocks dispatched
   std::uint64_t fallbacks = 0;      // entries that deferred to the interpreter
   std::uint64_t invalidations = 0;  // generation bumps that dropped blocks
@@ -200,7 +201,10 @@ class SuperblockCache {
 ///
 /// Thread-safe like DecodePlanRegistry: lookups take a shared (reader) lock,
 /// builds happen outside any lock, and when two workers race to publish the
-/// same block the first insert wins and the loser's copy is dropped.
+/// same block the first insert wins and the loser's copy is dropped. The
+/// loser counts its build as an import, as DecodePlanRegistry counts a
+/// losing builder as a share, so a campaign's compiles/imports split is one
+/// compile per canonical however its workers interleave.
 class SharedSuperblockRegistry {
  public:
   static SharedSuperblockRegistry& Instance();
@@ -213,7 +217,8 @@ class SharedSuperblockRegistry {
 
   /// Publishes a scrubbed canonical (first insert wins; later publishes of
   /// the same key are dropped — identical content compiles identically).
-  void Publish(isa::Arch arch, mem::GuestAddr base, std::uint32_t size,
+  /// Returns false when the key already held a canonical.
+  bool Publish(isa::Arch arch, mem::GuestAddr base, std::uint32_t size,
                std::uint64_t content_hash, mem::GuestAddr entry,
                std::shared_ptr<const Superblock> block);
 

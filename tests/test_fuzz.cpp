@@ -4,7 +4,9 @@
 // CVE-2017-12865 in the simulated dnsproxy from benign seeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 
 #include "src/dns/craft.hpp"
 #include "src/dns/message.hpp"
@@ -15,6 +17,9 @@
 #include "src/fuzz/mutator.hpp"
 #include "src/fuzz/target.hpp"
 #include "src/fuzz/triage.hpp"
+#include "src/isa/assembler.hpp"
+#include "src/isa/vx86.hpp"
+#include "src/obs/obs.hpp"
 #include "src/util/rng.hpp"
 
 namespace connlab::fuzz {
@@ -78,6 +83,285 @@ TEST(Coverage, SaturatesAt255) {
   CoverageMap map;
   for (int i = 0; i < 1000; ++i) map.AddFeature(9);
   EXPECT_EQ(map.data()[9], 0xFF);
+}
+
+// Byte-at-a-time reference: the full-scan semantics every CoverageMap
+// operation must match, whatever its first-touch log says.
+struct ReferenceMap {
+  std::vector<std::uint8_t> cells =
+      std::vector<std::uint8_t>(CoverageMap::kSize, 0);
+
+  void Clear() { std::fill(cells.begin(), cells.end(), 0); }
+  void AddFeature(std::uint32_t feature) {
+    std::uint8_t& cell = cells[feature & CoverageMap::kMask];
+    if (cell != 0xFF) ++cell;
+  }
+  void Classify() {
+    for (std::uint8_t& cell : cells) cell = CountClass(cell);
+  }
+  void MergeClassified(const ReferenceMap& other) {
+    for (std::uint32_t i = 0; i < CoverageMap::kSize; ++i) {
+      cells[i] |= other.cells[i];
+    }
+  }
+  int AbsorbInto(ReferenceMap& virgin,
+                 std::vector<CoverageDelta>* delta) const {
+    int news = 0;
+    for (std::uint32_t i = 0; i < CoverageMap::kSize; ++i) {
+      const std::uint8_t gained =
+          static_cast<std::uint8_t>(cells[i] & ~virgin.cells[i]);
+      if (gained == 0) continue;
+      news = std::max(news, virgin.cells[i] == 0 ? 2 : 1);
+      if (delta != nullptr) delta->push_back(CoverageDelta{i, gained});
+      virgin.cells[i] |= cells[i];
+    }
+    return news;
+  }
+  void ApplyDelta(const std::vector<CoverageDelta>& delta) {
+    for (const CoverageDelta& d : delta) {
+      cells[d.index & CoverageMap::kMask] |= d.bits;
+    }
+  }
+  std::vector<std::uint16_t> NonZero() const {
+    std::vector<std::uint16_t> out;
+    for (std::uint32_t i = 0; i < CoverageMap::kSize; ++i) {
+      if (cells[i] != 0) out.push_back(static_cast<std::uint16_t>(i));
+    }
+    return out;
+  }
+  std::uint64_t Digest() const {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::uint32_t i = 0; i < CoverageMap::kSize; ++i) {
+      if (cells[i] == 0) continue;
+      h = (h ^ i) * 0x100000001b3ULL;
+      h = (h ^ cells[i]) * 0x100000001b3ULL;
+    }
+    return h;
+  }
+};
+
+std::vector<std::pair<std::uint32_t, std::uint8_t>> SortedDelta(
+    const std::vector<CoverageDelta>& delta) {
+  std::vector<std::pair<std::uint32_t, std::uint8_t>> out;
+  for (const CoverageDelta& d : delta) out.emplace_back(d.index, d.bits);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Seeded random sequences of every map operation, checked after each step
+// against the full-scan reference: all 65536 cells, return values, deltas
+// (as sorted sets: the log emits them in first-touch order), CountNonZero,
+// Digest, and the log itself (each nonzero cell exactly once).
+TEST(Coverage, LogMatchesFullScanReference) {
+  constexpr std::size_t kMaps = 3;
+  util::Rng rng(20190625);
+  std::vector<CoverageMap> maps(kMaps);
+  std::vector<ReferenceMap> refs(kMaps);
+  // A few hot cells so that repeats, count classes and saturation happen.
+  std::vector<std::uint32_t> hot;
+  for (int i = 0; i < 24; ++i) {
+    hot.push_back(rng.NextU32() & CoverageMap::kMask);
+  }
+  hot.push_back(0);
+  hot.push_back(CoverageMap::kMask);
+  const auto feature = [&]() -> std::uint32_t {
+    const std::uint32_t h = hot[rng.NextBelow(hot.size())];
+    switch (rng.NextBelow(3)) {
+      case 0: return h;
+      case 1:  // aliases onto a hot cell through the mask
+        return h + CoverageMap::kSize * rng.NextU32();
+      default: return rng.NextU32();
+    }
+  };
+
+  std::vector<CoverageDelta> last_delta;
+  int saw_saturated = 0, saw_new_edge = 0, saw_new_class = 0, copies = 0;
+  for (int step = 0; step < 2500; ++step) {
+    const std::size_t a = rng.NextBelow(kMaps);
+    const std::size_t b = rng.NextBelow(kMaps);
+    SCOPED_TRACE(testing::Message() << "step " << step);
+    switch (rng.NextBelow(9)) {
+      case 0:
+      case 1: {
+        const std::uint32_t f = feature();
+        const std::uint64_t n = rng.NextBool(0.1) ? rng.NextInRange(200, 400)
+                                                  : rng.NextInRange(1, 5);
+        for (std::uint64_t i = 0; i < n; ++i) {
+          maps[a].AddFeature(f);
+          refs[a].AddFeature(f);
+        }
+        saw_saturated += refs[a].cells[f & CoverageMap::kMask] == 0xFF;
+        break;
+      }
+      case 2:
+        maps[a].Classify();
+        refs[a].Classify();
+        break;
+      case 3:
+      case 4: {
+        const bool sink = rng.NextBool(0.7);
+        std::vector<CoverageDelta> got, want;
+        const int news = maps[a].AbsorbInto(maps[b], sink ? &got : nullptr);
+        ASSERT_EQ(news, refs[a].AbsorbInto(refs[b], sink ? &want : nullptr));
+        ASSERT_EQ(SortedDelta(got), SortedDelta(want));
+        saw_new_edge += news == 2;
+        saw_new_class += news == 1;
+        if (sink) last_delta = std::move(got);
+        break;
+      }
+      case 5: {
+        std::vector<CoverageDelta> delta = last_delta;
+        for (std::uint64_t i = rng.NextBelow(4); i > 0; --i) {
+          // Includes zero-bit entries and indices above the mask.
+          delta.push_back(CoverageDelta{
+              feature(), static_cast<std::uint8_t>(rng.NextBelow(3))});
+        }
+        maps[a].ApplyDelta(delta);
+        refs[a].ApplyDelta(delta);
+        break;
+      }
+      case 6:
+        maps[a].MergeClassified(maps[b]);
+        refs[a].MergeClassified(refs[b]);
+        break;
+      case 7:
+        if (rng.NextBool(0.3)) {
+          maps[a].Clear();
+          refs[a].Clear();
+        }
+        break;
+      default:
+        // Copy partway through: the copy then lives its own life.
+        if (rng.NextBool(0.5)) {
+          const CoverageMap copy(maps[a]);
+          maps[b] = copy;
+        } else {
+          maps[b] = maps[a];
+        }
+        refs[b] = refs[a];
+        ++copies;
+        break;
+    }
+    for (std::size_t m = 0; m < kMaps; ++m) {
+      ASSERT_EQ(std::memcmp(maps[m].data(), refs[m].cells.data(),
+                            CoverageMap::kSize),
+                0)
+          << "map " << m;
+      std::vector<std::uint16_t> log(maps[m].touched().begin(),
+                                     maps[m].touched().end());
+      std::sort(log.begin(), log.end());
+      const std::vector<std::uint16_t> nonzero = refs[m].NonZero();
+      ASSERT_EQ(log, nonzero) << "map " << m;
+      ASSERT_EQ(maps[m].CountNonZero(), nonzero.size()) << "map " << m;
+      ASSERT_EQ(maps[m].Digest(), refs[m].Digest()) << "map " << m;
+    }
+  }
+  // The sequence reached every case it is meant to cover.
+  EXPECT_GT(saw_saturated, 0);
+  EXPECT_GT(saw_new_edge, 0);
+  EXPECT_GT(saw_new_class, 0);
+  EXPECT_GT(copies, 0);
+}
+
+// The VM logs every cell it writes, in both tiers: Execute into a fresh
+// map, then Clear, and a cell written without being logged would survive.
+// Seeds of every target plus the dnsproxy overflow reproducer, with the
+// superblock tier on and off.
+TEST(Coverage, ExecuteLogsEveryCellTheVmWrites) {
+  dns::Message query = dns::Message::Query(0x4655, "fuzz.example.com");
+  auto junk = dns::JunkLabels(1100);
+  ASSERT_TRUE(junk.ok());
+  auto overflow = dns::Encode(dns::MaliciousAResponse(query, junk.value()));
+  ASSERT_TRUE(overflow.ok());
+
+  for (const bool superblocks : {true, false}) {
+    obs::Scope scope;
+    for (const TargetKind kind :
+         {TargetKind::kDnsproxy, TargetKind::kMinimasq, TargetKind::kHttpcamd,
+          TargetKind::kResolvd, TargetKind::kCamstored}) {
+      TargetConfig config;
+      config.kind = kind;
+      config.superblocks = superblocks;
+      auto target = MakeTarget(config);
+      ASSERT_TRUE(target.ok()) << target.status().ToString();
+      std::vector<Bytes> inputs = target.value()->SeedCorpus();
+      if (kind == TargetKind::kDnsproxy) inputs.push_back(overflow.value());
+      for (std::size_t i = 0; i < inputs.size(); ++i) {
+        CoverageMap map;
+        target.value()->Execute(inputs[i], map);
+        EXPECT_GT(map.CountNonZero(), 0u);
+        map.Clear();
+        EXPECT_EQ(std::count(map.data(), map.data() + CoverageMap::kSize, 0),
+                  static_cast<std::ptrdiff_t>(CoverageMap::kSize))
+            << TargetKindName(kind) << " input " << i
+            << (superblocks ? " (superblocks)" : " (interpreter)");
+      }
+    }
+    const obs::MetricsSnapshot m = scope.Metrics();
+    const auto hits = m.counters.find("vm.superblock.hits");
+    const std::uint64_t block_hits =
+        hits == m.counters.end() ? 0 : hits->second;
+    if (superblocks) {
+      EXPECT_GT(block_hits, 0u);
+    } else {
+      EXPECT_EQ(block_hits, 0u);
+    }
+  }
+}
+
+// The fuzz targets enter guest code through set_pc, so they never reach
+// the superblock tier's call-host op. A guest loop calling a host function
+// does: its transit edges and the ops the block resumes with must be
+// logged too.
+TEST(Coverage, HostCallContinuationLogsEveryCell) {
+  namespace x = isa::vx86;
+  isa::Assembler a(isa::Arch::kVX86, 0x1000);
+  x::EncMovImm(a.w(), isa::kEAX, 50);
+  a.Label("loop");
+  x::EncCall(a.w(), 0x1800);
+  x::EncSubImm(a.w(), isa::kEAX, 1);
+  x::EncCmpImm(a.w(), isa::kEAX, 0);
+  a.JnzLabel("loop");
+  x::EncHlt(a.w());
+  auto text = a.Finish();
+  ASSERT_TRUE(text.ok());
+
+  for (const bool superblocks : {true, false}) {
+    obs::Scope scope;
+    CoverageMap map;
+    {
+      mem::AddressSpace space;
+      ASSERT_TRUE(space.Map(".text", 0x1000, 0x1000, mem::kPermRX).ok());
+      ASSERT_TRUE(space.Map("stack", 0x8000, 0x1000, mem::kPermRW).ok());
+      ASSERT_TRUE(space.DebugWrite(0x1000, text.value()).ok());
+      vm::Cpu cpu(isa::Arch::kVX86, space);
+      cpu.set_superblocks_enabled(superblocks);
+      // A leaf that performs its own return sequence, as host fns must.
+      ASSERT_TRUE(cpu.RegisterHostFn(0x1800, "leaf", [](vm::Cpu& c) {
+                       auto ret = c.space().ReadU32(c.sp());
+                       if (!ret.ok()) return ret.status();
+                       c.set_sp(c.sp() + 4);
+                       c.set_pc(ret.value());
+                       return util::OkStatus();
+                     }).ok());
+      cpu.set_pc(0x1000);
+      cpu.set_sp(0x9000);
+      map.AttachTo(cpu);
+      EXPECT_EQ(cpu.Run(10000).reason, vm::StopReason::kHalted);
+      cpu.DetachCoverage();
+    }
+    EXPECT_GT(map.CountNonZero(), 0u);
+    map.Clear();
+    EXPECT_EQ(std::count(map.data(), map.data() + CoverageMap::kSize, 0),
+              static_cast<std::ptrdiff_t>(CoverageMap::kSize))
+        << (superblocks ? "superblocks" : "interpreter");
+    const obs::MetricsSnapshot m = scope.Metrics();
+    const auto resumes = m.counters.find("vm.superblock.resumes");
+    if (superblocks) {
+      ASSERT_NE(resumes, m.counters.end());
+      EXPECT_GT(resumes->second, 0u);
+    }
+  }
 }
 
 // -------------------------------------------------------------- mutator ----
