@@ -177,18 +177,20 @@ void BM_Campaign(benchmark::State& state) {
 }
 BENCHMARK(BM_Campaign)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
-/// Legacy vs fast VM mode on a 1-worker campaign: legacy = byte-copying
-/// fetch/decode + full loader re-Boot per corruption; fast = predecode
-/// cache + snapshot-restore reboots. Same seed, so the coverage digests
-/// must match — the speedup is free only if behaviour is identical.
+/// Legacy vs fast VM mode on a 1-worker campaign: legacy = vm::ExecConfig
+/// all off (plain interpreter, byte-copying fetch/decode) + full loader
+/// re-Boot per corruption; fast = the defaults (superblock tier, decode
+/// caches, dirty-page snapshot-restore reboots). Same seed, so the coverage
+/// digests must match — the speedup is free only if behaviour is identical.
 void CompareModes(const std::string& json_path, std::size_t workers_flag) {
   constexpr std::uint64_t kExecs = kExecsPerWorker;
 
-  vm::Cpu::set_predecode_default(false);
   fuzz::FuzzConfig legacy_config = CampaignConfig(1, kExecs);
   legacy_config.target.fast_reset = false;
+  legacy_config.target.exec.superblocks = false;
+  legacy_config.target.exec.decode_caches = false;
+  legacy_config.target.exec.dirty_restores = false;
   auto legacy = fuzz::Fuzzer(legacy_config).Run();
-  vm::Cpu::set_predecode_default(true);
   auto fast = fuzz::Fuzzer(CampaignConfig(1, kExecs)).Run();
   if (!legacy.ok() || !fast.ok()) {
     std::printf("mode comparison failed\n");
@@ -203,9 +205,9 @@ void CompareModes(const std::string& json_path, std::size_t workers_flag) {
   std::printf("== legacy vs fast VM mode — dnsproxy, 1 worker, seed 42 ==\n");
   std::printf("%-34s %12s %9s\n", "mode", "execs/sec", "reboots");
   std::printf("%s\n", std::string(58, '-').c_str());
-  std::printf("%-34s %12.0f %9llu\n", "legacy (no cache, full re-Boot)",
+  std::printf("%-34s %12.0f %9llu\n", "legacy (all off, full re-Boot)",
               ls.execs_per_sec, static_cast<unsigned long long>(ls.reboots));
-  std::printf("%-34s %12.0f %9llu\n", "fast (predecode + snapshot)",
+  std::printf("%-34s %12.0f %9llu\n", "fast (all on + snapshot)",
               fs.execs_per_sec, static_cast<unsigned long long>(fs.reboots));
   std::printf("speedup: %.2fx, coverage digest %s\n\n", speedup,
               digests_match ? "identical" : "DIVERGED");

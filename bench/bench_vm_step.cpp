@@ -1,9 +1,9 @@
-// E13/E20 — VM hot-path throughput ladder: interpreter steps/second up the
-// execution tiers — legacy fetch/decode, predecode cache, bare superblocks
-// (self-loops only) and linked superblocks (block chaining + host-fn/syscall
-// continuation) — measured on the paper's x86 ROP chain replay and on a
-// tight arithmetic loop, plus the cost of a loader Boot vs a snapshot
-// restore (the fuzzer's fast reboot).
+// E13/E19 — VM hot-path throughput ladder: interpreter steps/second up the
+// execution tiers — vm::ExecConfig all off (legacy fetch/decode), decode
+// caches only (predecode slots + shared plans) and all on (the superblock
+// tier) — measured on the paper's x86 ROP chain replay and on a tight
+// arithmetic loop, plus the cost of a loader Boot vs a snapshot restore
+// (the fuzzer's fast reboot).
 // Table: steps/sec per tier with speedups; boot vs restore microseconds,
 // full-copy vs dirty-page-only restores on a lightly-dirtied image.
 // Timing: single ROP delivery, Boot, TakeSnapshot and RestoreSnapshot
@@ -34,32 +34,14 @@ double Seconds(Clock::time_point since) {
   return std::chrono::duration<double>(Clock::now() - since).count();
 }
 
-/// Restores the process-wide predecode default on scope exit, so a failed
-/// measurement can't leak legacy mode into the google-benchmark phase.
-struct PredecodeMode {
-  explicit PredecodeMode(bool enabled) { vm::Cpu::set_predecode_default(enabled); }
-  ~PredecodeMode() { vm::Cpu::set_predecode_default(true); }
-};
-
-/// Same scope-exit restore for the superblock tier. The legacy/fast columns
-/// below measure the plain interpreter (tier off) so the superblock columns
-/// have an honest baseline; fresh boots outside this bench keep the tier on.
-struct SuperblockMode {
-  explicit SuperblockMode(bool enabled) {
-    vm::Cpu::set_superblocks_default(enabled);
-  }
-  ~SuperblockMode() { vm::Cpu::set_superblocks_default(true); }
-};
-
-/// Same again for block linking. The superblock column measures the bare
-/// tier (self-loops only, the PR that introduced it) so the linked column
-/// shows what chaining and host-fn continuation add on top.
-struct BlockLinkMode {
-  explicit BlockLinkMode(bool enabled) {
-    vm::Cpu::set_block_links_default(enabled);
-  }
-  ~BlockLinkMode() { vm::Cpu::set_block_links_default(true); }
-};
+/// The three columns of the ladder. The legacy and predecode columns run
+/// the plain interpreter (tier off) so the superblock column has an honest
+/// baseline.
+constexpr vm::ExecConfig kLegacy{
+    .superblocks = false, .decode_caches = false, .dirty_restores = false};
+constexpr vm::ExecConfig kPredecode{
+    .superblocks = false, .decode_caches = true, .dirty_restores = false};
+constexpr vm::ExecConfig kSuperblock{};
 
 struct Throughput {
   double steps_per_sec = 0;
@@ -80,16 +62,13 @@ dns::LabelSeq RopLabels() {
   return dns::CutIntoLabels(image).value();
 }
 
-/// Repeated end-to-end ROP deliveries against one victim (the proxy resumes
+/// Repeated end-to-end ROP deliveries against one victim (the proxy recovers
 /// cleanly after each hijack, so deliveries chain on a single boot).
-Throughput MeasureRopReplay(bool predecode, bool superblocks, bool links,
+Throughput MeasureRopReplay(const vm::ExecConfig& exec,
                             const dns::LabelSeq& labels, double budget_secs) {
-  PredecodeMode mode(predecode);
-  SuperblockMode sb_mode(superblocks);
-  BlockLinkMode link_mode(links);
-  auto sys =
-      loader::Boot(isa::Arch::kVX86, loader::ProtectionConfig::WxAslr(), 4242)
-          .value();
+  auto sys = loader::Boot(isa::Arch::kVX86, loader::ProtectionConfig::WxAslr(),
+                          4242, exec)
+                 .value();
   connman::DnsProxy proxy(*sys, connman::Version::k134);
   Throughput tp;
   const std::uint64_t steps0 = sys->cpu->steps_executed();
@@ -113,13 +92,9 @@ Throughput MeasureRopReplay(bool predecode, bool superblocks, bool links,
 
 /// A straight-line countdown loop in .scratch: the densest all-interpreter
 /// workload (no host functions, no DNS framing).
-Throughput MeasureTightLoop(bool predecode, bool superblocks, bool links,
-                            double budget_secs) {
-  PredecodeMode mode(predecode);
-  SuperblockMode sb_mode(superblocks);
-  BlockLinkMode link_mode(links);
+Throughput MeasureTightLoop(const vm::ExecConfig& exec, double budget_secs) {
   auto sys =
-      loader::Boot(isa::Arch::kVX86, loader::ProtectionConfig::None(), 7)
+      loader::Boot(isa::Arch::kVX86, loader::ProtectionConfig::None(), 7, exec)
           .value();
   const mem::GuestAddr scratch = sys->Sym("scratch.start").value();
   isa::Assembler as(isa::Arch::kVX86, scratch);
@@ -270,42 +245,34 @@ int main(int argc, char** argv) {
   const double budget = json_path.empty() ? 3.0 : 1.5;
 
   std::printf(
-      "== E13/E20: VM hot path — interp / predecode / superblock / linked "
-      "==\n\n");
+      "== E13/E19: VM hot path — interp / predecode / superblock ==\n\n");
   g_labels = RopLabels();
 
-  const Throughput rop_legacy =
-      MeasureRopReplay(false, false, false, g_labels, budget);
-  const Throughput rop_fast =
-      MeasureRopReplay(true, false, false, g_labels, budget);
-  const Throughput rop_sb = MeasureRopReplay(true, true, false, g_labels, budget);
-  const Throughput rop_linked =
-      MeasureRopReplay(true, true, true, g_labels, budget);
-  const Throughput loop_legacy = MeasureTightLoop(false, false, false, budget);
-  const Throughput loop_fast = MeasureTightLoop(true, false, false, budget);
-  const Throughput loop_sb = MeasureTightLoop(true, true, false, budget);
-  const Throughput loop_linked = MeasureTightLoop(true, true, true, budget);
+  const Throughput rop_legacy = MeasureRopReplay(kLegacy, g_labels, budget);
+  const Throughput rop_fast = MeasureRopReplay(kPredecode, g_labels, budget);
+  const Throughput rop_sb = MeasureRopReplay(kSuperblock, g_labels, budget);
+  const Throughput loop_legacy = MeasureTightLoop(kLegacy, budget);
+  const Throughput loop_fast = MeasureTightLoop(kPredecode, budget);
+  const Throughput loop_sb = MeasureTightLoop(kSuperblock, budget);
   const RebootCost reboot = MeasureRebootCost();
 
   const double rop_speedup = rop_fast.steps_per_sec / rop_legacy.steps_per_sec;
   const double loop_speedup =
       loop_fast.steps_per_sec / loop_legacy.steps_per_sec;
   const double sb_speedup = loop_sb.steps_per_sec / loop_fast.steps_per_sec;
-  const double link_speedup = rop_linked.steps_per_sec / rop_fast.steps_per_sec;
 
-  std::printf("%-18s %13s %13s %13s %13s %9s\n", "workload", "legacy st/s",
-              "fast st/s", "superblk st/s", "linked st/s", "link spd");
-  std::printf("%s\n", std::string(86, '-').c_str());
-  std::printf("%-18s %13.0f %13.0f %13.0f %13.0f %8.2fx\n", "rop replay (x86)",
+  std::printf("%-18s %13s %13s %13s %9s\n", "workload", "legacy st/s",
+              "fast st/s", "superblk st/s", "sb spd");
+  std::printf("%s\n", std::string(72, '-').c_str());
+  std::printf("%-18s %13.0f %13.0f %13.0f %8.2fx\n", "rop replay (x86)",
               rop_legacy.steps_per_sec, rop_fast.steps_per_sec,
-              rop_sb.steps_per_sec, rop_linked.steps_per_sec, link_speedup);
-  std::printf("%-18s %13.0f %13.0f %13.0f %13.0f %8.2fx\n", "tight loop (x86)",
+              rop_sb.steps_per_sec,
+              rop_sb.steps_per_sec / rop_fast.steps_per_sec);
+  std::printf("%-18s %13.0f %13.0f %13.0f %8.2fx\n", "tight loop (x86)",
               loop_legacy.steps_per_sec, loop_fast.steps_per_sec,
-              loop_sb.steps_per_sec, loop_linked.steps_per_sec,
-              loop_linked.steps_per_sec / loop_fast.steps_per_sec);
-  std::printf("  (legacy→fast speedups: rop %.2fx, loop %.2fx; "
-              "loop superblock spd %.2fx)\n",
-              rop_speedup, loop_speedup, sb_speedup);
+              loop_sb.steps_per_sec, sb_speedup);
+  std::printf("  (legacy→fast speedups: rop %.2fx, loop %.2fx)\n", rop_speedup,
+              loop_speedup);
   std::printf("\nreboot: full Boot %.1f us, full restore %.1f us, "
               "dirty-only restore %.1f us\n"
               "        (restore %.1fx cheaper than Boot; dirty-only %.1fx "
@@ -320,7 +287,6 @@ int main(int argc, char** argv) {
     json.Number("rop_steps_per_sec_legacy", rop_legacy.steps_per_sec);
     json.Number("rop_steps_per_sec", rop_fast.steps_per_sec);
     json.Number("rop_steps_per_sec_superblock", rop_sb.steps_per_sec);
-    json.Number("rop_steps_per_sec_linked", rop_linked.steps_per_sec);
     json.Number("rop_speedup", rop_speedup);
     json.Number("rop_deliveries_per_sec", rop_fast.items_per_sec);
     json.Number("loop_steps_per_sec_legacy", loop_legacy.steps_per_sec);
@@ -328,7 +294,6 @@ int main(int argc, char** argv) {
     json.Number("loop_steps_per_sec_superblock", loop_sb.steps_per_sec);
     json.Number("loop_speedup", loop_speedup);
     json.Number("superblock_speedup", sb_speedup);
-    json.Number("link_speedup", link_speedup);
     json.Number("boot_us", reboot.boot_us);
     // restore_us stays the headline key (the mode campaigns actually run,
     // now dirty-only); restore_full_us keeps the old wholesale copy visible.

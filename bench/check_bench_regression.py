@@ -37,7 +37,6 @@ HIGHER_BETTER = {
     "rop_steps_per_sec",
     "rop_steps_per_sec_legacy",
     "rop_steps_per_sec_superblock",
-    "rop_steps_per_sec_linked",
     "rop_deliveries_per_sec",
     "loop_steps_per_sec",
     "loop_steps_per_sec_legacy",
@@ -45,7 +44,6 @@ HIGHER_BETTER = {
     "rop_speedup",
     "loop_speedup",
     "superblock_speedup",
-    "link_speedup",
     "reboot_speedup",
     "dirty_restore_speedup",
     "execs_per_sec",
@@ -61,18 +59,13 @@ LOWER_BETTER = {"boot_us", "restore_us", "restore_full_us"}
 
 # Printed for the log but never gated: boot_us is allocator-bound and swings
 # ~40% run-to-run on loaded runners, restore_us is sub-microsecond (timer
-# noise dominates), and the ratios derived from them inherit the swing.
-# link_speedup divides two throughputs whose jitter is uncorrelated (the
-# predecode-tier denominator swings ~50% with box load while the linked
-# numerator barely moves), so the ratio spans ~1.5–2.5x across healthy runs;
-# the absolute rop_steps_per_sec_linked key carries that gate instead. The
+# noise dominates), and the ratios derived from them inherit the swing. The
 # stable anchors — restore_full_us and every throughput key — do the gating.
 INFO_ONLY = {
     "boot_us",
     "restore_us",
     "dirty_restore_speedup",
     "reboot_speedup",
-    "link_speedup",
 }
 
 

@@ -9,15 +9,7 @@
 //
 //   ./examples/fleet_campaign [--victims=N] [--seed=S] [--entropy=0,2,4,8]
 //                             [--sweep-workers=N] [--json=PATH]
-//                             [--metrics=PATH] [--trace=PATH]
-//                             [--no-superblocks] [--no-block-links]
-//                             [--no-shared-blocks] [--help]
-//
-// Execution-tier knobs (all on by default; the curve and its digests are
-// identical either way — A/B-measurement knobs, not behaviour switches):
-//   --no-superblocks   pin victim-lane CPUs to the plain interpreter
-//   --no-block-links   bare superblocks: no block chaining / continuation
-//   --no-shared-blocks compile blocks per-CPU; skip the per-image registry
+//                             [--metrics=PATH] [--trace=PATH] [--help]
 //
 // --sweep-workers spreads the sweep's (entropy, bug class) campaigns across
 // N threads (0 = one per hardware core, 1 = serial) — the curve and its
@@ -72,9 +64,7 @@ void PrintUsage() {
   std::printf(
       "usage: fleet_campaign [--victims=N] [--seed=S] [--entropy=0,2,4,8]\n"
       "                      [--sweep-workers=N] [--json=PATH]\n"
-      "                      [--metrics=PATH] [--trace=PATH]\n"
-      "                      [--no-superblocks] [--no-block-links]\n"
-      "                      [--no-shared-blocks] [--help]\n"
+      "                      [--metrics=PATH] [--trace=PATH] [--help]\n"
       "\n"
       "  --victims=N         fleet size per sweep point (default 20000)\n"
       "  --seed=S            campaign seed (default 42); same seed, same\n"
@@ -84,15 +74,7 @@ void PrintUsage() {
       "                      1 = serial); digest identical either way\n"
       "  --json=PATH         write the survival curve as JSON\n"
       "  --metrics=PATH      flat JSON dump of the metrics registry\n"
-      "  --trace=PATH        chrome://tracing JSON of the run\n"
-      "\n"
-      "execution-tier knobs (all on by default; curve and digests are\n"
-      "identical either way — A/B measurement knobs only):\n"
-      "  --no-superblocks    plain interpreter, no threaded-code tier\n"
-      "  --no-block-links    bare superblocks: no block-to-block linking,\n"
-      "                      no host-fn/syscall continuation\n"
-      "  --no-shared-blocks  per-CPU block compilation only; skip the\n"
-      "                      process-wide per-image block registry\n");
+      "  --trace=PATH        chrome://tracing JSON of the run\n");
 }
 
 std::vector<int> ParseIntList(const std::string& csv) {
@@ -139,15 +121,9 @@ int main(int argc, char** argv) {
   const std::string json_path = TakeFlag(args, "json");
   const std::string metrics_path = TakeFlag(args, "metrics");
   const std::string trace_path = TakeFlag(args, "trace");
-  const bool no_superblocks = TakeBareFlag(args, "no-superblocks");
-  const bool no_block_links = TakeBareFlag(args, "no-block-links");
-  const bool no_shared_blocks = TakeBareFlag(args, "no-shared-blocks");
   obs::Scope scope(obs::ScopeOptions{.trace = !trace_path.empty()});
 
   fleet::FleetConfig config;
-  config.superblocks = !no_superblocks;
-  config.block_links = !no_block_links;
-  config.shared_blocks = !no_shared_blocks;
   config.victims = victims_flag.empty()
                        ? 20000
                        : std::strtoull(victims_flag.c_str(), nullptr, 10);

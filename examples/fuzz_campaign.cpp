@@ -11,18 +11,12 @@
 //                            [--sync-interval=N]
 //                            [--trace=t.json] [--metrics=m.json]
 //                            [--repro-dir=dir] [--distill]
-//                            [--no-superblocks] [--no-block-links]
-//                            [--no-shared-blocks] [--help]
+//                            [--no-superblocks] [--help]
 //
-// Execution-tier knobs (all tiers are on by default; the differential suite
-// proves every combination produces identical campaigns, so these are
-// debugging and A/B-measurement knobs, not behaviour switches):
+// Execution-tier A/B knob (the superblock tier is on by default; the
+// differential suite proves both tiers produce identical campaigns, so this
+// is a debugging and A/B-measurement knob, not a behaviour switch):
 //   --no-superblocks   pin the victim CPUs to the plain interpreter
-//   --no-block-links   keep superblocks but disable block-to-block linking
-//                      and host-fn/syscall continuation (the bare tier)
-//   --no-shared-blocks compile every block privately instead of sharing
-//                      compiled blocks across workers via the per-image
-//                      block registry
 //
 // `--sync-interval=N` sets how many of its own execs each worker runs
 // between cross-worker corpus exchanges (multi-worker only; 0 disables
@@ -110,21 +104,16 @@ void PrintUsage() {
       "                     [corpus_file] [dict_file]\n"
       "                     [--sync-interval=N] [--trace=t.json]\n"
       "                     [--metrics=m.json] [--repro-dir=dir] [--distill]\n"
-      "                     [--no-superblocks] [--no-block-links]\n"
-      "                     [--no-shared-blocks] [--help]\n"
+      "                     [--no-superblocks] [--help]\n"
       "\n"
       "positional (defaults): seed 42, execs 20000, workers 1,\n"
       "  target dnsproxy (dnsproxy|minimasq|httpcamd|resolvd|camstored),\n"
       "  corpus_file persists the merged corpus, dict_file is an AFL-style\n"
       "  dictionary ('builtin' = built-in DNS tokens).\n"
       "\n"
-      "execution-tier knobs (all on by default; campaign results are\n"
-      "byte-identical either way — A/B measurement knobs only):\n"
+      "execution-tier A/B knob (the tier is on by default; campaign results\n"
+      "are byte-identical either way — an A/B measurement knob only):\n"
       "  --no-superblocks    plain interpreter, no threaded-code tier\n"
-      "  --no-block-links    bare superblocks: no block-to-block linking,\n"
-      "                      no host-fn/syscall continuation\n"
-      "  --no-shared-blocks  per-CPU block compilation only; skip the\n"
-      "                      process-wide per-image block registry\n"
       "\n"
       "other flags:\n"
       "  --sync-interval=N   execs each worker runs between cross-worker\n"
@@ -149,13 +138,9 @@ int main(int argc, char** argv) {
   const std::string sync_flag = TakeFlag(args, "sync-interval");
   const bool distill = TakeBareFlag(args, "distill");
   const bool no_superblocks = TakeBareFlag(args, "no-superblocks");
-  const bool no_block_links = TakeBareFlag(args, "no-block-links");
-  const bool no_shared_blocks = TakeBareFlag(args, "no-shared-blocks");
 
   fuzz::FuzzConfig config;
-  config.target.superblocks = !no_superblocks;
-  config.target.block_links = !no_block_links;
-  config.target.shared_blocks = !no_shared_blocks;
+  config.target.exec.superblocks = !no_superblocks;
   if (!sync_flag.empty()) {
     config.sync_interval = std::strtoull(sync_flag.c_str(), nullptr, 0);
   }

@@ -32,7 +32,7 @@ const loader::ProtectionConfig kLevels[] = {
 }  // namespace
 
 util::Result<std::vector<AttackResult>> RunSixAttackMatrix(
-    std::uint64_t target_seed) {
+    std::uint64_t target_seed, const vm::ExecConfig& exec) {
   std::vector<AttackResult> results;
   for (isa::Arch arch : {isa::Arch::kVX86, isa::Arch::kVARM}) {
     for (const loader::ProtectionConfig& prot : kLevels) {
@@ -40,6 +40,7 @@ util::Result<std::vector<AttackResult>> RunSixAttackMatrix(
       config.arch = arch;
       config.prot = prot;
       config.target_seed = target_seed;
+      config.exec = exec;
       CONNLAB_ASSIGN_OR_RETURN(AttackResult result,
                                RunControlledScenario(config));
       CountGridCell(result);

@@ -12,8 +12,9 @@ namespace connlab::attack {
 
 /// The paper's core table: 2 architectures x 3 protection levels, each
 /// attacked with the matching technique against the vulnerable build.
+/// `exec` reaches every boot of every row.
 util::Result<std::vector<AttackResult>> RunSixAttackMatrix(
-    std::uint64_t target_seed = 4242);
+    std::uint64_t target_seed = 4242, const vm::ExecConfig& exec = {});
 
 /// Cross rows: each technique fired at every protection level (shows where
 /// each one stops working — the reason the paper escalates).

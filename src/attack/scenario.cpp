@@ -18,7 +18,8 @@ namespace {
 util::Result<exploit::TargetProfile> LabExtract(const ScenarioConfig& config,
                                                 int* probes) {
   CONNLAB_ASSIGN_OR_RETURN(
-      auto lab, loader::Boot(config.arch, config.prot, config.local_seed));
+      auto lab,
+      loader::Boot(config.arch, config.prot, config.local_seed, config.exec));
   connman::DnsProxy lab_proxy(*lab, connman::Version::k134);
   exploit::ProfileExtractor extractor(*lab, lab_proxy);
   CONNLAB_ASSIGN_OR_RETURN(exploit::TargetProfile profile, extractor.Extract());
@@ -39,6 +40,14 @@ AttackResult BaseResult(const ScenarioConfig& config) {
       exploit::TechniqueFor(config.arch, config.prot));
   result.defense = config.defense.Label();
   return result;
+}
+
+/// The victim: a fresh boot at the target seed, hardened with whatever the
+/// scenario's defense policy retrofits.
+util::Result<std::unique_ptr<loader::System>> BootVictim(
+    const ScenarioConfig& config) {
+  return config.defense.BootHardened(config.arch, config.prot,
+                                     config.target_seed, config.exec);
 }
 
 /// What the victim actually boots with: base protections plus whatever the
@@ -85,9 +94,7 @@ util::Result<AttackResult> RunControlledScenario(const ScenarioConfig& config) {
 
   // The victim: a different boot (fresh ASLR draw, fresh canary), hardened
   // with whatever the scenario's defense policy retrofits.
-  CONNLAB_ASSIGN_OR_RETURN(auto target,
-                           config.defense.BootHardened(
-                               config.arch, config.prot, config.target_seed));
+  CONNLAB_ASSIGN_OR_RETURN(auto target, BootVictim(config));
   connman::DnsProxy proxy(*target, config.version);
 
   dns::Message query = dns::Message::Query(0x7E57, "target.device.lan");
@@ -123,9 +130,7 @@ util::Result<RemoteResult> RunPineappleScenario(const ScenarioConfig& config) {
   radio.AddAp(&home_ap);
 
   // --- The victim IoT device ----------------------------------------------
-  CONNLAB_ASSIGN_OR_RETURN(auto firmware,
-                           config.defense.BootHardened(
-                               config.arch, config.prot, config.target_seed));
+  CONNLAB_ASSIGN_OR_RETURN(auto firmware, BootVictim(config));
   net::VictimDevice victim(*firmware, config.version, "HomeWiFi");
   CONNLAB_RETURN_IF_ERROR(victim.JoinWifi(radio, network));
 
@@ -200,9 +205,7 @@ util::Result<LureResult> RunLureScenario(const ScenarioConfig& config) {
       "HomeWiFi", -60, net::DhcpServer("192.168.1", "192.168.1.1", resolver.ip()));
   radio.AddAp(&home_ap);
 
-  CONNLAB_ASSIGN_OR_RETURN(auto firmware,
-                           config.defense.BootHardened(
-                               config.arch, config.prot, config.target_seed));
+  CONNLAB_ASSIGN_OR_RETURN(auto firmware, BootVictim(config));
   net::VictimDevice victim(*firmware, config.version, "HomeWiFi");
   CONNLAB_RETURN_IF_ERROR(victim.JoinWifi(radio, network));
   result.on_legitimate_network = victim.lease().dns_server == resolver.ip();
@@ -260,7 +263,8 @@ util::Result<PoisonResult> RunCachePoisoningScenario(const ScenarioConfig& confi
   radio.AddAp(&home_ap);
 
   CONNLAB_ASSIGN_OR_RETURN(
-      auto firmware, loader::Boot(config.arch, config.prot, config.target_seed));
+      auto firmware,
+      loader::Boot(config.arch, config.prot, config.target_seed, config.exec));
   net::VictimDevice victim(*firmware, config.version, "HomeWiFi");
   CONNLAB_RETURN_IF_ERROR(victim.JoinWifi(radio, network));
 

@@ -33,6 +33,9 @@ struct ScenarioConfig {
   /// attacker's lab still profiles the stock `prot` firmware, so whatever
   /// the defense randomises or checks is honestly unknown to the exploit.
   defense::DefensePolicy defense;
+  /// Execution tier and restore mode of every boot the scenario makes: the
+  /// attacker's lab instance and the victim alike.
+  vm::ExecConfig exec;
 };
 
 /// Extracts a profile in the lab and attacks a fresh target boot.

@@ -106,9 +106,10 @@ std::string DefensePolicy::Label() const {
 }
 
 util::Result<std::unique_ptr<loader::System>> DefensePolicy::BootHardened(
-    isa::Arch arch, loader::ProtectionConfig base, std::uint64_t seed) const {
+    isa::Arch arch, loader::ProtectionConfig base, std::uint64_t seed,
+    const vm::ExecConfig& exec) const {
   Configure(base);
-  CONNLAB_ASSIGN_OR_RETURN(auto sys, loader::Boot(arch, base, seed));
+  CONNLAB_ASSIGN_OR_RETURN(auto sys, loader::Boot(arch, base, seed, exec));
   CONNLAB_RETURN_IF_ERROR(Arm(*sys));
   return sys;
 }

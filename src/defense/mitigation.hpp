@@ -86,7 +86,8 @@ class DefensePolicy {
 
   /// Convenience: Configure + Boot + Arm in one step.
   util::Result<std::unique_ptr<loader::System>> BootHardened(
-      isa::Arch arch, loader::ProtectionConfig base, std::uint64_t seed) const;
+      isa::Arch arch, loader::ProtectionConfig base, std::uint64_t seed,
+      const vm::ExecConfig& exec = {}) const;
 
  private:
   std::vector<std::shared_ptr<const Mitigation>> mitigations_;

@@ -54,11 +54,6 @@ util::Result<VictimPool::Lane*> VictimPool::GetLane(std::uint32_t variant,
                       config_.seed0 + static_cast<std::uint64_t>(variant)));
     Lane lane;
     lane.sys = std::move(sys);
-    if (!config_.superblocks) lane.sys->cpu->set_superblocks_enabled(false);
-    if (!config_.block_links) lane.sys->cpu->set_block_links_enabled(false);
-    if (!config_.shared_blocks) {
-      lane.sys->cpu->set_shared_superblocks_enabled(false);
-    }
     lane.snap = loader::TakeSnapshot(*lane.sys);
     it = lanes_.emplace(key, std::move(lane)).first;
     ++stats_.lanes;

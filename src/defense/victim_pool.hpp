@@ -34,13 +34,6 @@ class VictimPool {
     loader::ProtectionConfig base;       // population-wide baseline
     std::uint64_t seed0 = 1;             // variant v boots at seed0 + v
     connman::Version version = connman::Version::k134;
-    /// Superblock tier on lane CPUs; disable-only knob (the process-wide
-    /// default still governs), threaded through fleet::FleetConfig.
-    bool superblocks = true;
-    /// Block linking / continuation within the tier; same contract.
-    bool block_links = true;
-    /// SharedSuperblockRegistry publication/import; same contract.
-    bool shared_blocks = true;
   };
 
   struct VolleyOutcome {

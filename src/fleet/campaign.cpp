@@ -138,9 +138,6 @@ util::Result<FleetResult> RunFleetCampaign(const FleetConfig& config) {
 
   defense::VictimPool::Config pool_config{config.arch, config.base,
                                           victim_seed0};
-  pool_config.superblocks = config.superblocks;
-  pool_config.block_links = config.block_links;
-  pool_config.shared_blocks = config.shared_blocks;
   defense::VictimPool pool(pool_config);
   // Per-victim boots restore the victim's own variant lane (its diversity
   // draw is the whole point); mitigation hardening only matters when a

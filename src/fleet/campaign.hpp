@@ -52,13 +52,6 @@ struct FleetConfig {
   double attack_rate = 0.25;            // fraction of queries the AP races
   std::uint64_t brute_budget = 4096;    // responses/victim for canary guessing
   BugClass bug_class = BugClass::kStackSmash;  // the exploit the AP races
-  /// Superblock tier on victim-lane CPUs (disable-only knob; the
-  /// fleet_campaign example exposes it as --no-superblocks).
-  bool superblocks = true;
-  /// Block linking / continuation within the tier (--no-block-links).
-  bool block_links = true;
-  /// SharedSuperblockRegistry publication/import (--no-shared-blocks).
-  bool shared_blocks = true;
 };
 
 struct FleetResult {

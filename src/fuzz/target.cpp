@@ -195,12 +195,7 @@ class BootedTarget : public FuzzTarget {
   util::Status BootSystem() {
     CONNLAB_ASSIGN_OR_RETURN(
         sys_, loader::Boot(config_.arch, loader::ProtectionConfig::None(),
-                           config_.boot_seed));
-    if (!config_.superblocks) sys_->cpu->set_superblocks_enabled(false);
-    if (!config_.block_links) sys_->cpu->set_block_links_enabled(false);
-    if (!config_.shared_blocks) {
-      sys_->cpu->set_shared_superblocks_enabled(false);
-    }
+                           config_.boot_seed, config_.exec));
     CONNLAB_ASSIGN_OR_RETURN(get_name_, sys_->Sym("connman.get_name"));
     CONNLAB_ASSIGN_OR_RETURN(copy_entry_, sys_->Sym("connman.copy_label"));
     CONNLAB_ASSIGN_OR_RETURN(copy_done_, sys_->Sym("connman.copy_done"));

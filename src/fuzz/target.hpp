@@ -49,18 +49,9 @@ struct TargetConfig {
   /// (fork-server style) instead of re-running the loader. Off = full
   /// re-Boot per corruption, the legacy baseline for the differential gate.
   bool fast_reset = true;
-  /// Superblock threaded-code tier (vm/superblock.hpp) on the target's CPU.
-  /// Only ever applied as a disable so the process-wide default the
-  /// differential suite flips (Cpu::set_superblocks_default) still governs
-  /// freshly booted targets.
-  bool superblocks = true;
-  /// Block linking + host-fn/syscall continuation within the superblock
-  /// tier; same disable-only contract. Off reproduces the bare self-loop
-  /// tier for A/B smokes.
-  bool block_links = true;
-  /// Publication to / import from the process-wide SharedSuperblockRegistry;
-  /// same disable-only contract. Off compiles every block privately.
-  bool shared_blocks = true;
+  /// Execution tier and restore mode of the target's System (every boot and
+  /// every snapshot restore of the campaign).
+  vm::ExecConfig exec;
 };
 
 /// What one execution did, reduced to what the fuzz loop and the triage

@@ -9,7 +9,8 @@ namespace connlab::loader {
 
 util::Result<std::unique_ptr<System>> Boot(isa::Arch arch,
                                            const ProtectionConfig& prot,
-                                           std::uint64_t seed) {
+                                           std::uint64_t seed,
+                                           const vm::ExecConfig& exec) {
   OBS_TRACE_SPAN(boot_span, "loader", "Boot");
   OBS_COUNT("loader.boots");
   util::Rng rng(seed ^ 0xB007B007B007ULL);
@@ -21,9 +22,10 @@ util::Result<std::unique_ptr<System>> Boot(isa::Arch arch,
     sys->arch = arch;
     sys->prot = prot;
     sys->boot_seed = seed;
+    sys->exec = exec;
     sys->rng = rng.Fork();
     sys->layout = RandomizedLayout(arch, prot, rng);
-    sys->cpu = std::make_unique<vm::Cpu>(arch, sys->space);
+    sys->cpu = std::make_unique<vm::Cpu>(arch, sys->space, exec);
     sys->cpu->set_shadow_stack_enabled(prot.cfi);
 
     CONNLAB_RETURN_IF_ERROR(LoadConnmanImage(*sys));
@@ -66,7 +68,7 @@ util::Result<std::unique_ptr<System>> Boot(isa::Arch arch,
     // diversity-reshuffled boot hashes differently and gets its own. RWX
     // segments (the non-W^X stack) are skipped — the first shellcode byte
     // would invalidate the plan anyway.
-    if (sys->cpu->shared_plans_enabled()) {
+    if (exec.decode_caches) {
       for (const auto& seg : sys->space.segments()) {
         if (mem::Has(seg->perms(), mem::Perm::kExec) &&
             !mem::Has(seg->perms(), mem::Perm::kWrite)) {

@@ -9,21 +9,11 @@ namespace connlab::loader {
 
 namespace {
 
-std::atomic<bool> g_dirty_restore_default{true};
-
 // Snapshot ids start at 1 so a freshly-mapped segment's baseline of 0 can
 // never accidentally match a real snapshot.
 std::atomic<std::uint64_t> g_next_snapshot_id{1};
 
 }  // namespace
-
-void SetDirtyRestoreDefault(bool enabled) noexcept {
-  g_dirty_restore_default.store(enabled, std::memory_order_relaxed);
-}
-
-bool DirtyRestoreDefault() noexcept {
-  return g_dirty_restore_default.load(std::memory_order_relaxed);
-}
 
 Snapshot TakeSnapshot(System& sys) {
   OBS_COUNT("loader.snapshots_taken");
@@ -60,7 +50,7 @@ util::Status RestoreSnapshot(System& sys, const Snapshot& snap,
   }
   const bool dirty_only = mode == RestoreMode::kDirtyOnly ||
                           (mode == RestoreMode::kDefault &&
-                           DirtyRestoreDefault());
+                           sys.exec.dirty_restores);
   std::uint64_t pages_copied = 0;
   std::uint64_t dirty_restores = 0;
   std::uint64_t full_restores = 0;

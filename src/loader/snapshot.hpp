@@ -65,16 +65,10 @@ struct Snapshot {
 };
 
 enum class RestoreMode {
-  kDefault,    // whatever SetDirtyRestoreDefault says (dirty-only out of the box)
+  kDefault,    // dirty-only when the System's exec.dirty_restores is on
   kFull,       // copy every segment wholesale
   kDirtyOnly,  // copy only pages dirtied since TakeSnapshot
 };
-
-/// Process-wide default for RestoreMode::kDefault, mirroring the predecode
-/// default toggle on vm::Cpu: the differential suite flips it to prove the
-/// fast path is observably identical to the slow one.
-void SetDirtyRestoreDefault(bool enabled) noexcept;
-[[nodiscard]] bool DirtyRestoreDefault() noexcept;
 
 /// Captures the complete restorable state of a booted System and resets
 /// every segment's dirty bitmap against this snapshot's fresh baseline id.

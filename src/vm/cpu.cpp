@@ -70,16 +70,12 @@ std::string StopInfo::ToString() const {
   return out;
 }
 
-Cpu::Cpu(isa::Arch arch, mem::AddressSpace& space)
+Cpu::Cpu(isa::Arch arch, mem::AddressSpace& space, const ExecConfig& exec)
     : arch_(arch),
       space_(&space),
+      exec_(exec),
       predecode_(kPredecodeSlots),
-      predecode_shift_(arch == isa::Arch::kVARM ? 2 : 0),
-      predecode_enabled_(predecode_default_),
-      shared_plans_enabled_(shared_plans_default_),
-      superblocks_enabled_(superblocks_default_),
-      block_links_enabled_(block_links_default_),
-      shared_superblocks_enabled_(shared_superblocks_default_) {}
+      predecode_shift_(arch == isa::Arch::kVARM ? 2 : 0) {}
 
 Cpu::~Cpu() {
 #ifndef CONNLAB_OBS_DISABLED
@@ -115,14 +111,6 @@ void Cpu::FlushObsBatch() noexcept {
     if (sb_->invalidations != 0) {
       OBS_COUNT_N("vm.superblock.invalidations", sb_->invalidations);
       sb_->invalidations = 0;
-    }
-    if (sb_->links != 0) {
-      OBS_COUNT_N("vm.superblock.links", sb_->links);
-      sb_->links = 0;
-    }
-    if (sb_->resumes != 0) {
-      OBS_COUNT_N("vm.superblock.resumes", sb_->resumes);
-      sb_->resumes = 0;
     }
     if (sb_->imports != 0) {
       OBS_COUNT_N("vm.superblock.imports", sb_->imports);
@@ -268,7 +256,7 @@ StopInfo Cpu::Run(std::uint64_t max_steps) {
       break;
     }
     skip_breakpoint_once_ = false;
-    if (superblocks_enabled_ &&
+    if (exec_.superblocks &&
         TrySuperblocks(max_steps - (steps_ - start_steps))) {
       continue;  // re-evaluate stop/budget/breakpoints at the block boundary
     }
@@ -317,7 +305,7 @@ void Cpu::Step() {
   if (stopped()) return;
   if (cov_bitmap_ != nullptr) RecordCoverageEdge(CoverageLocation(pc_));
 
-  if (predecode_enabled_) {
+  if (exec_.decode_caches) {
     const PredecodeEntry& slot = PredecodeSlot(pc_);
     if (slot.pc == pc_ && slot.kind == PredecodeEntry::Kind::kInstr &&
         slot.gen == slot.seg->generation()) {
@@ -359,7 +347,7 @@ void Cpu::StepSlow() {
   // Host-function trampoline takes priority over decoding.
   auto host = host_fns_.find(pc_);
   if (host != host_fns_.end()) {
-    if (predecode_enabled_) {
+    if (exec_.decode_caches) {
       PredecodeEntry& slot = PredecodeSlot(pc_);
       slot.pc = pc_;
       slot.kind = PredecodeEntry::Kind::kHostFn;
@@ -370,7 +358,7 @@ void Cpu::StepSlow() {
     return;
   }
 
-  if (!predecode_enabled_) {
+  if (!exec_.decode_caches) {
     // Legacy fetch/decode, byte-copying via util::Bytes. Kept verbatim as
     // the differential-test baseline: identical fault wording, identical
     // two-step VX86 fetch semantics.
@@ -429,25 +417,23 @@ void Cpu::StepSlow() {
   // the plan was built — so executing the planned decode is bit-identical
   // to decoding here. Offsets the plan could not decode fall through so
   // fault wording stays byte-identical to the plain path.
-  if (shared_plans_enabled_) {
-    if (const isa::Instr* planned = PlannedInstr(seg)) {
-      OBS_COUNT("vm.plan_hits");
-      PredecodeEntry& slot = PredecodeSlot(pc_);
-      slot.pc = pc_;
-      slot.kind = PredecodeEntry::Kind::kInstr;
-      slot.seg = seg;
-      slot.gen = seg->generation();
-      slot.instr = *planned;
-      slot.host = nullptr;
-      const isa::Instr ins = *planned;  // plans are immutable; copy anyway,
-      ++steps_;                         // matching the hot path's idiom
-      if (trace_limit_ != 0) {
-        trace_.push_back({pc_, ins.ToString(arch_)});
-        if (trace_.size() > trace_limit_) trace_.pop_front();
-      }
-      ExecuteInstr(ins);
-      return;
+  if (const isa::Instr* planned = PlannedInstr(seg)) {
+    OBS_COUNT("vm.plan_hits");
+    PredecodeEntry& slot = PredecodeSlot(pc_);
+    slot.pc = pc_;
+    slot.kind = PredecodeEntry::Kind::kInstr;
+    slot.seg = seg;
+    slot.gen = seg->generation();
+    slot.instr = *planned;
+    slot.host = nullptr;
+    const isa::Instr ins = *planned;  // plans are immutable; copy anyway,
+    ++steps_;                         // matching the hot path's idiom
+    if (trace_limit_ != 0) {
+      trace_.push_back({pc_, ins.ToString(arch_)});
+      if (trace_.size() > trace_limit_) trace_.pop_front();
     }
+    ExecuteInstr(ins);
+    return;
   }
 
   std::uint32_t len = first_len;

@@ -29,9 +29,19 @@
 
 namespace connlab::vm {
 
-struct SbOp;
 struct Superblock;
 class SuperblockCache;
+
+/// How a booted System executes and rewinds. Every field defaults to the
+/// fast path; turning one off selects the reference that path must match.
+struct ExecConfig {
+  /// Off: the interpreter alone.
+  bool superblocks = true;
+  /// Off: fetch + decode every step; no predecode slots, no shared plans.
+  bool decode_caches = true;
+  /// Off: RestoreSnapshot copies every segment.
+  bool dirty_restores = true;
+};
 
 enum class StopReason : std::uint8_t {
   kRunning,       // not stopped (internal)
@@ -64,7 +74,9 @@ class Cpu {
  public:
   using HostFn = std::function<util::Status(Cpu&)>;
 
-  Cpu(isa::Arch arch, mem::AddressSpace& space);
+  /// The CPU fixes its execution tier at construction: `exec` is never
+  /// changed afterwards.
+  Cpu(isa::Arch arch, mem::AddressSpace& space, const ExecConfig& exec = {});
   ~Cpu();
   Cpu(const Cpu&) = delete;
   Cpu& operator=(const Cpu&) = delete;
@@ -111,29 +123,18 @@ class Cpu {
   /// observable through stopped()/stop_info() afterwards.
   void Step();
 
+  /// The execution configuration this CPU was constructed with.
+  [[nodiscard]] const ExecConfig& exec() const noexcept { return exec_; }
+
   // --- Predecode cache ------------------------------------------------------
   // Direct-mapped cache of decoded instructions (and host-function hits)
   // keyed by pc. Entries are tagged with the backing segment's write
   // generation, so any write into a segment — shellcode landing on the
   // stack, a debugger poke into .text — invalidates its cached decodes and
   // the next execution re-fetches through the permission-checked front door.
-  // Disabled, the CPU runs the legacy fetch/decode path instruction by
-  // instruction (the differential-test and benchmarking baseline).
-  void set_predecode_enabled(bool enabled) noexcept {
-    predecode_enabled_ = enabled;
-    FlushPredecodeCache();
-  }
-  [[nodiscard]] bool predecode_enabled() const noexcept {
-    return predecode_enabled_;
-  }
-  /// Process-wide default applied to newly constructed CPUs (the loader
-  /// builds CPUs deep inside Boot; tests flip this to compare modes).
-  static void set_predecode_default(bool enabled) noexcept {
-    predecode_default_ = enabled;
-  }
-  [[nodiscard]] static bool predecode_default() noexcept {
-    return predecode_default_;
-  }
+  // With ExecConfig::decode_caches off the CPU never fills it and runs the
+  // legacy fetch/decode path instruction by instruction (the differential
+  // reference).
   void FlushPredecodeCache() noexcept;
 
   // --- Shared decode plans --------------------------------------------------
@@ -143,7 +144,8 @@ class Cpu {
   // the plan instead of decoding; the moment the segment is written or
   // re-protected the binding goes stale and the CPU falls back to the
   // ordinary per-CPU decode path (SMC-correct by construction). The loader
-  // binds plans for executable, non-writable segments at Boot.
+  // binds plans for executable, non-writable segments at Boot when
+  // ExecConfig::decode_caches is on.
   void BindDecodePlan(const mem::Segment* seg,
                       std::shared_ptr<const DecodePlan> plan);
   /// After a snapshot restore rewrote `seg`'s bytes: re-arms the binding at
@@ -153,21 +155,6 @@ class Cpu {
                        std::uint64_t content_hash) noexcept;
   /// The plan currently bound for `seg` (stale or not); nullptr if none.
   [[nodiscard]] const DecodePlan* BoundPlan(const mem::Segment* seg) const noexcept;
-  void set_shared_plans_enabled(bool enabled) noexcept {
-    shared_plans_enabled_ = enabled;
-  }
-  [[nodiscard]] bool shared_plans_enabled() const noexcept {
-    return shared_plans_enabled_;
-  }
-  /// Process-wide default applied to newly constructed CPUs, mirroring
-  /// set_predecode_default (the differential suite toggles it around whole
-  /// scenarios).
-  static void set_shared_plans_default(bool enabled) noexcept {
-    shared_plans_default_ = enabled;
-  }
-  [[nodiscard]] static bool shared_plans_default() noexcept {
-    return shared_plans_default_;
-  }
 
   // --- Superblock tier ------------------------------------------------------
   // Straight-line regions compiled into computed-goto threaded code (see
@@ -175,62 +162,9 @@ class Cpu {
   // and falls back to Step() everywhere else. Blocks are keyed to (segment,
   // write generation) exactly like predecode slots, so SMC / W^X flips /
   // snapshot restores invalidate them; store-class ops re-check the code
-  // segment's generation mid-block. Disabling the tier drops every block.
-  void set_superblocks_enabled(bool enabled) noexcept {
-    superblocks_enabled_ = enabled;
-    FlushSuperblocks();
-  }
-  [[nodiscard]] bool superblocks_enabled() const noexcept {
-    return superblocks_enabled_;
-  }
-  /// Process-wide default applied to newly constructed CPUs, mirroring
-  /// set_predecode_default (the differential suite toggles it around whole
-  /// scenarios; TargetConfig/FleetConfig knobs disable it per campaign).
-  static void set_superblocks_default(bool enabled) noexcept {
-    superblocks_default_ = enabled;
-  }
-  [[nodiscard]] static bool superblocks_default() noexcept {
-    return superblocks_default_;
-  }
+  // segment's generation mid-block. ExecConfig::superblocks off pins the
+  // CPU to the interpreter.
   void FlushSuperblocks() noexcept;
-
-  // --- Block links ----------------------------------------------------------
-  // Direct-branch terminators (jmp/jz/jnz, call/bl with static targets)
-  // chain straight into the compiled successor block instead of returning to
-  // the dispatch loop, after re-making every check a fresh entry makes.
-  // Disabling unlinks everything (links live inside the flushed blocks).
-  void set_block_links_enabled(bool enabled) noexcept {
-    block_links_enabled_ = enabled;
-    FlushSuperblocks();
-  }
-  [[nodiscard]] bool block_links_enabled() const noexcept {
-    return block_links_enabled_;
-  }
-  static void set_block_links_default(bool enabled) noexcept {
-    block_links_default_ = enabled;
-  }
-  [[nodiscard]] static bool block_links_default() noexcept {
-    return block_links_default_;
-  }
-
-  // --- Shared superblocks ---------------------------------------------------
-  // Compiled blocks published to / imported from the process-wide
-  // SharedSuperblockRegistry, keyed by the bound DecodePlan's content
-  // identity (see vm/superblock.hpp). Only plan-backed segments share —
-  // scratch and writable segments always compile privately.
-  void set_shared_superblocks_enabled(bool enabled) noexcept {
-    shared_superblocks_enabled_ = enabled;
-    FlushSuperblocks();
-  }
-  [[nodiscard]] bool shared_superblocks_enabled() const noexcept {
-    return shared_superblocks_enabled_;
-  }
-  static void set_shared_superblocks_default(bool enabled) noexcept {
-    shared_superblocks_default_ = enabled;
-  }
-  [[nodiscard]] static bool shared_superblocks_default() noexcept {
-    return shared_superblocks_default_;
-  }
 
   // --- Snapshot state (loader::Snapshot) ------------------------------------
   /// Architectural state a snapshot must capture to make a later
@@ -395,18 +329,10 @@ class Cpu {
                                     const mem::Segment* seg,
                                     std::uint64_t entry_gen,
                                     std::uint64_t steps_cap);
-  /// Block-link resolution for a direct-branch op whose target is `target`:
-  /// returns the compiled successor in the same segment (compiling it on
-  /// first use, caching the edge in the op's link slots), or nullptr when
-  /// the target is outside the segment, a host-function trampoline, or not
-  /// worth block dispatch. Caller has already verified the generation.
-  const Superblock* LinkedSuccessor(const SbOp& op, const mem::Segment* seg,
-                                    mem::GuestAddr target);
-
   void Fault(std::string detail);
-  /// The one edge recorder both tiers share (Step, and the superblock
-  /// tier's per-op entry and host-call transit): bumps the edge cell into
-  /// location `cur`, logging the cell on its first touch.
+  /// The one edge recorder both tiers share (Step and the superblock
+  /// tier's per-op entry): bumps the edge cell into location `cur`, logging
+  /// the cell on its first touch.
   void RecordCoverageEdge(std::uint32_t cur) noexcept {
     const std::uint32_t index = (cur ^ cov_prev_) & cov_mask_;
     std::uint8_t& cell = cov_bitmap_[index];
@@ -440,20 +366,11 @@ class Cpu {
   std::uint32_t cov_mask_ = 0;
   std::vector<std::uint16_t>* cov_touched_ = nullptr;
   std::uint32_t cov_prev_ = 0;
+  const ExecConfig exec_;
   std::vector<PredecodeEntry> predecode_;
   std::uint32_t predecode_shift_ = 0;  // 2 on VARM (4-byte aligned), 0 on VX86
-  bool predecode_enabled_ = true;
-  inline static bool predecode_default_ = true;
   std::vector<PlanBinding> plan_bindings_;  // one or two entries (.text, libc)
-  bool shared_plans_enabled_ = true;
-  inline static bool shared_plans_default_ = true;
   std::unique_ptr<SuperblockCache> sb_;  // lazily created on first Run
-  bool superblocks_enabled_ = true;
-  inline static bool superblocks_default_ = true;
-  bool block_links_enabled_ = true;
-  inline static bool block_links_default_ = true;
-  bool shared_superblocks_enabled_ = true;
-  inline static bool shared_superblocks_default_ = true;
 
 #ifndef CONNLAB_OBS_DISABLED
   /// Per-CPU staging for the obs counters: fuzz targets issue tens of tiny

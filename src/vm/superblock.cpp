@@ -76,12 +76,6 @@ enum SbHandler : std::uint8_t {
   kHAJnz,
   kHASyscall,
   kHAHlt,
-  // Call-host continuation ops (appended so earlier indices stay stable):
-  // a direct call/bl whose static target is a registered host-function
-  // trampoline — the block performs the call, dispatches the trampoline and
-  // resumes at the fall-through when it can.
-  kHXCallHost,
-  kHABlHost,
   kHandlerCount,
 };
 
@@ -118,9 +112,7 @@ HandlerPick PickVX86(const isa::Instr& ins) noexcept {
     case Op::kJz: return {kHXJz, true};
     case Op::kJnz: return {kHXJnz, true};
     case Op::kJmpInd: return {kHXJmpInd, true};
-    // Syscalls continue in-block: the handler re-checks stop state, pc and
-    // the code generation before resuming (see x_syscall).
-    case Op::kSyscall: return {kHXSyscall, false};
+    case Op::kSyscall: return {kHXSyscall, true};
     case Op::kHlt: return {kHXHlt, true};
     default: return {};
   }
@@ -167,8 +159,7 @@ HandlerPick PickVARM(const isa::Instr& ins) noexcept {
     case Op::kJmp: return {kHAJmp, true};
     case Op::kJz: return {kHAJz, true};
     case Op::kJnz: return {kHAJnz, true};
-    // Syscalls continue in-block, mirroring PickVX86.
-    case Op::kSyscall: return {kHASyscall, false};
+    case Op::kSyscall: return {kHASyscall, true};
     case Op::kHlt: return {kHAHlt, true};
     default: return {};
   }
@@ -191,12 +182,10 @@ const Superblock* Cpu::SuperblockFor(const mem::Segment* seg,
   // scratch or stack segment after Boot has no plan, and must still tier
   // up — that is exactly the injected-shellcode / bench-loop case).
   const DecodePlan* plan = nullptr;
-  if (shared_plans_enabled_) {
-    for (const PlanBinding& binding : plan_bindings_) {
-      if (binding.seg == seg && binding.gen == seg->generation()) {
-        plan = binding.plan.get();
-        break;
-      }
+  for (const PlanBinding& binding : plan_bindings_) {
+    if (binding.seg == seg && binding.gen == seg->generation()) {
+      plan = binding.plan.get();
+      break;
     }
   }
 
@@ -207,45 +196,25 @@ const Superblock* Cpu::SuperblockFor(const mem::Segment* seg,
   // from the same image is copied into the private store instead of
   // re-walking the instruction stream. Import is refused — and the local
   // build below takes over — when local state could change the block's
-  // shape: a breakpoint anywhere, a host function shadowing an interior pc,
-  // or a call-host trampoline this CPU does not have.
-  // Only default-shape blocks are shared: with block links disabled the
-  // builder compiles the PR 9 shapes (syscalls terminate, no call-host
-  // continuation), and mixing shapes across CPUs would blur that A/B knob.
-  const bool shareable = shared_superblocks_enabled_ && block_links_enabled_ &&
-                         plan != nullptr && breakpoints_.empty();
+  // shape: a breakpoint anywhere, or a host function shadowing an interior
+  // pc.
+  const bool shareable = plan != nullptr && breakpoints_.empty();
   bool import_refused = false;
   if (shareable) {
     auto canonical = SharedSuperblockRegistry::Instance().Lookup(
         arch_, plan->base(), plan->size(), plan->content_hash(), entry);
     if (canonical != nullptr) {
-      Superblock copy = *canonical;
       bool import_ok = true;
-      for (SbOp& op : copy.ops) {
-        op.link_taken = nullptr;  // canonicals are scrubbed; be explicit
-        op.link_fall = nullptr;
+      for (const SbOp& op : canonical->ops) {
         if (op.handler == labels[kHExit]) continue;  // retires nothing
         if (!host_fns_.empty() && host_fns_.contains(op.pc)) {
           import_ok = false;  // a local trampoline would have ended the block
           break;
         }
-        if (op.handler == labels[kHXCallHost] ||
-            op.handler == labels[kHABlHost]) {
-          const mem::GuestAddr target =
-              op.handler == labels[kHXCallHost]
-                  ? op.instr.imm
-                  : op.pc_next + static_cast<std::int32_t>(op.instr.imm) * 4;
-          auto host = host_fns_.find(target);
-          if (host == host_fns_.end()) {
-            import_ok = false;
-            break;
-          }
-          op.host = &host->second;  // std::map nodes are pointer-stable
-        }
       }
       if (import_ok) {
         ++sb_->imports;
-        auto [pos, inserted] = store.blocks.emplace(entry, std::move(copy));
+        auto [pos, inserted] = store.blocks.emplace(entry, *canonical);
         return &pos->second;
       }
       import_refused = true;
@@ -279,43 +248,21 @@ const Superblock* Cpu::SuperblockFor(const mem::Segment* seg,
       local = decoded.value();
       ins = &local;
     }
-    HandlerPick pick =
+    const HandlerPick pick =
         arch_ == isa::Arch::kVX86 ? PickVX86(*ins) : PickVARM(*ins);
     if (pick.index < 0) break;
     SbOp op;
+    op.handler = labels[pick.index];
     op.instr = *ins;
     op.pc = pc;
     op.pc_next = pc + ins->length;
     op.cov_loc = CoverageLocation(pc);
-    // A direct call whose static target is a host-function trampoline
-    // becomes a call-host continuation op: the block performs the call,
-    // dispatches the trampoline and resumes at the fall-through pc.
-    // (RegisterHostFn flushes every block, so the trampoline set cannot
-    // change under a compiled block.)
-    if (block_links_enabled_ && !host_fns_.empty() &&
-        (ins->op == isa::Op::kCall || ins->op == isa::Op::kBl)) {
-      const mem::GuestAddr target =
-          ins->op == isa::Op::kCall
-              ? ins->imm
-              : op.pc_next + static_cast<std::int32_t>(ins->imm) * 4;
-      auto host = host_fns_.find(target);
-      if (host != host_fns_.end()) {
-        pick = {ins->op == isa::Op::kCall ? kHXCallHost : kHABlHost, false};
-        op.host = &host->second;  // std::map nodes are pointer-stable
-        op.cov_host = CoverageLocation(target);
-      }
-    }
-    op.handler = labels[pick.index];
     block.ops.push_back(op);
     pc = op.pc_next;
     if (pick.terminator) {
       ends_in_terminator = true;
       break;
     }
-    // With block links disabled (the PR 9 A/B baseline) syscalls end the
-    // region as they used to; the handler's continuation path then flows
-    // into the appended exit sentinel, handing control back unchanged.
-    if (!block_links_enabled_ && ins->op == isa::Op::kSyscall) break;
   }
   block.count = static_cast<std::uint32_t>(block.ops.size());
   if (block.usable()) {
@@ -333,18 +280,10 @@ const Superblock* Cpu::SuperblockFor(const mem::Segment* seg,
     // one compile per canonical however its workers interleave.
     bool lost_race = false;
     if (shareable) {
-      // Publish a scrubbed canonical: link slots and host-fn pointers are
-      // per-CPU state; everything that remains is a pure function of the
-      // segment content the key hashes.
-      auto canonical = std::make_shared<Superblock>(block);
-      for (SbOp& op : canonical->ops) {
-        op.host = nullptr;
-        op.link_taken = nullptr;
-        op.link_fall = nullptr;
-      }
+      // The block is a pure function of the segment content the key hashes.
       lost_race = !SharedSuperblockRegistry::Instance().Publish(
                       arch_, plan->base(), plan->size(), plan->content_hash(),
-                      entry, std::move(canonical)) &&
+                      entry, std::make_shared<const Superblock>(block)) &&
                   !import_refused;
     }
     ++(lost_race ? sb_->imports : sb_->compiles);
@@ -353,37 +292,6 @@ const Superblock* Cpu::SuperblockFor(const mem::Segment* seg,
   // the interpreter region is not re-scanned every visit.
   auto [pos, inserted] = store.blocks.emplace(entry, std::move(block));
   return &pos->second;
-}
-
-const Superblock* Cpu::LinkedSuccessor(const SbOp& op, const mem::Segment* seg,
-                                       mem::GuestAddr target) {
-  // Cached edge first: links only ever point to usable blocks in the same
-  // (segment, generation) store, which the caller just re-validated — a
-  // moved generation can never reach here with a stale pointer because the
-  // op holding the link dies with the store too.
-  if (op.link_taken != nullptr && op.link_taken->entry == target) {
-    return op.link_taken;
-  }
-  if (op.link_fall != nullptr && op.link_fall->entry == target) {
-    return op.link_fall;
-  }
-  // Resolve the edge. Only intra-segment targets link, so generation
-  // invalidation drops predecessor, successor and the edge together; the
-  // unchanged generation also means the segment still holds the execute
-  // permission the block entry's fetch verified. Trampoline pcs stay with
-  // the interpreter's dispatch.
-  const std::uint32_t probe_len =
-      arch_ == isa::Arch::kVARM ? isa::kVARMInstrSize : 1u;
-  if (!seg->ContainsRange(target, probe_len)) return nullptr;
-  if (!host_fns_.empty() && host_fns_.contains(target)) return nullptr;
-  const Superblock* succ = SuperblockFor(seg, target);
-  if (!succ->usable()) return nullptr;
-  if (target == op.pc_next) {
-    op.link_fall = succ;
-  } else {
-    op.link_taken = succ;
-  }
-  return succ;
 }
 
 bool Cpu::TrySuperblocks(std::uint64_t remaining) {
@@ -482,64 +390,26 @@ bool Cpu::TrySuperblocks(std::uint64_t remaining) {
     regs_[isa::kPC] = cl_pc;       \
   } while (0)
 
-// Direct-branch terminator: re-enter threaded code without returning through
-// the dispatch loop whenever every per-entry precondition still holds —
-// block store still valid (generation unchanged), nothing stopped, no
-// breakpoints to honour, budget for a full pass of the target block. The
-// target may be this block's own entry (the tight-loop shape) or, with
-// block links enabled, any compiled block in the same segment; the resolved
-// edge is cached on the branch op. Anything else hands control back to
-// TrySuperblocks.
-#define CL_BRANCH(target_val, SYNC_PC)                                    \
-  do {                                                                    \
-    const mem::GuestAddr cl_t = (target_val);                             \
-    SYNC_PC(cl_t);                                                        \
-    if (seg->generation() == entry_gen &&                                 \
-        stop_.reason == StopReason::kRunning && breakpoints_.empty()) {   \
-      if (cl_t == block->entry) {                                         \
-        if (steps_ + block->count <= steps_cap) {                         \
-          ++sb_->hits;                                                    \
-          op = block->ops.data();                                         \
-          goto* const_cast<void*>(op->handler);                           \
-        }                                                                 \
-      } else if (block_links_enabled_) {                                  \
-        const Superblock* cl_succ = LinkedSuccessor(*op, seg, cl_t);      \
-        if (cl_succ != nullptr && steps_ + cl_succ->count <= steps_cap) { \
-          ++sb_->links;                                                   \
-          block = cl_succ;                                                \
-          op = block->ops.data();                                         \
-          goto* const_cast<void*>(op->handler);                          \
-        }                                                                 \
-      }                                                                   \
-    }                                                                     \
-    return nullptr;                                                       \
+// Direct-branch terminator: a branch back to this block's own entry (the
+// tight-loop shape) re-enters threaded code without returning through the
+// dispatch loop whenever every per-entry precondition still holds — block
+// store still valid (generation unchanged), nothing stopped, no breakpoints
+// to honour, budget for a full pass of the block. Anything else hands
+// control back to TrySuperblocks.
+#define CL_BRANCH(target_val, SYNC_PC)                                  \
+  do {                                                                  \
+    const mem::GuestAddr cl_t = (target_val);                           \
+    SYNC_PC(cl_t);                                                      \
+    if (cl_t == block->entry && seg->generation() == entry_gen &&       \
+        stop_.reason == StopReason::kRunning && breakpoints_.empty() && \
+        steps_ + block->count <= steps_cap) {                           \
+      ++sb_->hits;                                                      \
+      op = block->ops.data();                                           \
+      goto* const_cast<void*>(op->handler);                             \
+    }                                                                   \
+    return nullptr;                                                     \
   } while (0)
 #define CL_SET_PC_X86(value) (pc_ = (value))
-
-// Dispatches a call-host op's trampoline with Run()-loop parity — budget
-// check first (a StepLimit stop lands at the trampoline pc, exactly where
-// the interpreter stops), then the host-transit coverage edge Step()
-// records — and decides whether the block can resume at the fall-through:
-// the host function must have performed its return sequence back to
-// pc_next, nothing may have stopped, no breakpoint may have appeared, the
-// remaining ops must still fit the budget (the transit retired a step the
-// block entry did not provision for), and the code bytes must be untouched
-// (host functions write guest memory; CL_SMC_NEXT re-checks).
-#define CL_HOST_DISPATCH()                                                   \
-  do {                                                                       \
-    if (steps_ >= steps_cap) return nullptr;                                 \
-    if (cov_bitmap_ != nullptr) RecordCoverageEdge(op->cov_host);            \
-    DispatchHostFn(                                                          \
-        *static_cast<const std::pair<std::string, HostFn>*>(op->host));      \
-    if (stopped() || pc_ != op->pc_next || !breakpoints_.empty()) {          \
-      return nullptr;                                                        \
-    }                                                                        \
-    const std::uint64_t cl_done =                                            \
-        static_cast<std::uint64_t>(op - block->ops.data()) + 1;              \
-    if (steps_ + (block->count - cl_done) > steps_cap) return nullptr;       \
-    ++sb_->resumes;                                                          \
-    CL_SMC_NEXT();                                                           \
-  } while (0)
 
 const void* const* Cpu::ExecSuperblock(const Superblock* block,
                                        const mem::Segment* seg,
@@ -561,8 +431,6 @@ const void* const* Cpu::ExecSuperblock(const Superblock* block,
       &&a_store_byte, &&a_ldr_lit, &&a_ldr_ind, &&a_push, &&a_pop,
       &&a_pop_pc, &&a_bl, &&a_blx, &&a_bx, &&a_jmp, &&a_jz, &&a_jnz,
       &&a_syscall, &&a_hlt,
-      // Call-host continuations
-      &&x_call_host, &&a_bl_host,
   };
   static_assert(sizeof(kLabels) / sizeof(kLabels[0]) == kHandlerCount);
   if (block == nullptr) return kLabels;
@@ -719,25 +587,9 @@ x_call: {
   }
   regs_[isa::kESP] = next_sp;
   if (shadow_enabled_) shadow_.push_back(op->pc_next);
-  // The static callee is a direct-branch target like any other: chain into
-  // its compiled block when the per-entry checks allow (a self-call
-  // re-enters this block — recursion really is the tight-loop shape).
+  // A self-call re-enters this block — recursion really is the tight-loop
+  // shape.
   CL_BRANCH(op->instr.imm, CL_SET_PC_X86);
-}
-
-x_call_host: {
-  CL_ENTER();
-  pc_ = op->pc_next;
-  const std::uint32_t next_sp = regs_[isa::kESP] - 4;
-  auto status = space_->WriteU32(next_sp, op->pc_next);
-  if (!status.ok()) {
-    Fault("call push failed");
-    return nullptr;
-  }
-  regs_[isa::kESP] = next_sp;
-  if (shadow_enabled_) shadow_.push_back(op->pc_next);
-  pc_ = op->instr.imm;
-  CL_HOST_DISPATCH();
 }
 
 x_ret: {
@@ -787,17 +639,8 @@ x_syscall: {
   CL_ENTER();
   pc_ = op->pc_next;
   util::Status status = DispatchSyscall(*this);
-  if (!status.ok() && !stopped()) {
-    Fault(status.ToString());
-    return nullptr;
-  }
-  // Continue in-block when the syscall neither stopped the CPU nor moved pc
-  // off the fall-through; syscalls can write guest memory, so CL_SMC_NEXT
-  // re-checks the code generation. (No extra step to account for: the
-  // syscall instruction itself was provisioned at block entry.)
-  if (stopped() || pc_ != op->pc_next) return nullptr;
-  ++sb_->resumes;
-  CL_SMC_NEXT();
+  if (!status.ok() && !stopped()) Fault(status.ToString());
+  return nullptr;
 }
 
 x_hlt:
@@ -1003,14 +846,6 @@ a_bl:
   CL_BRANCH(op->pc_next + static_cast<std::int32_t>(op->instr.imm) * 4,
             CL_SET_PC_ARM);
 
-a_bl_host:
-  CL_ENTER();
-  CL_SET_PC_ARM(op->pc_next);
-  regs_[isa::kLR] = op->pc_next;
-  if (shadow_enabled_) shadow_.push_back(op->pc_next);
-  CL_SET_PC_ARM(op->pc_next + static_cast<std::int32_t>(op->instr.imm) * 4);
-  CL_HOST_DISPATCH();
-
 a_blx:
   CL_ENTER();
   CL_SET_PC_ARM(op->pc_next);  // blx pc / blx lr read the synced values
@@ -1046,15 +881,8 @@ a_syscall: {
   CL_ENTER();
   CL_SET_PC_ARM(op->pc_next);
   util::Status status = DispatchSyscall(*this);
-  if (!status.ok() && !stopped()) {
-    Fault(status.ToString());
-    return nullptr;
-  }
-  // Continuation mirrors x_syscall (the r15 mirror is maintained by any
-  // set_pc the syscall layer performed).
-  if (stopped() || pc_ != op->pc_next) return nullptr;
-  ++sb_->resumes;
-  CL_SMC_NEXT();
+  if (!status.ok() && !stopped()) Fault(status.ToString());
+  return nullptr;
 }
 
 a_hlt:
@@ -1070,7 +898,6 @@ a_hlt:
 #undef CL_SET_PC_ARM
 #undef CL_SET_PC_X86
 #undef CL_BRANCH
-#undef CL_HOST_DISPATCH
 
 SharedSuperblockRegistry& SharedSuperblockRegistry::Instance() {
   static SharedSuperblockRegistry registry;

@@ -13,25 +13,16 @@
 // fall-through pc and its precomputed AFL coverage location. Execution then
 // jumps handler-to-handler with no switch and no per-step cache probes.
 //
-// Three mechanisms keep execution inside threaded code across block
-// boundaries:
-//   - Block links: a direct branch terminator (jmp/jz/jnz, call/bl with a
-//     static target) re-enters either its own block (the self-loop shape) or
-//     a cached successor block in the same segment, after re-making every
-//     check a fresh TrySuperblocks entry makes (generation, stop state,
-//     budget, breakpoints). Links are per-CPU `mutable` fields on the branch
-//     op; they only ever point into the same SegBlocks map, so generation
-//     invalidation drops predecessor, successor and the edge together.
-//   - Continuation after host functions and syscalls: a direct call whose
-//     static target is a registered host-function trampoline compiles into a
-//     call-host op that performs the call, dispatches the host function and
-//     — when the host function returned to the fall-through pc and budget
-//     still allows — resumes the block's remaining ops without leaving the
-//     executor. Syscalls likewise continue in-block.
-//   - A shared per-image block store (SharedSuperblockRegistry below): CPUs
-//     with a valid DecodePlan binding publish their compiled blocks keyed by
-//     the plan's content identity, and other CPUs booted from the same image
-//     import a private copy instead of re-walking the instruction stream.
+// A direct branch back to its own block's entry (the tight-loop shape)
+// re-enters the block without returning to the dispatch loop, after
+// re-making every check a fresh TrySuperblocks entry makes (generation,
+// stop state, budget, breakpoints). Every other block exit returns to the
+// dispatch loop, whose direct-mapped slot probe finds the next block.
+//
+// A shared per-image block store (SharedSuperblockRegistry below) lets CPUs
+// with a valid DecodePlan binding publish their compiled blocks keyed by the
+// plan's content identity, so other CPUs booted from the same image import a
+// private copy instead of re-walking the instruction stream.
 //
 // Correctness contract (the differential suite enforces all of it, tier on
 // vs off):
@@ -42,13 +33,13 @@
 //   - Store-class ops re-check the code segment's generation *mid-block*
 //     and exit to the interpreter when the guest just overwrote its own
 //     instruction stream (shellcode patching the sled it is running on).
-//     Host functions and syscalls can write guest memory too, so the
-//     continuation path re-checks the generation before resuming.
+//     Host functions and syscalls can write guest memory too; syscalls end
+//     their block, and host functions only ever run from the interpreter.
 //   - Handlers mirror the interpreter byte-for-byte: same fault wording,
 //     same pc at fault time (the fall-through pc, as ExecVX86/ExecVARM set
 //     before executing), same shadow-stack CFI events and stop details,
 //     same steps_ accounting, same AFL edge-coverage updates per retired
-//     instruction (host-function transits included).
+//     instruction.
 //   - Anything the block cannot reproduce exactly — tracing, a VARM
 //     instruction reading or writing r15 outside the synced cases, an
 //     instruction budget smaller than the block — falls back to the
@@ -69,8 +60,6 @@
 
 namespace connlab::vm {
 
-struct Superblock;
-
 /// One threaded-code operation: everything its handler needs, precomputed.
 struct SbOp {
   const void* handler = nullptr;  // &&label inside Cpu::ExecSuperblock
@@ -78,18 +67,6 @@ struct SbOp {
   mem::GuestAddr pc = 0;       // guest address of this instruction
   mem::GuestAddr pc_next = 0;  // fall-through address (pc + length)
   std::uint32_t cov_loc = 0;   // CoverageLocation(pc), hoisted out of the loop
-  std::uint32_t cov_host = 0;  // CoverageLocation(host-fn pc) for call-host ops
-  // Call-host ops: the host-function map node this call dispatches
-  // (pointer-stable; really a const std::pair<std::string, Cpu::HostFn>*,
-  // typed void* to keep this header free of cpu.hpp). Always nullptr in
-  // SharedSuperblockRegistry canonicals — importers re-resolve locally.
-  const void* host = nullptr;
-  // Block-link slots on direct-branch terminators: the compiled successor
-  // for the taken / fall-through target. Per-CPU scratch (hence mutable on a
-  // const op): links point only into the same SegBlocks map, so the edge can
-  // never outlive either endpoint. Never populated on registry canonicals.
-  mutable const Superblock* link_taken = nullptr;
-  mutable const Superblock* link_fall = nullptr;
 };
 
 /// A compiled straight-line region. `ops[0..count)` are real instructions;
@@ -157,8 +134,8 @@ class SuperblockCache {
     return segs_.back();
   }
 
-  /// Drops everything (host-fn registration, breakpoint changes, tier
-  /// toggles — events that can invalidate blocks without a generation bump).
+  /// Drops everything (host-fn registration, breakpoint changes — events
+  /// that can invalidate blocks without a generation bump).
   void Flush() noexcept {
     segs_.clear();
     slots_.fill(Slot{});
@@ -166,14 +143,12 @@ class SuperblockCache {
 
   // Tier counters, batched per-CPU like ObsBatch and flushed to the obs
   // registry as vm.superblock.{compiles,hits,fallbacks,invalidations,
-  // links,resumes,imports}.
+  // imports}.
   std::uint64_t compiles = 0;       // usable blocks built (a lost publish
                                     // race counts as an import instead)
   std::uint64_t hits = 0;           // blocks dispatched
   std::uint64_t fallbacks = 0;      // entries that deferred to the interpreter
   std::uint64_t invalidations = 0;  // generation bumps that dropped blocks
-  std::uint64_t links = 0;          // block-to-block link transitions taken
-  std::uint64_t resumes = 0;        // in-block continuations after host fn/syscall
   std::uint64_t imports = 0;        // blocks copied from the shared registry
 
  private:
@@ -189,15 +164,14 @@ class SuperblockCache {
 /// entry pc — a diversity-reshuffled boot has different bytes (and usually a
 /// different base), so it can never be served another layout's block.
 ///
-/// Canonicals are scrubbed before publication: link slots and host-function
-/// pointers are per-CPU state and are nulled; handler addresses are
+/// A compiled block holds no per-CPU state: handler addresses are
 /// function-local statics inside Cpu::ExecSuperblock, identical across every
 /// CPU in the process, and coverage locations are a pure function of pc — so
-/// the remaining payload is content-deterministic. Importers copy the
-/// canonical into their private SegBlocks map (links re-grow locally) after
-/// re-validating it against local state: no interior pc may be shadowed by a
-/// local host function or breakpoint, and call-host ops must re-resolve
-/// their trampoline from the local host-fn table.
+/// the whole payload is content-deterministic. Every plan-backed block is
+/// published when its CPU has no breakpoint set. Importers copy the
+/// canonical into their private SegBlocks map after re-validating it
+/// against local state: no interior pc may be shadowed by a local host
+/// function.
 ///
 /// Thread-safe like DecodePlanRegistry: lookups take a shared (reader) lock,
 /// builds happen outside any lock, and when two workers race to publish the
@@ -215,8 +189,8 @@ class SharedSuperblockRegistry {
       isa::Arch arch, mem::GuestAddr base, std::uint32_t size,
       std::uint64_t content_hash, mem::GuestAddr entry) const;
 
-  /// Publishes a scrubbed canonical (first insert wins; later publishes of
-  /// the same key are dropped — identical content compiles identically).
+  /// Publishes a canonical (first insert wins; later publishes of the same
+  /// key are dropped — identical content compiles identically).
   /// Returns false when the key already held a canonical.
   bool Publish(isa::Arch arch, mem::GuestAddr base, std::uint32_t size,
                std::uint64_t content_hash, mem::GuestAddr entry,

@@ -1,126 +1,99 @@
-// Differential correctness gate for the VM hot-path optimisations: the
-// predecode cache, snapshot fast reboots, shared decode plans and
-// dirty-page-only restores must be pure speedups.
+// Differential correctness gate for the VM's fast paths: the superblock
+// tier, the decode caches (predecode slots and shared decode plans),
+// dirty-page-only restores and snapshot fast reboots must be pure speedups.
 //
-// Every scenario below runs twice — once in fast mode (predecode cache on,
-// snapshot reboots on) and once in legacy mode (byte-copying fetch/decode,
-// full loader re-Boots) — and the observable outcomes must be identical:
-// stop reasons, failure details, retired-step counts, events, crash-bucket
-// sets and coverage digests. Any divergence means the cache served a stale
-// decode or a restore differs from a real boot, and fails the build.
+// Every scenario below runs under vm::ExecConfig combinations and is
+// compared with the all-off reference — the plain interpreter, fetch +
+// decode every step, full-copy restores and, for fuzz replays, a full
+// loader re-Boot after every corrupting exec. Stop reasons, failure
+// details, retired-step counts, crash-bucket sets and coverage digests
+// must be identical. Any divergence means a fast path served a stale
+// decode or block, or a restore differs from a real boot, and fails the
+// build. Between them the tests cover all eight ExecConfig combinations.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <string>
 #include <vector>
 
 #include "src/attack/matrix.hpp"
 #include "src/fuzz/corpus.hpp"
 #include "src/fuzz/fuzzer.hpp"
-#include "src/loader/snapshot.hpp"
+#include "src/obs/obs.hpp"
 #include "src/vm/cpu.hpp"
-#include "src/vm/superblock.hpp"
 
 namespace connlab {
 namespace {
 
-/// Scoped predecode default: constructors deep inside Boot read the
-/// process-wide default, so the differential runs toggle it around whole
-/// scenarios (single-threaded — these tests never fork workers in legacy
-/// mode and fast mode at the same time).
-class PredecodeDefault {
- public:
-  explicit PredecodeDefault(bool enabled) {
-    vm::Cpu::set_predecode_default(enabled);
-  }
-  ~PredecodeDefault() { vm::Cpu::set_predecode_default(true); }
-};
+constexpr vm::ExecConfig kAllOff{
+    .superblocks = false, .decode_caches = false, .dirty_restores = false};
 
-/// Same shape for the shared decode plans (Boot reads the default when
-/// deciding whether to bind plans to the freshly-loaded text images).
-class SharedPlansDefault {
- public:
-  explicit SharedPlansDefault(bool enabled) {
-    vm::Cpu::set_shared_plans_default(enabled);
-  }
-  ~SharedPlansDefault() { vm::Cpu::set_shared_plans_default(true); }
-};
+std::string Label(const vm::ExecConfig& exec) {
+  return std::string("superblocks=") + (exec.superblocks ? "on" : "off") +
+         " decode_caches=" + (exec.decode_caches ? "on" : "off") +
+         " dirty_restores=" + (exec.dirty_restores ? "on" : "off");
+}
 
-/// And for dirty-page-only snapshot restores (RestoreSnapshot reads the
-/// default whenever the caller passes RestoreMode::kDefault).
-class DirtyRestoreGuard {
- public:
-  explicit DirtyRestoreGuard(bool enabled) {
-    loader::SetDirtyRestoreDefault(enabled);
-  }
-  ~DirtyRestoreGuard() { loader::SetDirtyRestoreDefault(true); }
-};
+std::vector<attack::AttackResult> RunMatrix(const vm::ExecConfig& exec) {
+  auto rows = attack::RunSixAttackMatrix(4242, exec);
+  EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+  if (!rows.ok()) return {};
+  return std::move(rows).value();
+}
 
-/// And for the superblock threaded-code tier (fresh CPUs read the default
-/// at construction, so whole boots flip with it).
-class SuperblockDefault {
- public:
-  explicit SuperblockDefault(bool enabled) {
-    vm::Cpu::set_superblocks_default(enabled);
-  }
-  ~SuperblockDefault() { vm::Cpu::set_superblocks_default(true); }
-};
-
-/// And for block linking / continuation within the tier.
-class BlockLinksDefault {
- public:
-  explicit BlockLinksDefault(bool enabled) {
-    vm::Cpu::set_block_links_default(enabled);
-  }
-  ~BlockLinksDefault() { vm::Cpu::set_block_links_default(true); }
-};
-
-/// And for the shared per-image block registry. The registry itself is
-/// cleared on entry and exit so every combo starts cold — imports must be
-/// earned under the combo being tested, never inherited from the previous
-/// one.
-class SharedSuperblocksDefault {
- public:
-  explicit SharedSuperblocksDefault(bool enabled) {
-    vm::Cpu::set_shared_superblocks_default(enabled);
-    vm::SharedSuperblockRegistry::Instance().Clear();
-  }
-  ~SharedSuperblocksDefault() {
-    vm::Cpu::set_shared_superblocks_default(true);
-    vm::SharedSuperblockRegistry::Instance().Clear();
-  }
-};
-
-TEST(Differential, SixAttackMatrixIdenticalAcrossModes) {
-  std::vector<attack::AttackResult> fast;
-  std::vector<attack::AttackResult> legacy;
-  {
-    PredecodeDefault mode(true);
-    fast = attack::RunSixAttackMatrix(4242).value();
-  }
-  {
-    PredecodeDefault mode(false);
-    legacy = attack::RunSixAttackMatrix(4242).value();
-  }
-  ASSERT_EQ(fast.size(), legacy.size());
-  ASSERT_FALSE(fast.empty());
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    SCOPED_TRACE("row " + std::to_string(i) + ": " + fast[i].RowLabel());
-    EXPECT_EQ(fast[i].kind, legacy[i].kind);
-    EXPECT_EQ(fast[i].shell, legacy[i].shell);
-    EXPECT_EQ(fast[i].crash, legacy[i].crash);
-    EXPECT_EQ(fast[i].exploit_available, legacy[i].exploit_available);
-    EXPECT_EQ(fast[i].failure, legacy[i].failure);
-    EXPECT_EQ(fast[i].detail, legacy[i].detail);
-    EXPECT_EQ(fast[i].guest_steps, legacy[i].guest_steps);
-    EXPECT_EQ(fast[i].payload_bytes, legacy[i].payload_bytes);
-    EXPECT_EQ(fast[i].response_bytes, legacy[i].response_bytes);
+/// The six-attack matrix — every protection level × technique outcome from
+/// the paper — under each of `combos`, row for row against the all-off
+/// reference. A compiled block or cached decode serving one stale op
+/// anywhere in the exploit chains (SMC shellcode, W^X flips, canary/CFI
+/// traps, diversity reshuffles) moves a row and fails this.
+void ExpectMatrixMatchesReference(
+    std::initializer_list<vm::ExecConfig> combos) {
+  const std::vector<attack::AttackResult> reference = RunMatrix(kAllOff);
+  ASSERT_FALSE(reference.empty());
+  for (const vm::ExecConfig& exec : combos) {
+    const std::vector<attack::AttackResult> rows = RunMatrix(exec);
+    ASSERT_EQ(rows.size(), reference.size()) << Label(exec);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      SCOPED_TRACE(Label(exec) + ", row " + std::to_string(i) + ": " +
+                   rows[i].RowLabel());
+      EXPECT_EQ(rows[i].kind, reference[i].kind);
+      EXPECT_EQ(rows[i].shell, reference[i].shell);
+      EXPECT_EQ(rows[i].crash, reference[i].crash);
+      EXPECT_EQ(rows[i].exploit_available, reference[i].exploit_available);
+      EXPECT_EQ(rows[i].failure, reference[i].failure);
+      EXPECT_EQ(rows[i].detail, reference[i].detail);
+      EXPECT_EQ(rows[i].guest_steps, reference[i].guest_steps);
+      EXPECT_EQ(rows[i].payload_bytes, reference[i].payload_bytes);
+      EXPECT_EQ(rows[i].response_bytes, reference[i].response_bytes);
+    }
   }
 }
 
-fuzz::FuzzConfig ReplayConfig(bool fast_reset) {
+TEST(Differential, SixAttackMatrixIdenticalAcrossModes) {
+  ExpectMatrixMatchesReference({vm::ExecConfig{}});  // every fast path on
+}
+
+TEST(Differential, SixAttackMatrixIdenticalAcrossPlanAndRestoreCombos) {
+  ExpectMatrixMatchesReference({
+      {.superblocks = false, .decode_caches = true, .dirty_restores = false},
+      {.superblocks = false, .decode_caches = false, .dirty_restores = true},
+      {.superblocks = false, .decode_caches = true, .dirty_restores = true},
+  });
+}
+
+TEST(Differential, SixAttackMatrixIdenticalAcrossSuperblockCombos) {
+  ExpectMatrixMatchesReference({
+      {.superblocks = true, .decode_caches = false, .dirty_restores = false},
+      {.superblocks = true, .decode_caches = true, .dirty_restores = false},
+      {.superblocks = true, .decode_caches = false, .dirty_restores = true},
+  });
+}
+
+fuzz::FuzzConfig ReplayConfig(const vm::ExecConfig& exec, bool fast_reset) {
   fuzz::FuzzConfig config;
   config.target.kind = fuzz::TargetKind::kDnsproxy;
   config.target.fast_reset = fast_reset;
+  config.target.exec = exec;
   config.seed = 42;
   config.max_execs = 3000;
   config.workers = 1;
@@ -136,9 +109,8 @@ struct ReplayOutcome {
   std::size_t corpus_size = 0;
 };
 
-ReplayOutcome RunReplay(bool predecode, bool fast_reset) {
-  PredecodeDefault mode(predecode);
-  auto report = fuzz::Fuzzer(ReplayConfig(fast_reset)).Run();
+ReplayOutcome RunReplay(const fuzz::FuzzConfig& config) {
+  auto report = fuzz::Fuzzer(config).Run();
   EXPECT_TRUE(report.ok());
   ReplayOutcome out;
   if (!report.ok()) return out;
@@ -150,102 +122,55 @@ ReplayOutcome RunReplay(bool predecode, bool fast_reset) {
   return out;
 }
 
+void ExpectSameOutcome(const ReplayOutcome& out, const ReplayOutcome& ref) {
+  EXPECT_EQ(out.digest, ref.digest);
+  EXPECT_EQ(out.coverage_cells, ref.coverage_cells);
+  EXPECT_EQ(out.buckets, ref.buckets);
+  EXPECT_EQ(out.crashing_execs, ref.crashing_execs);
+  EXPECT_EQ(out.corpus_size, ref.corpus_size);
+}
+
+/// Fixed-seed 3,000-exec fuzz replay under each of `combos` (snapshot
+/// reboots on, so dirty-only restores actually engage) against the all-off
+/// reference, which also re-runs the loader instead of restoring. Coverage
+/// is recorded per retired instruction inside compiled blocks, so even the
+/// AFL edge stream must not move.
+void ExpectReplayMatchesReference(
+    std::initializer_list<vm::ExecConfig> combos) {
+  const ReplayOutcome reference =
+      RunReplay(ReplayConfig(kAllOff, /*fast_reset=*/false));
+  for (const vm::ExecConfig& exec : combos) {
+    SCOPED_TRACE(Label(exec));
+    ExpectSameOutcome(RunReplay(ReplayConfig(exec, /*fast_reset=*/true)),
+                      reference);
+  }
+}
+
 TEST(Differential, FuzzReplayIdenticalAcrossModes) {
-  // Full fast mode vs full legacy mode, plus each optimisation alone, so a
-  // regression pinpoints which half broke.
-  const ReplayOutcome fast = RunReplay(true, true);
-  const ReplayOutcome cache_only = RunReplay(true, false);
-  const ReplayOutcome snapshot_only = RunReplay(false, true);
-  const ReplayOutcome legacy = RunReplay(false, false);
-
-  EXPECT_EQ(fast.digest, legacy.digest);
-  EXPECT_EQ(fast.coverage_cells, legacy.coverage_cells);
-  EXPECT_EQ(fast.buckets, legacy.buckets);
-  EXPECT_EQ(fast.crashing_execs, legacy.crashing_execs);
-  EXPECT_EQ(fast.corpus_size, legacy.corpus_size);
-
-  EXPECT_EQ(cache_only.digest, legacy.digest);
-  EXPECT_EQ(snapshot_only.digest, legacy.digest);
-  EXPECT_EQ(cache_only.buckets, legacy.buckets);
-  EXPECT_EQ(snapshot_only.buckets, legacy.buckets);
+  ExpectReplayMatchesReference({vm::ExecConfig{}});  // every fast path on
 }
 
-// --- PR 4 features: shared decode plans × dirty-page restores --------------
-
-struct FeatureCombo {
-  bool shared_plans;
-  bool dirty_restore;
-  std::string Label() const {
-    return std::string("plans=") + (shared_plans ? "on" : "off") +
-           " dirty_restore=" + (dirty_restore ? "on" : "off");
-  }
-};
-
-constexpr FeatureCombo kCombos[] = {
-    {true, true}, {true, false}, {false, true}, {false, false}};
-
-/// The six-attack matrix — every protection level × technique outcome from
-/// the paper — must be bit-for-bit identical in all four on/off combos of
-/// the two new fast paths.
-TEST(Differential, SixAttackMatrixIdenticalAcrossPlanAndRestoreCombos) {
-  std::vector<attack::AttackResult> baseline;
-  std::string baseline_label;
-  for (const FeatureCombo& combo : kCombos) {
-    SharedPlansDefault plans(combo.shared_plans);
-    DirtyRestoreGuard dirty(combo.dirty_restore);
-    std::vector<attack::AttackResult> rows =
-        attack::RunSixAttackMatrix(4242).value();
-    if (baseline.empty()) {
-      baseline = std::move(rows);
-      baseline_label = combo.Label();
-      ASSERT_FALSE(baseline.empty());
-      continue;
-    }
-    ASSERT_EQ(rows.size(), baseline.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      SCOPED_TRACE(combo.Label() + " vs " + baseline_label + ", row " +
-                   std::to_string(i) + ": " + rows[i].RowLabel());
-      EXPECT_EQ(rows[i].kind, baseline[i].kind);
-      EXPECT_EQ(rows[i].shell, baseline[i].shell);
-      EXPECT_EQ(rows[i].crash, baseline[i].crash);
-      EXPECT_EQ(rows[i].exploit_available, baseline[i].exploit_available);
-      EXPECT_EQ(rows[i].failure, baseline[i].failure);
-      EXPECT_EQ(rows[i].detail, baseline[i].detail);
-      EXPECT_EQ(rows[i].guest_steps, baseline[i].guest_steps);
-      EXPECT_EQ(rows[i].payload_bytes, baseline[i].payload_bytes);
-      EXPECT_EQ(rows[i].response_bytes, baseline[i].response_bytes);
-    }
-  }
-}
-
-/// Fixed-seed fuzz campaign (snapshot reboots on, so dirty-only restores
-/// actually engage): coverage digest, buckets and corpus must not move in
-/// any of the four combos.
 TEST(Differential, FuzzReplayIdenticalAcrossPlanAndRestoreCombos) {
-  ReplayOutcome baseline{};
-  bool have_baseline = false;
-  for (const FeatureCombo& combo : kCombos) {
-    SharedPlansDefault plans(combo.shared_plans);
-    DirtyRestoreGuard dirty(combo.dirty_restore);
-    const ReplayOutcome out = RunReplay(true, true);
-    if (!have_baseline) {
-      baseline = out;
-      have_baseline = true;
-      continue;
-    }
-    SCOPED_TRACE(combo.Label());
-    EXPECT_EQ(out.digest, baseline.digest);
-    EXPECT_EQ(out.coverage_cells, baseline.coverage_cells);
-    EXPECT_EQ(out.buckets, baseline.buckets);
-    EXPECT_EQ(out.crashing_execs, baseline.crashing_execs);
-    EXPECT_EQ(out.corpus_size, baseline.corpus_size);
-  }
+  ExpectReplayMatchesReference({
+      kAllOff,  // snapshot reboots alone
+      {.superblocks = false, .decode_caches = true, .dirty_restores = false},
+      {.superblocks = false, .decode_caches = false, .dirty_restores = true},
+      {.superblocks = false, .decode_caches = true, .dirty_restores = true},
+  });
 }
 
-/// Multi-worker determinism with both features on: worker count must not
+TEST(Differential, FuzzReplayIdenticalAcrossSuperblockCombos) {
+  ExpectReplayMatchesReference({
+      {.superblocks = true, .decode_caches = false, .dirty_restores = false},
+      {.superblocks = true, .decode_caches = true, .dirty_restores = false},
+      {.superblocks = true, .decode_caches = false, .dirty_restores = true},
+  });
+}
+
+/// Multi-worker determinism with every fast path on: worker count must not
 /// leak into the merged outcome, and two runs of the same config agree.
 TEST(Differential, MultiWorkerSharedPlanCampaignIsDeterministic) {
-  fuzz::FuzzConfig config = ReplayConfig(true);
+  fuzz::FuzzConfig config = ReplayConfig(vm::ExecConfig{}, true);
   config.workers = 3;
   auto first = fuzz::Fuzzer(config).Run();
   auto second = fuzz::Fuzzer(config).Run();
@@ -260,182 +185,44 @@ TEST(Differential, MultiWorkerSharedPlanCampaignIsDeterministic) {
 
 // --- PR 8: epoch-batched cross-worker sync ---------------------------------
 
-ReplayOutcome RunMultiWorkerReplay(bool predecode, std::uint64_t sync) {
-  PredecodeDefault mode(predecode);
-  fuzz::FuzzConfig config = ReplayConfig(/*fast_reset=*/predecode);
+ReplayOutcome RunMultiWorkerReplay(const vm::ExecConfig& exec,
+                                   bool fast_reset, std::uint64_t sync) {
+  fuzz::FuzzConfig config = ReplayConfig(exec, fast_reset);
   config.workers = 3;
   config.sync_interval = sync;
-  auto report = fuzz::Fuzzer(config).Run();
-  EXPECT_TRUE(report.ok());
-  ReplayOutcome out;
-  if (!report.ok()) return out;
-  out.digest = report.value().stats.coverage_digest;
-  out.coverage_cells = report.value().stats.coverage_cells;
-  out.buckets = report.value().triage.buckets().size();
-  out.crashing_execs = report.value().stats.crashing_execs;
-  out.corpus_size = report.value().stats.corpus_size;
-  return out;
+  return RunReplay(config);
 }
 
 /// The differential gate must keep holding once workers exchange corpus
-/// deltas mid-campaign: for a FIXED sync setting, fast and legacy VM modes
-/// land on the same merged outcome. Sync on and sync off are different
-/// (equally deterministic) campaigns — workers that absorb each other's
-/// finds mutate different parents — so the comparison is within each sync
-/// setting across VM modes, never across sync settings.
+/// deltas mid-campaign: for a FIXED sync setting, the fast paths and the
+/// all-off reference land on the same merged outcome. Sync on and sync off
+/// are different (equally deterministic) campaigns — workers that absorb
+/// each other's finds mutate different parents — so the comparison is
+/// within each sync setting across VM modes, never across sync settings.
 TEST(Differential, EpochSyncedReplayIdenticalAcrossVmModes) {
   // Three workers x 1000 execs, an exchange every 400: epochs fire mid-run.
-  const ReplayOutcome fast_synced = RunMultiWorkerReplay(true, 400);
-  const ReplayOutcome legacy_synced = RunMultiWorkerReplay(false, 400);
-  EXPECT_EQ(fast_synced.digest, legacy_synced.digest);
-  EXPECT_EQ(fast_synced.coverage_cells, legacy_synced.coverage_cells);
-  EXPECT_EQ(fast_synced.buckets, legacy_synced.buckets);
-  EXPECT_EQ(fast_synced.crashing_execs, legacy_synced.crashing_execs);
-  EXPECT_EQ(fast_synced.corpus_size, legacy_synced.corpus_size);
-
-  const ReplayOutcome fast_solo = RunMultiWorkerReplay(true, 0);
-  const ReplayOutcome legacy_solo = RunMultiWorkerReplay(false, 0);
-  EXPECT_EQ(fast_solo.digest, legacy_solo.digest);
-  EXPECT_EQ(fast_solo.coverage_cells, legacy_solo.coverage_cells);
-  EXPECT_EQ(fast_solo.buckets, legacy_solo.buckets);
-  EXPECT_EQ(fast_solo.crashing_execs, legacy_solo.crashing_execs);
-  EXPECT_EQ(fast_solo.corpus_size, legacy_solo.corpus_size);
-}
-
-// --- PR 9: superblock threaded-code tier -----------------------------------
-
-struct TierCombo {
-  bool superblocks;
-  bool block_links;
-  bool shared_blocks;
-  bool shared_plans;
-  bool dirty_restore;
-  std::string Label() const {
-    return std::string("superblocks=") + (superblocks ? "on" : "off") +
-           " links=" + (block_links ? "on" : "off") +
-           " shared_blocks=" + (shared_blocks ? "on" : "off") +
-           " plans=" + (shared_plans ? "on" : "off") +
-           " dirty_restore=" + (dirty_restore ? "on" : "off");
-  }
-};
-
-// The tier ladder crossed with the block-link and shared-block-cache axes
-// (PR 10), then with the plan/restore axes. With superblocks off the link
-// and sharing knobs are inert, so those rows only vary plans/restore —
-// twelve combos cover every meaningful interaction without running the
-// full 2^5.
-constexpr TierCombo kTierCombos[] = {
-    // Linked tier (everything on) across plans × restore.
-    {true, true, true, true, true},
-    {true, true, true, true, false},
-    {true, true, true, false, true},
-    {true, true, true, false, false},
-    // Links on, private block compilation.
-    {true, true, false, true, true},
-    // Bare superblock tier (links off — sharing is inert without them).
-    {true, false, true, true, true},
-    {true, false, false, true, true},
-    {true, false, false, false, false},
-    // Interpreter baseline rows.
-    {false, true, true, true, true},
-    {false, true, true, true, false},
-    {false, true, true, false, true},
-    {false, true, true, false, false}};
-
-/// The full attack matrix must be bit-for-bit identical with the superblock
-/// tier on vs off, crossed with the decode-plan and dirty-restore axes — a
-/// compiled block serving one stale op anywhere in the exploit chains (SMC
-/// shellcode, W^X flips, canary/CFI traps, diversity reshuffles) moves a
-/// row and fails this.
-TEST(Differential, SixAttackMatrixIdenticalAcrossSuperblockCombos) {
-  std::vector<attack::AttackResult> baseline;
-  std::string baseline_label;
-  for (const TierCombo& combo : kTierCombos) {
-    SuperblockDefault tier(combo.superblocks);
-    BlockLinksDefault links(combo.block_links);
-    SharedSuperblocksDefault shared_blocks(combo.shared_blocks);
-    SharedPlansDefault plans(combo.shared_plans);
-    DirtyRestoreGuard dirty(combo.dirty_restore);
-    std::vector<attack::AttackResult> rows =
-        attack::RunSixAttackMatrix(4242).value();
-    if (baseline.empty()) {
-      baseline = std::move(rows);
-      baseline_label = combo.Label();
-      ASSERT_FALSE(baseline.empty());
-      continue;
-    }
-    ASSERT_EQ(rows.size(), baseline.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      SCOPED_TRACE(combo.Label() + " vs " + baseline_label + ", row " +
-                   std::to_string(i) + ": " + rows[i].RowLabel());
-      EXPECT_EQ(rows[i].kind, baseline[i].kind);
-      EXPECT_EQ(rows[i].shell, baseline[i].shell);
-      EXPECT_EQ(rows[i].crash, baseline[i].crash);
-      EXPECT_EQ(rows[i].exploit_available, baseline[i].exploit_available);
-      EXPECT_EQ(rows[i].failure, baseline[i].failure);
-      EXPECT_EQ(rows[i].detail, baseline[i].detail);
-      EXPECT_EQ(rows[i].guest_steps, baseline[i].guest_steps);
-      EXPECT_EQ(rows[i].payload_bytes, baseline[i].payload_bytes);
-      EXPECT_EQ(rows[i].response_bytes, baseline[i].response_bytes);
-    }
+  for (const std::uint64_t sync : {400, 0}) {
+    SCOPED_TRACE("sync_interval=" + std::to_string(sync));
+    ExpectSameOutcome(RunMultiWorkerReplay(vm::ExecConfig{}, true, sync),
+                      RunMultiWorkerReplay(kAllOff, false, sync));
   }
 }
 
-/// Fixed-seed fuzz replay across the same eight combos: coverage digest,
-/// buckets, crash counts and corpus are invariants of the campaign, not of
-/// the execution tier. Coverage is recorded per retired instruction inside
-/// compiled blocks, so even the AFL edge stream must not move.
-TEST(Differential, FuzzReplayIdenticalAcrossSuperblockCombos) {
-  ReplayOutcome baseline{};
-  bool have_baseline = false;
-  for (const TierCombo& combo : kTierCombos) {
-    SuperblockDefault tier(combo.superblocks);
-    BlockLinksDefault links(combo.block_links);
-    SharedSuperblocksDefault shared_blocks(combo.shared_blocks);
-    SharedPlansDefault plans(combo.shared_plans);
-    DirtyRestoreGuard dirty(combo.dirty_restore);
-    const ReplayOutcome out = RunReplay(true, true);
-    if (!have_baseline) {
-      baseline = out;
-      have_baseline = true;
-      continue;
-    }
-    SCOPED_TRACE(combo.Label());
-    EXPECT_EQ(out.digest, baseline.digest);
-    EXPECT_EQ(out.coverage_cells, baseline.coverage_cells);
-    EXPECT_EQ(out.buckets, baseline.buckets);
-    EXPECT_EQ(out.crashing_execs, baseline.crashing_execs);
-    EXPECT_EQ(out.corpus_size, baseline.corpus_size);
-  }
-}
-
-/// The PR 8 pinned eight-worker epoch-synced campaign, replayed up the tier
-/// ladder — interpreter, bare superblocks, linked, linked + shared block
-/// cache: every mode must land on the very digests committed before the
+/// The PR 8 pinned eight-worker epoch-synced campaign with the superblock
+/// tier on and off: both must land on the very digests committed before the
 /// superblock tier existed (tests/test_fuzz.cpp pins the same constants).
-/// This is the cross-PR anchor — the tiers changed nothing observable, even
-/// under worker-parallel execution with mid-campaign corpus exchanges and,
-/// in the shared-cache mode, workers racing to publish/import compiled
-/// blocks through the process-global registry.
+/// This is the cross-PR anchor — the tier changed nothing observable, even
+/// under worker-parallel execution with mid-campaign corpus exchanges and
+/// workers racing to publish/import compiled blocks through the
+/// process-global registry.
 TEST(Differential, EightWorkerSyncedDigestUnmovedByTierModes) {
   constexpr std::uint64_t kCoverageDigest = 0xd8788bc796ab373cULL;
   constexpr std::uint64_t kCorpusDigest = 0x9c372e9e5056301aULL;
-  struct TierMode {
-    bool superblocks, links, shared;
-    const char* label;
-  };
-  constexpr TierMode kModes[] = {
-      {false, false, false, "interpreter"},
-      {true, false, false, "bare superblocks"},
-      {true, true, false, "linked"},
-      {true, true, true, "linked + shared cache"}};
-  for (const TierMode& tier_mode : kModes) {
-    SCOPED_TRACE(tier_mode.label);
-    SuperblockDefault tier(tier_mode.superblocks);
-    BlockLinksDefault links(tier_mode.links);
-    SharedSuperblocksDefault shared_blocks(tier_mode.shared);
+  for (const bool superblocks : {false, true}) {
+    SCOPED_TRACE(superblocks ? "superblocks" : "interpreter");
     fuzz::FuzzConfig config;
     config.target.kind = fuzz::TargetKind::kDnsproxy;
+    config.target.exec.superblocks = superblocks;
     config.seed = 42;
     config.max_execs = 8000;
     config.workers = 8;
@@ -451,6 +238,51 @@ TEST(Differential, EightWorkerSyncedDigestUnmovedByTierModes) {
       corpus_digest *= 0x100000001b3ULL;
     }
     EXPECT_EQ(corpus_digest, kCorpusDigest) << std::hex << corpus_digest;
+  }
+}
+
+// --- ExecConfig plumbing ----------------------------------------------------
+
+std::uint64_t Counter(const obs::MetricsSnapshot& m, const std::string& name) {
+  auto it = m.counters.find(name);
+  return it == m.counters.end() ? 0 : it->second;
+}
+
+/// One ExecConfig value reaches every boot a driver makes — the attacker's
+/// lab boot as well as the victim's, every fuzz reboot — so a switch turned
+/// off by the caller can never leak back on deep inside a driver. Each
+/// fast path's own counters stay at zero with its switch off, and move
+/// with the other switches on, so the zeros are not vacuous.
+TEST(Differential, ExecConfigReachesEveryBoot) {
+  {
+    obs::Scope scope;
+    ASSERT_FALSE(RunMatrix({.superblocks = false}).empty());
+    const obs::MetricsSnapshot m = scope.Metrics();
+    for (const auto& [name, value] : m.counters) {
+      if (name.starts_with("vm.superblock.")) {
+        EXPECT_EQ(value, 0u) << name;
+      }
+    }
+    EXPECT_GT(Counter(m, "vm.plan_hits"), 0u);
+  }
+  {
+    obs::Scope scope;
+    ASSERT_FALSE(RunMatrix({.decode_caches = false}).empty());
+    const obs::MetricsSnapshot m = scope.Metrics();
+    EXPECT_EQ(Counter(m, "vm.plan_hits"), 0u);
+    EXPECT_GT(Counter(m, "vm.superblock.hits"), 0u);
+  }
+  {
+    obs::Scope scope;
+    RunReplay(ReplayConfig({.dirty_restores = false}, /*fast_reset=*/true));
+    const obs::MetricsSnapshot m = scope.Metrics();
+    EXPECT_EQ(Counter(m, "loader.restore_segments_dirty"), 0u);
+    EXPECT_GT(Counter(m, "loader.restore_segments_full"), 0u);
+  }
+  {
+    obs::Scope scope;
+    RunReplay(ReplayConfig(vm::ExecConfig{}, /*fast_reset=*/true));
+    EXPECT_GT(Counter(scope.Metrics(), "loader.restore_segments_dirty"), 0u);
   }
 }
 

@@ -171,7 +171,7 @@ TEST(FullStack, VictimRoamsBackAfterPineapplePowersOff) {
   network.DeliverAll();
   EXPECT_FALSE(victim.crashed());
 
-  // ...and when the rogue AP disappears the device resumes normal life.
+  // ...and when the rogue AP disappears the device returns to normal life.
   pineapple.PowerOff(radio, network);
   ASSERT_TRUE(victim.JoinWifi(radio, network).ok());
   EXPECT_EQ(victim.lease().dns_server, dns_server.ip());

@@ -480,7 +480,7 @@ TEST(Snapshot, WxFlipRolledBackByRestoreInBothModes) {
 TEST(Snapshot, SuperblockTierSurvivesWxFlipAndRestoreInBothModes) {
   for (const RestoreMode mode : {RestoreMode::kFull, RestoreMode::kDirtyOnly}) {
     auto sys = Boot(Arch::kVX86, ProtectionConfig::None(), 7).value();
-    ASSERT_TRUE(sys->cpu->superblocks_enabled());
+    ASSERT_TRUE(sys->cpu->exec().superblocks);
     const mem::GuestAddr scratch = sys->Sym("scratch.start").value();
     const Snapshot snap = TakeSnapshot(*sys);
 
@@ -495,7 +495,7 @@ TEST(Snapshot, SuperblockTierSurvivesWxFlipAndRestoreInBothModes) {
       return a.Finish().value();
     };
 
-    // Round 1: compile + run the loop hot (blocks built and chained).
+    // Round 1: compile + run the loop hot (blocks built and re-entered).
     ASSERT_TRUE(sys->space.DebugWrite(scratch, assemble_loop(500)).ok());
     ASSERT_TRUE(sys->space.Protect(".scratch", mem::kPermRX).ok());
     sys->cpu->set_pc(scratch);
@@ -520,19 +520,18 @@ TEST(Snapshot, SuperblockTierSurvivesWxFlipAndRestoreInBothModes) {
   }
 }
 
-/// Snapshot restore drops stale block links: a two-block chain compiles and
-/// links in round 1, the restore rewinds .scratch, and round 2 rewrites
+/// Snapshot restore drops stale successor blocks: a two-block chain
+/// compiles in round 1, the restore rewinds .scratch, and round 2 rewrites
 /// only the *successor* at the same addresses. The unchanged predecessor
-/// must not ride its stale edge into the old successor.
+/// must not hand control to the old successor's compiled block.
 TEST(Snapshot, RestoreDropsStaleBlockLinksInBothModes) {
   for (const RestoreMode mode : {RestoreMode::kFull, RestoreMode::kDirtyOnly}) {
     auto sys = Boot(Arch::kVX86, ProtectionConfig::None(), 7).value();
-    ASSERT_TRUE(sys->cpu->block_links_enabled());
     const mem::GuestAddr scratch = sys->Sym("scratch.start").value();
     const Snapshot snap = TakeSnapshot(*sys);
 
     // Predecessor bytes are identical in both rounds; only the successor's
-    // immediate differs, so a surviving A→B link is exactly the hazard.
+    // immediate differs, so a surviving compile of B is exactly the hazard.
     util::ByteWriter probe;
     isa::vx86::EncMovImm(probe, isa::kECX, 5);
     isa::vx86::EncJmp(probe, 0);
@@ -559,7 +558,7 @@ TEST(Snapshot, RestoreDropsStaleBlockLinksInBothModes) {
     sys->cpu->set_pc(scratch);
     EXPECT_EQ(sys->cpu->Run(100).reason, vm::StopReason::kHalted);
     EXPECT_EQ(sys->cpu->reg(isa::kESI), 9u)
-        << "stale link survived restore, mode " << static_cast<int>(mode);
+        << "stale block survived restore, mode " << static_cast<int>(mode);
   }
 }
 

@@ -22,13 +22,14 @@ struct Machine {
 };
 
 Machine MakeMachine(Arch arch, const util::Bytes& text,
-                    mem::Perm stack_perm = mem::kPermRW) {
+                    mem::Perm stack_perm = mem::kPermRW,
+                    const ExecConfig& exec = {}) {
   Machine m;
   EXPECT_TRUE(m.space.Map(".text", 0x1000, 0x1000, mem::kPermRX).ok());
   EXPECT_TRUE(m.space.Map(".data", 0x4000, 0x1000, mem::kPermRW).ok());
   EXPECT_TRUE(m.space.Map("stack", 0x8000, 0x1000, stack_perm).ok());
   EXPECT_TRUE(m.space.DebugWrite(0x1000, text).ok());
-  m.cpu = std::make_unique<Cpu>(arch, m.space);
+  m.cpu = std::make_unique<Cpu>(arch, m.space, exec);
   m.cpu->set_pc(0x1000);
   m.cpu->set_sp(0x9000);
   return m;
@@ -537,7 +538,7 @@ TEST(CpuPredecode, GuestStoresInvalidateStackDecodes) {
   x::EncJmp(w, 0x8000);
 
   auto m = MakeMachine(Arch::kVX86, w.bytes(), mem::kPermRWX);
-  ASSERT_TRUE(m.cpu->predecode_enabled());
+  ASSERT_TRUE(m.cpu->exec().decode_caches);
   ASSERT_TRUE(m.space.DebugWrite(0x8000, stub1.bytes()).ok());
 
   m.cpu->set_pc(0x8000);
@@ -633,8 +634,8 @@ TEST(CpuPredecode, ProtectRevokingExecInvalidatesDecodes) {
   EXPECT_EQ(second.detail, "instruction fetch failed");
 }
 
-/// Legacy mode (cache off) executes the same program with identical
-/// architectural results and step counts.
+/// Legacy mode (decode caches off) executes the same program on the
+/// interpreter with identical architectural results and step counts.
 TEST(CpuPredecode, LegacyModeExecutesIdentically) {
   for (const bool predecode : {true, false}) {
     util::ByteWriter w;
@@ -642,9 +643,9 @@ TEST(CpuPredecode, LegacyModeExecutesIdentically) {
     x::EncAddImm(w, isa::kEAX, 2);
     x::EncCmpImm(w, isa::kEAX, 42);
     x::EncHlt(w);
-    auto m = MakeMachine(Arch::kVX86, w.bytes());
-    m.cpu->set_predecode_enabled(predecode);
-    EXPECT_EQ(m.cpu->predecode_enabled(), predecode);
+    auto m = MakeMachine(Arch::kVX86, w.bytes(), mem::kPermRW,
+                         {.superblocks = false, .decode_caches = predecode});
+    EXPECT_EQ(m.cpu->exec().decode_caches, predecode);
     auto stop = m.cpu->Run(100);
     EXPECT_EQ(stop.reason, StopReason::kHalted);
     EXPECT_EQ(stop.steps, 4u);
@@ -666,13 +667,13 @@ TEST(CpuSuperblock, TightLoopMatchesInterpreter) {
     x::EncCmpImm(a.w(), isa::kEAX, 0);
     a.JnzLabel("loop");
     x::EncHlt(a.w());
-    auto m = MakeMachine(Arch::kVX86, a.Finish().value());
-    EXPECT_TRUE(m.cpu->superblocks_enabled());  // default on
-    m.cpu->set_superblocks_enabled(superblocks);
+    auto m = MakeMachine(Arch::kVX86, a.Finish().value(), mem::kPermRW,
+                         {.superblocks = superblocks});
     auto stop = m.cpu->Run(100000);
     EXPECT_EQ(stop.reason, StopReason::kHalted);
     return std::make_pair(stop.steps, m.cpu->reg(isa::kEAX));
   };
+  EXPECT_TRUE(ExecConfig{}.superblocks);  // default on
   const auto tier = run(true);
   EXPECT_EQ(tier, run(false));
   EXPECT_EQ(tier.first, 3002u);  // mov + 1000 * (sub, cmp, jnz) + hlt
@@ -694,8 +695,8 @@ TEST(CpuSuperblock, VarmCopyLoopMatchesInterpreter) {
     a.BLabel("loop");
     a.Label("done");
     v::EncHlt(a.w());
-    auto m = MakeMachine(Arch::kVARM, a.Finish().value());
-    m.cpu->set_superblocks_enabled(superblocks);
+    auto m = MakeMachine(Arch::kVARM, a.Finish().value(), mem::kPermRW,
+                         {.superblocks = superblocks});
     EXPECT_TRUE(m.space.WriteBytes(0x4000, util::BytesOf("HELLO")).ok());
     m.cpu->set_reg(isa::kR0, 0x4100);
     m.cpu->set_reg(isa::kR1, 0x4000);
@@ -721,8 +722,8 @@ TEST(CpuSuperblock, StepLimitExactMidLoop) {
     x::EncCmpImm(a.w(), isa::kEAX, 0);
     a.JnzLabel("loop");
     x::EncHlt(a.w());
-    auto m = MakeMachine(Arch::kVX86, a.Finish().value());
-    m.cpu->set_superblocks_enabled(superblocks);
+    auto m = MakeMachine(Arch::kVX86, a.Finish().value(), mem::kPermRW,
+                         {.superblocks = superblocks});
     auto stop = m.cpu->Run(500);  // not a multiple of the 3-op body
     EXPECT_EQ(stop.reason, StopReason::kStepLimit);
     EXPECT_EQ(stop.steps, 500u);
@@ -776,7 +777,7 @@ TEST(CpuSuperblock, MidBlockStoreFallsBackToFreshBytes) {
   x::EncHlt(w);
 
   auto m = MakeMachine(Arch::kVX86, util::Bytes{}, mem::kPermRWX);
-  ASSERT_TRUE(m.cpu->superblocks_enabled());
+  ASSERT_TRUE(m.cpu->exec().superblocks);
   ASSERT_TRUE(m.space.DebugWrite(0x8000, w.bytes()).ok());
   m.cpu->set_pc(0x8000);
   auto stop = m.cpu->Run(100);
@@ -827,8 +828,8 @@ TEST(CpuSuperblock, BreakpointInsideHotLoopStillHit) {
     x::EncCmpImm(a.w(), isa::kEAX, 0);
     a.JnzLabel("loop");
     x::EncHlt(a.w());
-    auto m = MakeMachine(Arch::kVX86, a.Finish().value());
-    m.cpu->set_superblocks_enabled(superblocks);
+    auto m = MakeMachine(Arch::kVX86, a.Finish().value(), mem::kPermRW,
+                         {.superblocks = superblocks});
 
     // Warm the block cache, then set a breakpoint on the cmp inside the
     // loop body and re-run from scratch.
@@ -861,39 +862,14 @@ TEST(CpuSuperblock, BreakpointInsideHotLoopStillHit) {
   EXPECT_EQ(steps_seen[1], steps_seen[3]);
 }
 
-/// Toggling the tier off mid-life flushes blocks and lands back on the
-/// interpreter with identical results; toggling back on recompiles.
-TEST(CpuSuperblock, ToggleMidLifeStaysConsistent) {
-  isa::Assembler a(Arch::kVX86, 0x1000);
-  x::EncMovImm(a.w(), isa::kEAX, 50);
-  a.Label("loop");
-  x::EncSubImm(a.w(), isa::kEAX, 1);
-  x::EncCmpImm(a.w(), isa::kEAX, 0);
-  a.JnzLabel("loop");
-  x::EncHlt(a.w());
-  const util::Bytes text = a.Finish().value();
-  auto m = MakeMachine(Arch::kVX86, text);
-
-  auto first = m.cpu->Run(1000);
-  EXPECT_EQ(first.reason, StopReason::kHalted);
-  m.cpu->set_superblocks_enabled(false);
-  m.cpu->set_pc(0x1000);
-  auto second = m.cpu->Run(1000);
-  m.cpu->set_superblocks_enabled(true);
-  m.cpu->set_pc(0x1000);
-  auto third = m.cpu->Run(1000);
-  EXPECT_EQ(second.steps, first.steps);
-  EXPECT_EQ(third.steps, first.steps);
-  EXPECT_EQ(third.reason, StopReason::kHalted);
-}
-
-// --- Block links: chained blocks must invalidate exactly like lone ones ---
+// --- Successor blocks: every block-to-block hop crosses the dispatch loop's
+// slot probe, which must see the same hazards a lone block does ------------
 
 /// A loop whose body and header are separate blocks (a conditional exit at
-/// the top, a backward jmp at the bottom) stays linked block-to-block and
-/// retires identically across every tier combination.
-TEST(CpuBlockLink, TwoBlockLoopMatchesInterpreter) {
-  auto run = [](bool superblocks, bool links) {
+/// the top, a backward jmp at the bottom): each iteration hops between the
+/// two compiled blocks and retires identically to the interpreter.
+TEST(CpuSuperblock, TwoBlockLoopMatchesInterpreter) {
+  auto run = [](bool superblocks) {
     isa::Assembler a(Arch::kVX86, 0x1000);
     x::EncMovImm(a.w(), isa::kEAX, 300);
     a.Label("loop");
@@ -904,27 +880,24 @@ TEST(CpuBlockLink, TwoBlockLoopMatchesInterpreter) {
     a.JmpLabel("loop");
     a.Label("done");
     x::EncHlt(a.w());
-    auto m = MakeMachine(Arch::kVX86, a.Finish().value());
-    EXPECT_TRUE(m.cpu->block_links_enabled());  // default on
-    m.cpu->set_superblocks_enabled(superblocks);
-    m.cpu->set_block_links_enabled(links);
+    auto m = MakeMachine(Arch::kVX86, a.Finish().value(), mem::kPermRW,
+                         {.superblocks = superblocks});
     auto stop = m.cpu->Run(100000);
     EXPECT_EQ(stop.reason, StopReason::kHalted);
     return std::make_tuple(stop.steps, m.cpu->reg(isa::kEBX), m.cpu->pc());
   };
-  const auto linked = run(true, true);
-  EXPECT_EQ(linked, run(true, false));
-  EXPECT_EQ(linked, run(false, false));
-  EXPECT_EQ(std::get<0>(linked), 1504u);  // mov + 300*5 + cmp,jz + hlt
-  EXPECT_EQ(std::get<1>(linked), 300u);
+  const auto tier = run(true);
+  EXPECT_EQ(tier, run(false));
+  EXPECT_EQ(std::get<0>(tier), 1504u);  // mov + 300*5 + cmp,jz + hlt
+  EXPECT_EQ(std::get<1>(tier), 300u);
 }
 
-/// SMC in a *successor* block while its linked predecessor chain is
-/// mid-execution: a patcher block (reached through a fresh link) overwrites
-/// the final block the chain was about to enter. The store bumps the
-/// generation mid-block, so every link into the stale successor is dead and
-/// the patched bytes — not the compiled ones — must run.
-TEST(CpuBlockLink, SuccessorSmcMidChainRunsPatchedBytes) {
+/// SMC in a *successor* block mid-chain: a patcher block overwrites the
+/// final block the chain was about to enter, whose round-1 compile is still
+/// in the block store. The store bumps the generation, so the dispatch
+/// loop's slot for the stale successor is dead and the patched bytes — not
+/// the compiled ones — must run.
+TEST(CpuSuperblock, SuccessorSmcMidChainRunsPatchedBytes) {
   // Replacement for block B (`mov esi,9 ; hlt`), padded to two words.
   util::ByteWriter nb;
   x::EncMovImm(nb, isa::kESI, 9);
@@ -942,12 +915,12 @@ TEST(CpuBlockLink, SuccessorSmcMidChainRunsPatchedBytes) {
 
   // Two-pass emission: targets are absolute, encodings fixed-length, so the
   // dummy pass measures the label offsets the real pass encodes.
-  auto emit = [&](std::uint32_t base, std::uint32_t patcher, std::uint32_t b,
+  auto emit = [&](std::uint32_t patcher, std::uint32_t b,
                   std::uint32_t* patcher_off, std::uint32_t* b_off) {
     util::ByteWriter w;
     x::EncCmpImm(w, isa::kEAX, 1);  // A: eax==1 selects the patch pass
     x::EncJz(w, patcher);
-    x::EncMovImm(w, isa::kECX, 1);  // F: benign fall-through, links to B
+    x::EncMovImm(w, isa::kECX, 1);  // F: benign fall-through into B
     x::EncJmp(w, b);
     *patcher_off = static_cast<std::uint32_t>(w.bytes().size());
     x::EncMovImm(w, isa::kEBX, b);  // patcher: rewrite B, then enter it
@@ -960,79 +933,45 @@ TEST(CpuBlockLink, SuccessorSmcMidChainRunsPatchedBytes) {
     x::EncMovImm(w, isa::kESI, 7);  // B: the block the patcher rewrites
     x::EncHlt(w);
     while (w.bytes().size() < *b_off + 8) x::EncNop(w);
-    (void)base;
     return w.bytes();
   };
 
   std::vector<std::tuple<std::uint64_t, std::uint32_t, std::uint32_t>> seen;
   for (const bool superblocks : {true, false}) {
     std::uint32_t patcher_off = 0, b_off = 0;
-    (void)emit(0x8000, 0, 0, &patcher_off, &b_off);
+    (void)emit(0, 0, &patcher_off, &b_off);
     std::uint32_t po2 = 0, bo2 = 0;
     const util::Bytes code =
-        emit(0x8000, 0x8000 + patcher_off, 0x8000 + b_off, &po2, &bo2);
+        emit(0x8000 + patcher_off, 0x8000 + b_off, &po2, &bo2);
     ASSERT_EQ(po2, patcher_off);
     ASSERT_EQ(bo2, b_off);
 
-    auto m = MakeMachine(Arch::kVX86, util::Bytes{}, mem::kPermRWX);
-    m.cpu->set_superblocks_enabled(superblocks);
+    auto m = MakeMachine(Arch::kVX86, util::Bytes{}, mem::kPermRWX,
+                         {.superblocks = superblocks});
     ASSERT_TRUE(m.space.DebugWrite(0x8000, code).ok());
 
-    // Pass 1 (eax=0): benign path compiles A, F and B and links A→F→B.
+    // Pass 1 (eax=0): the benign path compiles A, F and B.
     m.cpu->set_pc(0x8000);
     EXPECT_EQ(m.cpu->Run(100).reason, StopReason::kHalted);
     EXPECT_EQ(m.cpu->reg(isa::kESI), 7u);
 
-    // Pass 2 (eax=1): the chain links into the patcher, whose stores gut B
-    // while A's links still point at the round-1 compile.
+    // Pass 2 (eax=1): A branches into the patcher, whose stores gut B
+    // while B's round-1 compile still sits in the block store.
     m.cpu->set_reg(isa::kEAX, 1);
     m.cpu->set_reg(isa::kESI, 0);
     m.cpu->set_pc(0x8000);
     auto stop = m.cpu->Run(100);
     EXPECT_EQ(stop.reason, StopReason::kHalted);
-    EXPECT_EQ(m.cpu->reg(isa::kESI), 9u);  // a stale linked B would leave 7
+    EXPECT_EQ(m.cpu->reg(isa::kESI), 9u);  // a stale B would leave 7
     seen.emplace_back(stop.steps, m.cpu->reg(isa::kESI), m.cpu->pc());
   }
   EXPECT_EQ(seen[0], seen[1]);  // tier on == tier off, step for step
 }
 
-/// A W^X flip unlinks a chained edge: revoking X, patching the successor
-/// and re-granting X must land execution in the rewritten successor even
-/// though the predecessor's bytes never changed.
-TEST(CpuBlockLink, WxFlipUnlinksChainedEdge) {
-  util::ByteWriter probe;
-  x::EncMovImm(probe, isa::kECX, 5);
-  x::EncJmp(probe, 0);
-  const std::uint32_t b_addr =
-      0x1000 + static_cast<std::uint32_t>(probe.bytes().size());
-
-  util::ByteWriter w;
-  x::EncMovImm(w, isa::kECX, 5);  // A
-  x::EncJmp(w, b_addr);
-  x::EncMovImm(w, isa::kESI, 7);  // B
-  x::EncHlt(w);
-  auto m = MakeMachine(Arch::kVX86, w.bytes());
-
-  EXPECT_EQ(m.cpu->Run(100).reason, StopReason::kHalted);  // A→B link formed
-  EXPECT_EQ(m.cpu->reg(isa::kESI), 7u);
-
-  ASSERT_TRUE(m.space.Protect(".text", mem::kPermRW).ok());
-  util::ByteWriter nb;
-  x::EncMovImm(nb, isa::kESI, 9);
-  x::EncHlt(nb);
-  ASSERT_TRUE(m.space.DebugWrite(b_addr, nb.bytes()).ok());
-  ASSERT_TRUE(m.space.Protect(".text", mem::kPermRX).ok());
-
-  m.cpu->set_reg(isa::kESI, 0);
-  m.cpu->set_pc(0x1000);
-  EXPECT_EQ(m.cpu->Run(100).reason, StopReason::kHalted);
-  EXPECT_EQ(m.cpu->reg(isa::kESI), 9u);  // the stale edge would deliver 7
-}
-
-/// A breakpoint set on a linked successor's entry pc after the link formed:
-/// the flush drops the edge, the stop lands exactly on the successor's
-/// first instruction, and the retired step count matches the interpreter.
-TEST(CpuBlockLink, BreakpointOnLinkedSuccessorEntryHonoured) {
+/// A W^X flip drops a compiled successor: revoking X, patching the
+/// successor and re-granting X must land execution in the rewritten
+/// successor even though the predecessor's bytes never changed.
+TEST(CpuSuperblock, WxFlipRecompilesSuccessorBlock) {
   util::ByteWriter probe;
   x::EncMovImm(probe, isa::kECX, 5);
   x::EncJmp(probe, 0);
@@ -1046,10 +985,50 @@ TEST(CpuBlockLink, BreakpointOnLinkedSuccessorEntryHonoured) {
     x::EncJmp(w, b_addr);
     x::EncMovImm(w, isa::kESI, 7);  // B
     x::EncHlt(w);
-    auto m = MakeMachine(Arch::kVX86, w.bytes());
-    m.cpu->set_superblocks_enabled(superblocks);
+    auto m = MakeMachine(Arch::kVX86, w.bytes(), mem::kPermRW,
+                         {.superblocks = superblocks});
 
-    EXPECT_EQ(m.cpu->Run(100).reason, StopReason::kHalted);  // warm the link
+    EXPECT_EQ(m.cpu->Run(100).reason, StopReason::kHalted);  // A, B compiled
+    EXPECT_EQ(m.cpu->reg(isa::kESI), 7u);
+
+    ASSERT_TRUE(m.space.Protect(".text", mem::kPermRW).ok());
+    util::ByteWriter nb;
+    x::EncMovImm(nb, isa::kESI, 9);
+    x::EncHlt(nb);
+    ASSERT_TRUE(m.space.DebugWrite(b_addr, nb.bytes()).ok());
+    ASSERT_TRUE(m.space.Protect(".text", mem::kPermRX).ok());
+
+    m.cpu->set_reg(isa::kESI, 0);
+    m.cpu->set_pc(0x1000);
+    auto stop = m.cpu->Run(100);
+    EXPECT_EQ(stop.reason, StopReason::kHalted);
+    EXPECT_EQ(m.cpu->reg(isa::kESI), 9u);  // a stale B would deliver 7
+    steps_seen.push_back(stop.steps);
+  }
+  EXPECT_EQ(steps_seen[0], steps_seen[1]);
+}
+
+/// A breakpoint set on a successor's entry pc after both blocks compiled:
+/// the flush drops them, the stop lands exactly on the successor's first
+/// instruction, and the retired step count matches the interpreter.
+TEST(CpuSuperblock, BreakpointOnSuccessorEntryHonoured) {
+  util::ByteWriter probe;
+  x::EncMovImm(probe, isa::kECX, 5);
+  x::EncJmp(probe, 0);
+  const std::uint32_t b_addr =
+      0x1000 + static_cast<std::uint32_t>(probe.bytes().size());
+
+  std::vector<std::uint64_t> steps_seen;
+  for (const bool superblocks : {true, false}) {
+    util::ByteWriter w;
+    x::EncMovImm(w, isa::kECX, 5);  // A
+    x::EncJmp(w, b_addr);
+    x::EncMovImm(w, isa::kESI, 7);  // B
+    x::EncHlt(w);
+    auto m = MakeMachine(Arch::kVX86, w.bytes(), mem::kPermRW,
+                         {.superblocks = superblocks});
+
+    EXPECT_EQ(m.cpu->Run(100).reason, StopReason::kHalted);  // warm A and B
     m.cpu->AddBreakpoint(b_addr);
     m.cpu->set_reg(isa::kESI, 0);
     m.cpu->set_pc(0x1000);
@@ -1069,8 +1048,7 @@ TEST(CpuBlockLink, BreakpointOnLinkedSuccessorEntryHonoured) {
 
 /// Worker 0 publishes its compiled blocks; an identically-imaged worker 1
 /// imports them instead of re-walking the instruction stream, and both
-/// retire identically. A CPU with sharing disabled touches the registry in
-/// neither direction.
+/// retire identically.
 TEST(CpuSharedSuperblock, SecondCpuImportsAndMatches) {
   util::ByteWriter w;
   x::EncMovImm(w, isa::kEAX, 1000);
@@ -1085,9 +1063,8 @@ TEST(CpuSharedSuperblock, SecondCpuImportsAndMatches) {
   registry.Clear();
   const auto stats0 = registry.GetStats();
 
-  auto boot = [&](bool shared) {
+  auto boot = [&]() {
     auto m = MakeMachine(Arch::kVX86, text);
-    m.cpu->set_shared_superblocks_enabled(shared);
     const mem::Segment* seg = m.space.FindSegmentByName(".text");
     EXPECT_NE(seg, nullptr);
     // Sharing keys on the bound DecodePlan's content identity, exactly as
@@ -1097,14 +1074,14 @@ TEST(CpuSharedSuperblock, SecondCpuImportsAndMatches) {
     return m;
   };
 
-  auto m1 = boot(true);
+  auto m1 = boot();
   auto first = m1.cpu->Run(100000);
   EXPECT_EQ(first.reason, StopReason::kHalted);
   const auto stats1 = registry.GetStats();
   EXPECT_GT(stats1.publishes, stats0.publishes);
   EXPECT_GT(stats1.live_blocks, stats0.live_blocks);
 
-  auto m2 = boot(true);
+  auto m2 = boot();
   auto second = m2.cpu->Run(100000);
   EXPECT_EQ(second.reason, StopReason::kHalted);
   EXPECT_EQ(second.steps, first.steps);
@@ -1112,12 +1089,6 @@ TEST(CpuSharedSuperblock, SecondCpuImportsAndMatches) {
   const auto stats2 = registry.GetStats();
   EXPECT_GT(stats2.imports, stats1.imports);
   EXPECT_EQ(stats2.publishes, stats1.publishes);  // nothing recompiled
-
-  auto m3 = boot(false);
-  EXPECT_EQ(m3.cpu->Run(100000).steps, first.steps);
-  const auto stats3 = registry.GetStats();
-  EXPECT_EQ(stats3.imports, stats2.imports);
-  EXPECT_EQ(stats3.publishes, stats2.publishes);
 }
 
 // --- Shared decode plans: one predecoded table per image content ----------
@@ -1141,7 +1112,6 @@ TEST(CpuSharedPlan, PlanHitsExecuteIdentically) {
   EXPECT_GT(planned.cpu->BoundPlan(seg)->valid_entries(), 0u);
 
   auto unplanned = MakeMachine(Arch::kVX86, text);
-  unplanned.cpu->set_shared_plans_enabled(false);
 
   auto a = planned.cpu->Run(100);
   auto b = unplanned.cpu->Run(100);
