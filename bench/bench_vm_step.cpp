@@ -1,9 +1,9 @@
-// E13/E19 — VM hot-path throughput ladder: interpreter steps/second up the
-// execution tiers — vm::ExecConfig all off (legacy fetch/decode), decode
+// E13/E19/E23 — VM hot-path throughput ladder: interpreter steps/second up
+// the execution tiers — vm::ExecConfig all off (legacy fetch/decode), decode
 // caches only (predecode slots + shared plans) and all on (the superblock
-// tier) — measured on the paper's x86 ROP chain replay and on a tight
-// arithmetic loop, plus the cost of a loader Boot vs a snapshot restore
-// (the fuzzer's fast reboot).
+// tier) — measured on the paper's x86 ROP chain replay, on a tight
+// arithmetic loop and on connman.copy_label's byte-copy loop, plus the cost
+// of a loader Boot vs a snapshot restore (the fuzzer's fast reboot).
 // Table: steps/sec per tier with speedups; boot vs restore microseconds,
 // full-copy vs dirty-page-only restores on a lightly-dirtied image.
 // Timing: single ROP delivery, Boot, TakeSnapshot and RestoreSnapshot
@@ -117,6 +117,58 @@ Throughput MeasureTightLoop(const vm::ExecConfig& exec, double budget_secs) {
     const vm::StopInfo stop = sys->cpu->Run(20000000);
     tp.steps += stop.steps;
     ++runs;
+    secs = Seconds(t0);
+  } while (secs < budget_secs);
+  tp.steps_per_sec = static_cast<double>(tp.steps) / secs;
+  tp.items_per_sec = runs / secs;
+  return tp;
+}
+
+/// connman.copy_label's loop, the one every dnsproxy exec spends its guest
+/// steps in: a heap-to-stack byte copy through cmp/jz/ldb/stb/add/add/sub/
+/// jmp, one load and one store per byte into different segments. The tight
+/// loop above never touches memory, so it cannot see the memory front door
+/// or a loop split into two blocks at its jz.
+Throughput MeasureCopyLoop(const vm::ExecConfig& exec, double budget_secs) {
+  namespace x = isa::vx86;
+  auto sys =
+      loader::Boot(isa::Arch::kVX86, loader::ProtectionConfig::None(), 7, exec)
+          .value();
+  const mem::GuestAddr scratch = sys->Sym("scratch.start").value();
+  isa::Assembler as(isa::Arch::kVX86, scratch);
+  as.Label("loop");
+  x::EncCmpImm(as.w(), isa::kECX, 0);
+  as.JzLabel("done");
+  x::EncLoadByte(as.w(), isa::kEAX, isa::kESI, 0);
+  x::EncStoreByte(as.w(), isa::kEAX, isa::kEDI, 0);
+  x::EncAddImm(as.w(), isa::kEDI, 1);
+  x::EncAddImm(as.w(), isa::kESI, 1);
+  x::EncSubImm(as.w(), isa::kECX, 1);
+  as.JmpLabel("loop");
+  as.Label("done");
+  x::EncHlt(as.w());
+  const util::Bytes code = as.Finish().value();
+  (void)sys->space.DebugWrite(scratch, code);
+  (void)sys->space.Protect(".scratch", mem::kPermRX);
+
+  // 1 KiB per run: a long DNS name's worth of labels in one copy.
+  constexpr std::uint32_t kBytes = 1024;
+  const mem::GuestAddr src = sys->layout.heap_base;
+  const mem::GuestAddr dst = sys->layout.stack_base() + 0x1000;
+  Throughput tp;
+  const auto t0 = Clock::now();
+  double secs = 0;
+  int runs = 0;
+  do {
+    for (int i = 0; i < 100; ++i) {
+      sys->cpu->set_reg(isa::kESI, src);
+      sys->cpu->set_reg(isa::kEDI, dst);
+      sys->cpu->set_reg(isa::kECX, kBytes);
+      sys->cpu->set_pc(scratch);
+      const vm::StopInfo stop = sys->cpu->Run(16 * kBytes);
+      tp.steps += stop.steps;
+      ++runs;
+    }
     secs = Seconds(t0);
   } while (secs < budget_secs);
   tp.steps_per_sec = static_cast<double>(tp.steps) / secs;
@@ -254,6 +306,9 @@ int main(int argc, char** argv) {
   const Throughput loop_legacy = MeasureTightLoop(kLegacy, budget);
   const Throughput loop_fast = MeasureTightLoop(kPredecode, budget);
   const Throughput loop_sb = MeasureTightLoop(kSuperblock, budget);
+  const Throughput copy_legacy = MeasureCopyLoop(kLegacy, budget);
+  const Throughput copy_fast = MeasureCopyLoop(kPredecode, budget);
+  const Throughput copy_sb = MeasureCopyLoop(kSuperblock, budget);
   const RebootCost reboot = MeasureRebootCost();
 
   const double rop_speedup = rop_fast.steps_per_sec / rop_legacy.steps_per_sec;
@@ -271,6 +326,10 @@ int main(int argc, char** argv) {
   std::printf("%-18s %13.0f %13.0f %13.0f %8.2fx\n", "tight loop (x86)",
               loop_legacy.steps_per_sec, loop_fast.steps_per_sec,
               loop_sb.steps_per_sec, sb_speedup);
+  std::printf("%-18s %13.0f %13.0f %13.0f %8.2fx\n", "label copy (x86)",
+              copy_legacy.steps_per_sec, copy_fast.steps_per_sec,
+              copy_sb.steps_per_sec,
+              copy_sb.steps_per_sec / copy_fast.steps_per_sec);
   std::printf("  (legacy→fast speedups: rop %.2fx, loop %.2fx)\n", rop_speedup,
               loop_speedup);
   std::printf("\nreboot: full Boot %.1f us, full restore %.1f us, "
@@ -294,6 +353,9 @@ int main(int argc, char** argv) {
     json.Number("loop_steps_per_sec_superblock", loop_sb.steps_per_sec);
     json.Number("loop_speedup", loop_speedup);
     json.Number("superblock_speedup", sb_speedup);
+    json.Number("copy_steps_per_sec_legacy", copy_legacy.steps_per_sec);
+    json.Number("copy_steps_per_sec", copy_fast.steps_per_sec);
+    json.Number("copy_steps_per_sec_superblock", copy_sb.steps_per_sec);
     json.Number("boot_us", reboot.boot_us);
     // restore_us stays the headline key (the mode campaigns actually run,
     // now dirty-only); restore_full_us keeps the old wholesale copy visible.

@@ -41,6 +41,9 @@ HIGHER_BETTER = {
     "loop_steps_per_sec",
     "loop_steps_per_sec_legacy",
     "loop_steps_per_sec_superblock",
+    "copy_steps_per_sec",
+    "copy_steps_per_sec_legacy",
+    "copy_steps_per_sec_superblock",
     "rop_speedup",
     "loop_speedup",
     "superblock_speedup",

@@ -8,7 +8,8 @@
 
 namespace connlab::adapt {
 
-HttpCamd::HttpCamd(loader::System& sys) : sys_(sys) {
+HttpCamd::HttpCamd(loader::System& sys)
+    : sys_(sys), resume_(sys.Sym("connman.resume_ok")) {
   frame_base_ = sys_.layout.initial_sp() - (ret_offset() + 4);
 }
 
@@ -69,9 +70,8 @@ ServiceOutcome HttpCamd::HandleRequest(util::ByteSpan request) {
     outcome.detail = "failed to stage frame";
     return outcome;
   }
-  auto resume = sys_.Sym("connman.resume_ok");
-  if (!resume.ok() ||
-      !space.WriteU32(frame_base_ + ret_offset(), resume.value()).ok()) {
+  if (!resume_.ok() ||
+      !space.WriteU32(frame_base_ + ret_offset(), resume_.value()).ok()) {
     outcome.detail = "failed to plant return";
     return outcome;
   }

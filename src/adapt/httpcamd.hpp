@@ -45,6 +45,7 @@ class HttpCamd {
  private:
   loader::System& sys_;
   mem::GuestAddr frame_base_;
+  util::Result<mem::GuestAddr> resume_;  // resolved once, at attach
   std::string last_response_;
   std::uint64_t budget_ = 200000;
 };

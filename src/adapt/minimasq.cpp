@@ -54,7 +54,8 @@ ServiceOutcome ServiceOutcomeFromStop(const vm::StopInfo& stop) {
   return outcome;
 }
 
-Minimasq::Minimasq(loader::System& sys) : sys_(sys) {
+Minimasq::Minimasq(loader::System& sys)
+    : sys_(sys), resume_(sys.Sym("connman.resume_ok")) {
   frame_base_ = sys_.layout.initial_sp() - (ret_offset() + 4);
 }
 
@@ -97,9 +98,8 @@ ServiceOutcome Minimasq::HandleReply(util::ByteSpan wire) {
     outcome.detail = "failed to stage frame";
     return outcome;
   }
-  auto resume = sys_.Sym("connman.resume_ok");
-  if (!resume.ok() ||
-      !space.WriteU32(frame_base_ + ret_offset(), resume.value()).ok()) {
+  if (!resume_.ok() ||
+      !space.WriteU32(frame_base_ + ret_offset(), resume_.value()).ok()) {
     outcome.detail = "failed to plant return";
     return outcome;
   }

@@ -72,6 +72,7 @@ class Minimasq {
  private:
   loader::System& sys_;
   mem::GuestAddr frame_base_;
+  util::Result<mem::GuestAddr> resume_;  // resolved once, at attach
   std::map<std::uint16_t, bool> pending_;
   std::uint64_t budget_ = 200000;
 };

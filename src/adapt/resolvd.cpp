@@ -134,15 +134,14 @@ ServiceOutcome Resolvd::HandleQuery(util::ByteSpan wire) {
 
   // Benign completion: hand the expanded name to the guest resume path so
   // the run produces real guest coverage.
-  auto resume = sys_.Sym("connman.resume_ok");
-  if (!resume.ok()) {
+  if (!resume_.ok()) {
     outcome.detail = "resume symbol missing";
     return outcome;
   }
   auto& cpu = *sys_.cpu;
   cpu.ClearEvents();
   cpu.set_sp(sys_.layout.initial_sp());
-  cpu.set_pc(resume.value());
+  cpu.set_pc(resume_.value());
   outcome = ServiceOutcomeFromStop(cpu.Run(budget_));
   if (outcome.kind == ServiceOutcome::Kind::kOk) {
     outcome.detail = "name expanded: " + std::to_string(last_expanded_) +

@@ -23,7 +23,8 @@ class Resolvd {
   /// parse_name allocates per level).
   static constexpr std::uint32_t kFrameBytes = 64;
 
-  explicit Resolvd(loader::System& sys) : sys_(sys) {}
+  explicit Resolvd(loader::System& sys)
+      : sys_(sys), resume_(sys.Sym("connman.resume_ok")) {}
 
   /// The vulnerable path: expands the question name of `wire`, following
   /// compression pointers recursively with no visited-set and no hop
@@ -53,6 +54,7 @@ class Resolvd {
 
  private:
   loader::System& sys_;
+  util::Result<mem::GuestAddr> resume_;  // resolved once, at attach
   std::uint32_t last_hops_ = 0;
   std::uint32_t last_expanded_ = 0;
   std::uint64_t budget_ = 200000;

@@ -47,13 +47,18 @@ DnsProxy::DnsProxy(loader::System& sys, Version version)
     : sys_(sys),
       version_(version),
       frame_(FrameFor(sys.prot, sys.arch)),
-      frame_base_(FrameBase(sys.layout, frame_)) {
+      frame_base_(FrameBase(sys.layout, frame_)),
+      copy_label_(sys.Sym("connman.copy_label")),
+      copy_done_(sys.Sym("connman.copy_done")),
+      resume_ok_(sys.Sym("connman.resume_ok")),
+      parse_response_pc_(sys.Sym("connman.parse_response").value_or(0)),
+      get_name_pc_(sys.Sym("connman.get_name").value_or(0)),
+      parse_rr_pc_(sys.Sym("connman.parse_rr").value_or(0)) {
   // Sentinel the guest copy routine returns to; stops the CPU so the
   // native parser can continue. Idempotent across proxies on one system.
-  auto done = sys_.Sym("connman.copy_done");
-  if (done.ok() && !sys_.cpu->IsHostFn(done.value())) {
+  if (copy_done_.ok() && !sys_.cpu->IsHostFn(copy_done_.value())) {
     (void)sys_.cpu->RegisterHostFn(
-        done.value(), "connman.copy_done", [](vm::Cpu& cpu) {
+        copy_done_.value(), "connman.copy_done", [](vm::Cpu& cpu) {
           cpu.RequestStop(vm::StopReason::kHalted, "label copied");
           return util::OkStatus();
         });
@@ -83,31 +88,30 @@ DnsProxy::GetNameStatus DnsProxy::GuestCopy(mem::GuestAddr dst,
                                             mem::GuestAddr src,
                                             std::uint32_t len) {
   auto& cpu = *sys_.cpu;
-  auto copy_fn = sys_.Sym("connman.copy_label");
-  auto done = sys_.Sym("connman.copy_done");
-  if (!copy_fn.ok() || !done.ok()) return GetNameStatus::kGuestFault;
+  if (!copy_label_.ok() || !copy_done_.ok()) return GetNameStatus::kGuestFault;
+  const mem::GuestAddr done = copy_done_.value();
 
   // Callee frames live below parse_response's buffer, like real ones.
   cpu.set_sp(frame_base_ - 0x40);
   if (sys_.arch == isa::Arch::kVX86) {
     // cdecl: push args right-to-left, then the return address.
     if (!cpu.Push(len).ok() || !cpu.Push(src).ok() || !cpu.Push(dst).ok() ||
-        !cpu.Push(done.value()).ok()) {
+        !cpu.Push(done).ok()) {
       return GetNameStatus::kGuestFault;
     }
   } else {
     cpu.set_reg(isa::kR0, dst);
     cpu.set_reg(isa::kR1, src);
     cpu.set_reg(isa::kR2, len);
-    cpu.set_reg(isa::kLR, done.value());
+    cpu.set_reg(isa::kLR, done);
   }
   // The shadow stack (CFI builds) must tolerate this legitimate call. Only
   // VX86 needs the entry: its copy routine returns via the checked `ret`;
   // VARM returns via `bx lr`, which CFI CaRE leaves to the link register.
   if (cpu.shadow_stack_enabled() && sys_.arch == isa::Arch::kVX86) {
-    cpu.ShadowPush(done.value());
+    cpu.ShadowPush(done);
   }
-  cpu.set_pc(copy_fn.value());
+  cpu.set_pc(copy_label_.value());
   const vm::StopInfo stop = cpu.Run(/*max_steps=*/64 + 8ull * len);
   if (stop.reason == vm::StopReason::kHalted && stop.detail == "label copied") {
     return GetNameStatus::kOk;
@@ -211,7 +215,8 @@ util::Status DnsProxy::PrepareFrame() {
   }
   // Legitimate return address: the resume sentinel. Under CFI the shadow
   // stack records it as the only valid return target for this frame.
-  CONNLAB_ASSIGN_OR_RETURN(mem::GuestAddr resume, sys_.Sym("connman.resume_ok"));
+  if (!resume_ok_.ok()) return resume_ok_.status();
+  const mem::GuestAddr resume = resume_ok_.value();
   CONNLAB_RETURN_IF_ERROR(
       space.WriteU32(frame_base_ + frame_.ret_offset(), resume));
   if (sys_.cpu->shadow_stack_enabled()) {
@@ -231,11 +236,12 @@ util::Status DnsProxy::PrepareFrame() {
   return util::OkStatus();
 }
 
-vm::StopInfo DnsProxy::SynthesizeFaultStop(const std::string& where) {
+vm::StopInfo DnsProxy::SynthesizeFaultStop(const char* where,
+                                           mem::GuestAddr pc) {
   vm::StopInfo stop;
   stop.reason = vm::StopReason::kFault;
   stop.detail = where;
-  stop.pc = sys_.Sym("connman." + where).value_or(0);
+  stop.pc = pc;
   if (sys_.space.last_fault().has_value()) {
     stop.fault = sys_.space.last_fault();
     sys_.space.ClearFault();
@@ -329,7 +335,7 @@ ProxyOutcome DnsProxy::HandleServerResponse(util::ByteSpan wire) {
           outcome.stop = *guest_copy_stop_;   // the faulting strb, verbatim
           guest_copy_stop_.reset();
         } else {
-          outcome.stop = SynthesizeFaultStop("get_name");
+          outcome.stop = SynthesizeFaultStop("get_name", get_name_pc_);
         }
         return outcome;
     }
@@ -392,7 +398,7 @@ ProxyOutcome DnsProxy::HandleServerResponse(util::ByteSpan wire) {
         ++stats_.crashes;
         outcome.kind = Kind::kCrash;
         outcome.detail = "parse_rr stored through corrupted pointer slot";
-        outcome.stop = SynthesizeFaultStop("parse_rr");
+        outcome.stop = SynthesizeFaultStop("parse_rr", parse_rr_pc_);
         return outcome;
       }
     }
@@ -417,7 +423,8 @@ ProxyOutcome DnsProxy::HandleServerResponse(util::ByteSpan wire) {
         ++stats_.crashes;
         outcome.kind = Kind::kCrash;
         outcome.detail = "cleanup dereferenced stale pointer slot";
-        outcome.stop = SynthesizeFaultStop("parse_response");
+        outcome.stop = SynthesizeFaultStop("parse_response",
+                                           parse_response_pc_);
         return outcome;
       }
     }
@@ -434,7 +441,7 @@ ProxyOutcome DnsProxy::HandleServerResponse(util::ByteSpan wire) {
       outcome.detail = "stack canary mismatch";
       outcome.stop.reason = vm::StopReason::kAbort;
       outcome.stop.detail = "__stack_chk_fail";
-      outcome.stop.pc = sys_.Sym("connman.parse_response").value_or(0);
+      outcome.stop.pc = parse_response_pc_;
       return outcome;
     }
   }

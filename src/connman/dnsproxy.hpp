@@ -124,12 +124,23 @@ class DnsProxy {
                           std::uint32_t len);
   util::Status PrepareFrame();
   ProxyOutcome RunEpilogueAndClassify(ProxyOutcome outcome);
-  vm::StopInfo SynthesizeFaultStop(const std::string& where);
+  /// A fault stop for a crash the host-side parser detected in `where`,
+  /// reported at that function's entry `pc`.
+  vm::StopInfo SynthesizeFaultStop(const char* where, mem::GuestAddr pc);
 
   loader::System& sys_;
   Version version_;
   FrameLayout frame_;
   mem::GuestAddr frame_base_;
+  // Guest symbols, resolved once at attach: GuestCopy and PrepareFrame run
+  // per label and per response, so they must not look names up by string.
+  util::Result<mem::GuestAddr> copy_label_;
+  util::Result<mem::GuestAddr> copy_done_;
+  util::Result<mem::GuestAddr> resume_ok_;
+  // Entry pcs reported in synthesized crash/abort stops (0 when absent).
+  mem::GuestAddr parse_response_pc_;
+  mem::GuestAddr get_name_pc_;
+  mem::GuestAddr parse_rr_pc_;
   Cache cache_;
   std::map<std::uint16_t, Pending> pending_;
   std::uint64_t now_ = 1000;

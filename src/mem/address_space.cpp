@@ -56,16 +56,13 @@ util::Status AddressSpace::Protect(std::string_view name, Perm perms) {
 }
 
 const Segment* AddressSpace::FindSegment(GuestAddr addr) const noexcept {
-  if (hot_seg_ != nullptr && hot_seg_->Contains(addr)) return hot_seg_;
   // segments_ is sorted by base; binary search for the candidate.
   auto pos = std::upper_bound(
       segments_.begin(), segments_.end(), addr,
       [](GuestAddr a, const std::unique_ptr<Segment>& s) { return a < s->base(); });
   if (pos == segments_.begin()) return nullptr;
   const Segment* seg = std::prev(pos)->get();
-  if (!seg->Contains(addr)) return nullptr;
-  hot_seg_ = seg;
-  return seg;
+  return seg->Contains(addr) ? seg : nullptr;
 }
 
 const Segment* AddressSpace::FindSegmentByName(std::string_view name) const noexcept {
@@ -82,35 +79,32 @@ Segment* AddressSpace::FindSegmentByNameMutable(std::string_view name) noexcept 
   return nullptr;
 }
 
-const Segment* AddressSpace::CheckAccess(GuestAddr addr, std::uint32_t len,
-                                         AccessKind kind) const {
+const Segment* AddressSpace::CheckAccessSlow(GuestAddr addr,
+                                             std::uint32_t len,
+                                             AccessKind kind) const {
   const Segment* seg = FindSegment(addr);
   if (seg == nullptr || !seg->ContainsRange(addr, len)) {
     last_fault_ = FaultInfo{kind, addr, "unmapped address " + Hex(addr)};
     return nullptr;
   }
-  const Perm need = kind == AccessKind::kRead    ? Perm::kRead
-                    : kind == AccessKind::kWrite ? Perm::kWrite
-                                                 : Perm::kExec;
-  if (!Has(seg->perms(), need)) {
+  if (!Has(seg->perms(), NeededPerm(kind))) {
     last_fault_ = FaultInfo{kind, addr,
                             "no " + AccessKindName(kind) + " permission on " +
                                 seg->name() + " (" + PermString(seg->perms()) +
                                 ") at " + Hex(addr)};
     return nullptr;
   }
+  hot_[static_cast<std::size_t>(kind)] = seg;
   return seg;
 }
 
-util::Result<std::uint8_t> AddressSpace::ReadU8(GuestAddr addr) const {
-  const Segment* seg = CheckAccess(addr, 1, AccessKind::kRead);
-  if (seg == nullptr) return util::PermissionDenied(last_fault_->detail);
-  return seg->At(addr);
+util::Status AddressSpace::FaultStatus() const {
+  return util::PermissionDenied(last_fault_->detail);
 }
 
 util::Result<std::uint32_t> AddressSpace::ReadU32(GuestAddr addr) const {
   const Segment* seg = CheckAccess(addr, 4, AccessKind::kRead);
-  if (seg == nullptr) return util::PermissionDenied(last_fault_->detail);
+  if (seg == nullptr) return FaultStatus();
   const util::ByteSpan w = seg->SpanAt(addr, 4);
   return static_cast<std::uint32_t>(w[0]) |
          (static_cast<std::uint32_t>(w[1]) << 8) |
@@ -121,7 +115,7 @@ util::Result<std::uint32_t> AddressSpace::ReadU32(GuestAddr addr) const {
 util::Result<util::Bytes> AddressSpace::ReadBytes(GuestAddr addr,
                                                   std::uint32_t len) const {
   const Segment* seg = CheckAccess(addr, len, AccessKind::kRead);
-  if (seg == nullptr) return util::PermissionDenied(last_fault_->detail);
+  if (seg == nullptr) return FaultStatus();
   auto span = seg->SpanAt(addr, len);
   return util::Bytes(span.begin(), span.end());
 }
@@ -138,16 +132,9 @@ util::Result<std::string> AddressSpace::ReadCString(GuestAddr addr,
   return util::OutOfRange("unterminated string at " + Hex(addr));
 }
 
-util::Status AddressSpace::WriteU8(GuestAddr addr, std::uint8_t value) {
-  const Segment* seg = CheckAccess(addr, 1, AccessKind::kWrite);
-  if (seg == nullptr) return util::PermissionDenied(last_fault_->detail);
-  const_cast<Segment*>(seg)->Set(addr, value);
-  return util::OkStatus();
-}
-
 util::Status AddressSpace::WriteU32(GuestAddr addr, std::uint32_t value) {
   const Segment* seg = CheckAccess(addr, 4, AccessKind::kWrite);
-  if (seg == nullptr) return util::PermissionDenied(last_fault_->detail);
+  if (seg == nullptr) return FaultStatus();
   const std::uint8_t bytes[4] = {
       static_cast<std::uint8_t>(value & 0xFF),
       static_cast<std::uint8_t>((value >> 8) & 0xFF),
@@ -160,7 +147,7 @@ util::Status AddressSpace::WriteU32(GuestAddr addr, std::uint32_t value) {
 util::Status AddressSpace::WriteBytes(GuestAddr addr, util::ByteSpan data) {
   const auto len = static_cast<std::uint32_t>(data.size());
   const Segment* seg = CheckAccess(addr, len, AccessKind::kWrite);
-  if (seg == nullptr) return util::PermissionDenied(last_fault_->detail);
+  if (seg == nullptr) return FaultStatus();
   const_cast<Segment*>(seg)->SetBytes(addr, data);
   return util::OkStatus();
 }
@@ -168,7 +155,7 @@ util::Status AddressSpace::WriteBytes(GuestAddr addr, util::ByteSpan data) {
 util::Result<util::Bytes> AddressSpace::Fetch(GuestAddr addr,
                                               std::uint32_t len) const {
   const Segment* seg = CheckAccess(addr, len, AccessKind::kFetch);
-  if (seg == nullptr) return util::PermissionDenied(last_fault_->detail);
+  if (seg == nullptr) return FaultStatus();
   auto span = seg->SpanAt(addr, len);
   return util::Bytes(span.begin(), span.end());
 }
@@ -176,7 +163,7 @@ util::Result<util::Bytes> AddressSpace::Fetch(GuestAddr addr,
 util::Result<const Segment*> AddressSpace::FetchSegment(
     GuestAddr addr, std::uint32_t len) const {
   const Segment* seg = CheckAccess(addr, len, AccessKind::kFetch);
-  if (seg == nullptr) return util::PermissionDenied(last_fault_->detail);
+  if (seg == nullptr) return FaultStatus();
   return seg;
 }
 

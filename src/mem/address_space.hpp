@@ -5,6 +5,7 @@
 // would take SIGSEGV.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -53,13 +54,22 @@ class AddressSpace {
   // Multi-byte accessors use guest (little-endian) byte order and may NOT
   // straddle segments (real mappings are page-padded; ours are too).
 
-  util::Result<std::uint8_t> ReadU8(GuestAddr addr) const;
+  util::Result<std::uint8_t> ReadU8(GuestAddr addr) const {
+    const Segment* seg = CheckAccess(addr, 1, AccessKind::kRead);
+    if (seg == nullptr) return FaultStatus();
+    return seg->At(addr);
+  }
   util::Result<std::uint32_t> ReadU32(GuestAddr addr) const;
   util::Result<util::Bytes> ReadBytes(GuestAddr addr, std::uint32_t len) const;
   /// Reads until NUL or `max_len`; error if it runs off the mapping.
   util::Result<std::string> ReadCString(GuestAddr addr, std::uint32_t max_len = 4096) const;
 
-  util::Status WriteU8(GuestAddr addr, std::uint8_t value);
+  util::Status WriteU8(GuestAddr addr, std::uint8_t value) {
+    const Segment* seg = CheckAccess(addr, 1, AccessKind::kWrite);
+    if (seg == nullptr) return FaultStatus();
+    const_cast<Segment*>(seg)->Set(addr, value);
+    return util::OkStatus();
+  }
   util::Status WriteU32(GuestAddr addr, std::uint32_t value);
   util::Status WriteBytes(GuestAddr addr, util::ByteSpan data);
 
@@ -95,16 +105,47 @@ class AddressSpace {
   [[nodiscard]] std::string MapsString() const;
 
  private:
-  const Segment* CheckAccess(GuestAddr addr, std::uint32_t len, AccessKind kind) const;
+  /// The front door every checked accessor goes through: returns the
+  /// segment holding [addr, addr+len) when `kind` is permitted there, or
+  /// nullptr after recording the fault. The inline half only answers hits
+  /// on the kind's hot segment; everything else, every fault included,
+  /// takes CheckAccessSlow, so fault records never depend on the cache.
+  const Segment* CheckAccess(GuestAddr addr, std::uint32_t len,
+                             AccessKind kind) const {
+    const Segment* seg = hot_[static_cast<std::size_t>(kind)];
+    if (seg != nullptr) {
+      // addr must lie strictly inside the segment (a zero-length range at
+      // end() may belong to the next segment), and the range must fit.
+      const std::uint32_t off = addr - seg->base();
+      if (off < seg->size() && len <= seg->size() - off &&
+          Has(seg->perms(), NeededPerm(kind))) {
+        return seg;
+      }
+    }
+    return CheckAccessSlow(addr, len, kind);
+  }
+  /// Binary-search lookup, fault recording and hot-segment refill.
+  const Segment* CheckAccessSlow(GuestAddr addr, std::uint32_t len,
+                                 AccessKind kind) const;
+  /// The status a failed access returns: last_fault_'s detail.
+  [[nodiscard]] util::Status FaultStatus() const;
+  static constexpr Perm NeededPerm(AccessKind kind) noexcept {
+    return kind == AccessKind::kRead    ? Perm::kRead
+           : kind == AccessKind::kWrite ? Perm::kWrite
+                                        : Perm::kExec;
+  }
 
   std::vector<std::unique_ptr<Segment>> segments_;  // sorted by base
   mutable std::optional<FaultInfo> last_fault_;
-  /// One-entry lookup cache: guest accesses are strongly clustered (the
-  /// stack during ROP replay, .text during straight-line execution), so the
-  /// last segment hit short-circuits the binary search most of the time.
-  /// Segment pointers are stable (unique_ptr elements, no unmap), so the
-  /// cache never dangles; permissions are re-checked on every access.
-  mutable const Segment* hot_seg_ = nullptr;
+  /// One hot segment per AccessKind: the segment of the kind's last
+  /// successful access. Loads, stores and fetches each cluster (a byte copy
+  /// reads the heap and writes the stack; .text feeds every fetch), so
+  /// separate entries keep one kind from evicting another's. Segment
+  /// pointers are stable (unique_ptr elements, no unmap), so an entry never
+  /// dangles; bounds and permissions are re-checked on every access, so
+  /// permission changes that bypass Protect (snapshot rollbacks through
+  /// Segment::set_perms) need no invalidation.
+  mutable std::array<const Segment*, 3> hot_{};
 };
 
 }  // namespace connlab::mem

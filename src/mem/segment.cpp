@@ -87,13 +87,19 @@ std::uint32_t Segment::RestoreDirtyPagesFrom(util::ByteSpan reference) noexcept 
   std::uint32_t copied = 0;
   const std::uint32_t page_count =
       (size() + kDirtyPageSize - 1) >> kDirtyPageShift;
-  for (std::uint32_t page = 0; page < page_count; ++page) {
-    if ((dirty_[page >> 6u] & (1ull << (page & 63u))) == 0) continue;
-    const std::uint32_t off = page << kDirtyPageShift;
-    const std::uint32_t len = std::min(kDirtyPageSize, size() - off);
-    std::copy(reference.begin() + off, reference.begin() + off + len,
-              data_.begin() + off);
-    ++copied;
+  // Walk the bitmap a word at a time: a clean word costs one compare, and
+  // countr_zero jumps straight to each dirty page inside a dirty one.
+  for (std::size_t word = 0; word < dirty_.size(); ++word) {
+    for (std::uint64_t bits = dirty_[word]; bits != 0; bits &= bits - 1) {
+      const std::uint32_t page = static_cast<std::uint32_t>(
+          (word << 6u) + static_cast<std::size_t>(std::countr_zero(bits)));
+      if (page >= page_count) break;  // pessimized bits past the last page
+      const std::uint32_t off = page << kDirtyPageShift;
+      const std::uint32_t len = std::min(kDirtyPageSize, size() - off);
+      std::copy(reference.begin() + off, reference.begin() + off + len,
+                data_.begin() + off);
+      ++copied;
+    }
   }
   if (copied != 0) {
     ++generation_;

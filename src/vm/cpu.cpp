@@ -88,6 +88,15 @@ void Cpu::FlushObsBatch() noexcept {
   if (obs_batch_.runs == 0) return;
   static obs::Counter* const steps = &obs::Registry::Instance().GetCounter("vm.steps");
   steps->Add(obs_batch_.steps);
+  // Tier residency: every retired step is either a superblock's or the
+  // interpreter's, so the two counters sum to vm.steps exactly.
+  if (obs_batch_.superblock_steps != 0) {
+    OBS_COUNT_N("vm.steps.superblock", obs_batch_.superblock_steps);
+  }
+  if (obs_batch_.steps != obs_batch_.superblock_steps) {
+    OBS_COUNT_N("vm.steps.interp",
+                obs_batch_.steps - obs_batch_.superblock_steps);
+  }
   obs::Counter* const* stop_counters = StopReasonCounters();
   for (std::size_t i = 0; i < kStopReasons; ++i) {
     if (obs_batch_.stops[i] != 0) stop_counters[i]->Add(obs_batch_.stops[i]);

@@ -381,6 +381,10 @@ class Cpu {
   struct ObsBatch {
     static constexpr std::uint32_t kFlushRuns = 256;
     std::uint64_t steps = 0;
+    /// The share of `steps` retired by superblocks (TrySuperblocks adds
+    /// every block pass); the rest is the interpreter's, so the flush
+    /// writes vm.steps.superblock and vm.steps.interp summing to vm.steps.
+    std::uint64_t superblock_steps = 0;
     std::uint32_t runs = 0;
     std::uint32_t stops[16] = {};  // indexed by StopReason
   };

@@ -80,7 +80,9 @@ enum SbHandler : std::uint8_t {
 };
 
 /// Builder verdict for one decoded instruction: which handler runs it, and
-/// whether it ends the block. index < 0 means "not superblockable" — the
+/// whether it ends the block. Only unconditional control transfers end a
+/// block; conditional branches are side exits that fall through into the
+/// next op when not taken. index < 0 means "not superblockable" — the
 /// block ends before this pc and the interpreter executes it (including the
 /// cannot-execute fault for ops foreign to the arch).
 struct HandlerPick {
@@ -109,8 +111,8 @@ HandlerPick PickVX86(const isa::Instr& ins) noexcept {
     case Op::kCall: return {kHXCall, true};
     case Op::kRet: return {kHXRet, true};
     case Op::kJmp: return {kHXJmp, true};
-    case Op::kJz: return {kHXJz, true};
-    case Op::kJnz: return {kHXJnz, true};
+    case Op::kJz: return {kHXJz, false};
+    case Op::kJnz: return {kHXJnz, false};
     case Op::kJmpInd: return {kHXJmpInd, true};
     case Op::kSyscall: return {kHXSyscall, true};
     case Op::kHlt: return {kHXHlt, true};
@@ -157,8 +159,8 @@ HandlerPick PickVARM(const isa::Instr& ins) noexcept {
     case Op::kBlx: return {kHABlx, true};
     case Op::kBx: return {kHABx, true};
     case Op::kJmp: return {kHAJmp, true};
-    case Op::kJz: return {kHAJz, true};
-    case Op::kJnz: return {kHAJnz, true};
+    case Op::kJz: return {kHAJz, false};
+    case Op::kJnz: return {kHAJnz, false};
     case Op::kSyscall: return {kHASyscall, true};
     case Op::kHlt: return {kHAHlt, true};
     default: return {};
@@ -268,7 +270,8 @@ const Superblock* Cpu::SuperblockFor(const mem::Segment* seg,
   if (block.usable()) {
     if (!ends_in_terminator) {
       // The region fell through (length cap / segment edge / unsuperblockable
-      // successor): append the exit sentinel that re-syncs pc and leaves.
+      // successor, possibly right after a side exit): append the exit
+      // sentinel that re-syncs pc and leaves.
       SbOp exit_op;
       exit_op.handler = labels[kHExit];
       exit_op.pc = pc;
@@ -342,6 +345,9 @@ bool Cpu::TrySuperblocks(std::uint64_t remaining) {
     ExecSuperblock(block, seg, gen, steps_ + remaining);
     executed = true;
     remaining -= steps_ - before;
+#ifndef CONNLAB_OBS_DISABLED
+    obs_batch_.superblock_steps += steps_ - before;  // self-loops included
+#endif
     if (stop_.reason != StopReason::kRunning || remaining == 0 ||
         !breakpoints_.empty()) {
       return true;  // Run() re-evaluates its stop conditions
@@ -390,12 +396,12 @@ bool Cpu::TrySuperblocks(std::uint64_t remaining) {
     regs_[isa::kPC] = cl_pc;       \
   } while (0)
 
-// Direct-branch terminator: a branch back to this block's own entry (the
-// tight-loop shape) re-enters threaded code without returning through the
-// dispatch loop whenever every per-entry precondition still holds — block
-// store still valid (generation unchanged), nothing stopped, no breakpoints
-// to honour, budget for a full pass of the block. Anything else hands
-// control back to TrySuperblocks.
+// Direct-branch exit (terminators and taken side exits alike): a branch
+// back to this block's own entry (the tight-loop shape) re-enters threaded
+// code without returning through the dispatch loop whenever every
+// per-entry precondition still holds — block store still valid (generation
+// unchanged), nothing stopped, no breakpoints to honour, budget for a full
+// pass of the block. Anything else hands control back to TrySuperblocks.
 #define CL_BRANCH(target_val, SYNC_PC)                                  \
   do {                                                                  \
     const mem::GuestAddr cl_t = (target_val);                           \
@@ -615,13 +621,21 @@ x_jmp:
   CL_ENTER();
   CL_BRANCH(op->instr.imm, CL_SET_PC_X86);
 
+// Conditional branches are side exits: taken leaves through CL_BRANCH,
+// not taken falls through to the next op (or the exit sentinel).
 x_jz:
   CL_ENTER();
-  CL_BRANCH(zf_ ? op->instr.imm : op->pc_next, CL_SET_PC_X86);
+  if (zf_) {
+    CL_BRANCH(op->instr.imm, CL_SET_PC_X86);
+  }
+  CL_NEXT();
 
 x_jnz:
   CL_ENTER();
-  CL_BRANCH(!zf_ ? op->instr.imm : op->pc_next, CL_SET_PC_X86);
+  if (!zf_) {
+    CL_BRANCH(op->instr.imm, CL_SET_PC_X86);
+  }
+  CL_NEXT();
 
 x_jmp_ind: {
   CL_ENTER();
@@ -867,15 +881,19 @@ a_jmp:
 
 a_jz:
   CL_ENTER();
-  CL_BRANCH(zf_ ? op->pc_next + static_cast<std::int32_t>(op->instr.imm) * 4
-                : op->pc_next,
-            CL_SET_PC_ARM);
+  if (zf_) {
+    CL_BRANCH(op->pc_next + static_cast<std::int32_t>(op->instr.imm) * 4,
+              CL_SET_PC_ARM);
+  }
+  CL_NEXT();
 
 a_jnz:
   CL_ENTER();
-  CL_BRANCH(!zf_ ? op->pc_next + static_cast<std::int32_t>(op->instr.imm) * 4
-                 : op->pc_next,
-            CL_SET_PC_ARM);
+  if (!zf_) {
+    CL_BRANCH(op->pc_next + static_cast<std::int32_t>(op->instr.imm) * 4,
+              CL_SET_PC_ARM);
+  }
+  CL_NEXT();
 
 a_syscall: {
   CL_ENTER();

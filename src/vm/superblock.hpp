@@ -5,19 +5,27 @@
 // predecode caches: the Run() loop's budget/breakpoint probes, the
 // switch-dispatch in ExecVX86/ExecVARM, and a generation check per cached
 // decode. A superblock hoists all of that to once per *block*: starting from
-// a hot pc, the builder walks the instruction stream until the first control
-// transfer (branch, call, ret, syscall, hlt), host-function trampoline,
-// breakpoint'd pc, undecodable byte, segment end or the block-length cap,
-// and records one threaded-code op per instruction — a direct handler
-// address (GCC/Clang `&&label`), the decoded instruction, its pc /
-// fall-through pc and its precomputed AFL coverage location. Execution then
-// jumps handler-to-handler with no switch and no per-step cache probes.
+// a hot pc, the builder walks the instruction stream until the first
+// unconditional control transfer (jmp, call, ret, indirect branch, syscall,
+// hlt), host-function trampoline, breakpoint'd pc, undecodable byte,
+// segment end or the block-length cap, and records one threaded-code op per
+// instruction — a direct handler address (GCC/Clang `&&label`), the decoded
+// instruction, its pc / fall-through pc and its precomputed AFL coverage
+// location. Execution then jumps handler-to-handler with no switch and no
+// per-step cache probes.
 //
-// A direct branch back to its own block's entry (the tight-loop shape)
-// re-enters the block without returning to the dispatch loop, after
-// re-making every check a fresh TrySuperblocks entry makes (generation,
-// stop state, budget, breakpoints). Every other block exit returns to the
-// dispatch loop, whose direct-mapped slot probe finds the next block.
+// Conditional branches (jz/jnz) are side exits, not block ends: taken, the
+// op leaves the block exactly as a terminating branch would; not taken, it
+// falls through to the next op (or to the exit sentinel when the block was
+// cut off right after it). So a `cmp; jz out; ...; jmp head` loop — the
+// shape of connman.copy_label — compiles to one block.
+//
+// A direct branch back to its own block's entry (the tight-loop shape),
+// whether a terminator or a taken side exit, re-enters the block without
+// returning to the dispatch loop, after re-making every check a fresh
+// TrySuperblocks entry makes (generation, stop state, budget,
+// breakpoints). Every other block exit returns to the dispatch loop, whose
+// direct-mapped slot probe finds the next block.
 //
 // A shared per-image block store (SharedSuperblockRegistry below) lets CPUs
 // with a valid DecodePlan binding publish their compiled blocks keyed by the
@@ -42,8 +50,10 @@
 //     instruction.
 //   - Anything the block cannot reproduce exactly — tracing, a VARM
 //     instruction reading or writing r15 outside the synced cases, an
-//     instruction budget smaller than the block — falls back to the
-//     interpreter, which remains the single source of truth.
+//     instruction budget smaller than the block (counted as a full pass,
+//     side exits ignored, so an early exit only ever leaves budget over) —
+//     falls back to the interpreter, which remains the single source of
+//     truth.
 #pragma once
 
 #include <array>
@@ -69,12 +79,14 @@ struct SbOp {
   std::uint32_t cov_loc = 0;   // CoverageLocation(pc), hoisted out of the loop
 };
 
-/// A compiled straight-line region. `ops[0..count)` are real instructions;
-/// when the last one falls through (cap / boundary ended the block, not a
-/// control transfer) one extra exit sentinel op follows that re-syncs pc and
-/// leaves the executor. `count < kMinOps` marks a negative-cache entry: this
-/// entry pc is not worth block dispatch (host fn, lone instruction before a
-/// branch, undecodable) — the interpreter path handles it.
+/// A compiled region: straight-line code whose only exits before the last op
+/// are conditional side exits. `ops[0..count)` are real instructions; when
+/// the last one can fall through (cap / boundary ended the block, not an
+/// unconditional control transfer — possibly right after a side exit) one
+/// extra exit sentinel op follows that re-syncs pc and leaves the executor.
+/// `count < kMinOps` marks a negative-cache entry: this entry pc is not
+/// worth block dispatch (host fn, a lone control transfer, undecodable) —
+/// the interpreter path handles it.
 struct Superblock {
   static constexpr std::uint32_t kMaxOps = 64;
   static constexpr std::uint32_t kMinOps = 2;

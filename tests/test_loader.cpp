@@ -2,6 +2,7 @@
 // end-to-end guest execution of PLT/libc paths on both architectures.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "src/isa/assembler.hpp"
@@ -11,6 +12,7 @@
 #include "src/loader/layout.hpp"
 #include "src/loader/libc_image.hpp"
 #include "src/loader/snapshot.hpp"
+#include "src/obs/obs.hpp"
 #include "src/vm/decode_plan.hpp"
 
 namespace connlab::loader {
@@ -616,6 +618,55 @@ TEST(Boot, DiversityReshuffledBootNeverSeesAForeignPlan) {
   // And both images execute from their own plans without faulting.
   EXPECT_NE(a->cpu->Run(50).reason, vm::StopReason::kFault);
   EXPECT_NE(b->cpu->Run(50).reason, vm::StopReason::kFault);
+}
+
+// The dirty-only restore walks the page bitmap a 64-bit word at a time.
+// Dirty pages at both ends of the first word, in the last word and on the
+// partial tail page of an odd-sized segment all come back in both modes,
+// and a second restore with nothing dirty copies nothing.
+TEST(Snapshot, DirtyWalkRestoresFirstLastAndTailPagesInBothModes) {
+  // 149 full pages plus a 77-byte tail page: three bitmap words, the last
+  // one partly used.
+  constexpr std::uint32_t kPage = mem::Segment::kDirtyPageSize;
+  constexpr std::uint32_t kSize = 149 * kPage + 77;
+  constexpr mem::GuestAddr kBase = 0x10000;
+  for (const RestoreMode mode : {RestoreMode::kFull, RestoreMode::kDirtyOnly}) {
+    System sys;
+    ASSERT_TRUE(sys.space.Map("odd", kBase, kSize, mem::kPermRW).ok());
+    sys.cpu = std::make_unique<vm::Cpu>(Arch::kVX86, sys.space);
+    util::Bytes image(kSize);
+    for (std::uint32_t i = 0; i < kSize; ++i) {
+      image[i] = static_cast<std::uint8_t>(i * 13 + 5);
+    }
+    ASSERT_TRUE(sys.space.WriteBytes(kBase, image).ok());
+    const Snapshot snap = TakeSnapshot(sys);
+    const mem::Segment* seg = sys.space.FindSegmentByName("odd");
+    ASSERT_NE(seg, nullptr);
+
+    // Pages 0 and 63 (first word), 128 (last word) and 149 (the tail page,
+    // written at its first and its last byte).
+    for (const mem::GuestAddr addr :
+         {kBase, kBase + 63 * kPage + 200, kBase + 128 * kPage + 1,
+          kBase + 149 * kPage, kBase + kSize - 1}) {
+      ASSERT_TRUE(sys.space.WriteU8(addr, 0xEE).ok());
+    }
+    EXPECT_EQ(seg->CountDirtyPages(), 4u);
+
+    obs::Scope scope;
+    ASSERT_TRUE(RestoreSnapshot(sys, snap, mode).ok());
+    EXPECT_EQ(seg->data(), image);
+    EXPECT_FALSE(seg->HasDirtyPages());
+    const std::uint64_t gen = seg->generation();
+    ASSERT_TRUE(RestoreSnapshot(sys, snap, mode).ok());  // nothing dirty
+    EXPECT_EQ(seg->data(), image);
+    const obs::MetricsSnapshot m = scope.Metrics();
+    if (mode == RestoreMode::kDirtyOnly) {
+      EXPECT_EQ(m.counters.at("mem.dirty_pages_copied"), 4u);
+      EXPECT_EQ(seg->generation(), gen);  // a clean restore keeps caches warm
+    } else {
+      EXPECT_EQ(m.counters.at("loader.restore_segments_full"), 2u);
+    }
+  }
 }
 
 TEST(Snapshot, DirtyOnlyFallsBackWhenBaselineBelongsToAnotherSnapshot) {

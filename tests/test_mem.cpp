@@ -1,10 +1,21 @@
-// Unit tests for the guest memory model: segments, permissions, faults.
+// Unit tests for the guest memory model: segments, permissions, faults, and
+// a seeded model test of the checked front door against a binary-search
+// reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
+#include "src/loader/boot.hpp"
+#include "src/loader/snapshot.hpp"
 #include "src/mem/address_space.hpp"
 #include "src/mem/perms.hpp"
+#include "src/util/rng.hpp"
+#include "src/vm/cpu.hpp"
 
 namespace connlab::mem {
 namespace {
@@ -306,6 +317,254 @@ TEST(Segment, MutableDataPessimisticallyDirtiesEverything) {
   EXPECT_FALSE(seg.HasDirtyPages());
   (void)seg.mutable_data();
   EXPECT_EQ(seg.CountDirtyPages(), 16u);
+}
+
+
+// --- Front-door model: the per-kind hot segments never change an answer ---
+
+/// Reference front door: a private copy of the segment table and bytes,
+/// every access resolved by binary search, faults worded like the real
+/// one. The model test drives it in lock-step with a real AddressSpace.
+class RefSpace {
+ public:
+  struct Seg {
+    std::string name;
+    GuestAddr base = 0;
+    Perm perms = Perm::kNone;
+    util::Bytes bytes;
+    [[nodiscard]] std::uint64_t end() const { return base + bytes.size(); }
+  };
+
+  explicit RefSpace(const AddressSpace& space) {
+    for (const auto& seg : space.segments()) {
+      segs_.push_back(Seg{seg->name(), seg->base(), seg->perms(), seg->data()});
+    }
+  }
+
+  /// The segment holding [addr, addr+len) with `kind` permitted, or
+  /// nullptr after recording the fault.
+  Seg* Check(GuestAddr addr, std::uint32_t len, AccessKind kind) {
+    auto pos = std::upper_bound(
+        segs_.begin(), segs_.end(), addr,
+        [](GuestAddr a, const Seg& s) { return a < s.base; });
+    Seg* seg = pos == segs_.begin() ? nullptr : &*std::prev(pos);
+    if (seg != nullptr && addr >= seg->end()) seg = nullptr;
+    if (seg == nullptr ||
+        static_cast<std::uint64_t>(addr) + len > seg->end()) {
+      fault = FaultInfo{kind, addr, "unmapped address " + Hex(addr)};
+      ++faults;
+      return nullptr;
+    }
+    const Perm need = kind == AccessKind::kRead    ? Perm::kRead
+                      : kind == AccessKind::kWrite ? Perm::kWrite
+                                                   : Perm::kExec;
+    if (!Has(seg->perms, need)) {
+      fault = FaultInfo{kind, addr,
+                        "no " + AccessKindName(kind) + " permission on " +
+                            seg->name + " (" + PermString(seg->perms) +
+                            ") at " + Hex(addr)};
+      ++faults;
+      return nullptr;
+    }
+    return seg;
+  }
+
+  Seg* Named(const std::string& name) {
+    for (Seg& seg : segs_) {
+      if (seg.name == name) return &seg;
+    }
+    return nullptr;
+  }
+  std::vector<Seg>& segs() { return segs_; }
+
+  std::optional<FaultInfo> fault;
+  std::uint64_t faults = 0;  // accesses that faulted
+
+ private:
+  static std::string Hex(GuestAddr a) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "0x%08x", a);
+    return buf;
+  }
+
+  std::vector<Seg> segs_;
+};
+
+/// Random ReadU8/ReadU32/ReadBytes/WriteU8/WriteU32/WriteBytes/FetchSegment
+/// calls aimed at segment interiors, first and last bytes, end(), zero-length
+/// and straddling ranges and unmapped gaps, interleaved with Protect calls
+/// and snapshot rollbacks (which flip permissions through
+/// Segment::set_perms, behind Protect's back). Every result, every status
+/// and every last_fault() must match the binary-search reference.
+TEST(AddressSpace, FrontDoorMatchesBinarySearchModel) {
+  loader::System sys;
+  // Touching neighbours (.text|.data, heap|ro) make end() of one segment
+  // the first byte of the next; odd sizes put ends off word boundaries.
+  ASSERT_TRUE(sys.space.Map(".text", 0x1000, 0x1000, kPermRX).ok());
+  ASSERT_TRUE(sys.space.Map(".data", 0x2000, 0x800, kPermRW).ok());
+  ASSERT_TRUE(sys.space.Map("heap", 0x3000, 0x123, kPermRW).ok());
+  ASSERT_TRUE(sys.space.Map("ro", 0x3123, 0xDD, kPermR).ok());
+  ASSERT_TRUE(sys.space.Map("stack", 0x8000, 0x2000, kPermRWX).ok());
+  sys.cpu = std::make_unique<vm::Cpu>(isa::Arch::kVX86, sys.space);
+  AddressSpace& space = sys.space;
+  const loader::Snapshot snap = loader::TakeSnapshot(sys);
+  RefSpace ref(space);
+  const std::vector<RefSpace::Seg> ref_at_snap = ref.segs();
+
+  util::Rng rng(20171017);
+  const auto pick_addr = [&](std::uint32_t* len) -> GuestAddr {
+    const std::vector<RefSpace::Seg>& segs = ref.segs();
+    const RefSpace::Seg& s = segs[rng.NextBelow(segs.size())];
+    const auto size = static_cast<std::uint32_t>(s.bytes.size());
+    const auto end = static_cast<GuestAddr>(s.end());
+    switch (rng.NextBelow(8)) {
+      case 0: return s.base + static_cast<GuestAddr>(rng.NextBelow(size));
+      case 1: return s.base;
+      case 2: return end - 1;
+      case 3: return end;
+      case 4:  // straddles end() by 1..3 bytes
+        *len = std::max<std::uint32_t>(*len, 4);
+        return end - static_cast<GuestAddr>(rng.NextInRange(1, 3));
+      case 5: return s.base - 1;
+      case 6: return 0x4000 + static_cast<GuestAddr>(rng.NextBelow(0x4000));
+      default: return rng.NextU32();
+    }
+  };
+  const auto pick_len = [&]() -> std::uint32_t {
+    switch (rng.NextBelow(4)) {
+      case 0: return 0;
+      case 1: return 1;
+      case 2: return 4;
+      default: return static_cast<std::uint32_t>(rng.NextBelow(300));
+    }
+  };
+  const auto expect_same_fault = [&](int op) {
+    ASSERT_EQ(space.last_fault().has_value(), ref.fault.has_value()) << op;
+    if (!ref.fault.has_value()) return;
+    EXPECT_EQ(space.last_fault()->kind, ref.fault->kind) << op;
+    EXPECT_EQ(space.last_fault()->addr, ref.fault->addr) << op;
+    EXPECT_EQ(space.last_fault()->detail, ref.fault->detail) << op;
+  };
+  const auto expect_same_status = [&](const util::Status& got, bool ref_ok,
+                                      int op) {
+    ASSERT_EQ(got.ok(), ref_ok) << op;
+    if (!ref_ok) {
+      EXPECT_EQ(got.code(), StatusCode::kPermissionDenied) << op;
+      EXPECT_EQ(got.message(), ref.fault->detail) << op;
+    }
+  };
+
+  constexpr Perm kPermChoices[] = {Perm::kNone, kPermR, kPermRW, kPermRX,
+                                   kPermRWX};
+  for (int op = 0; op < 20000; ++op) {
+    std::uint32_t len = pick_len();
+    const std::uint64_t verb = rng.NextBelow(20);
+    if (verb == 0) {
+      RefSpace::Seg& s = ref.segs()[rng.NextBelow(ref.segs().size())];
+      const Perm perms = kPermChoices[rng.NextBelow(5)];
+      ASSERT_TRUE(space.Protect(s.name, perms).ok());
+      s.perms = perms;
+      continue;
+    }
+    if (verb == 1) {
+      const auto mode = rng.NextBool(0.5) ? loader::RestoreMode::kFull
+                                          : loader::RestoreMode::kDirtyOnly;
+      ASSERT_TRUE(loader::RestoreSnapshot(sys, snap, mode).ok());
+      ref.segs() = ref_at_snap;  // bytes and permissions roll back
+      ref.fault.reset();         // the restore clears the fault record
+      expect_same_fault(op);
+      continue;
+    }
+    if (verb == 2) {
+      space.ClearFault();
+      ref.fault.reset();
+      continue;
+    }
+    const GuestAddr addr = pick_addr(&len);
+    switch (verb % 7) {
+      case 0: {
+        auto got = space.ReadU8(addr);
+        RefSpace::Seg* s = ref.Check(addr, 1, AccessKind::kRead);
+        expect_same_status(got.status(), s != nullptr, op);
+        if (s != nullptr && got.ok()) {
+          EXPECT_EQ(got.value(), s->bytes[addr - s->base]) << op;
+        }
+        break;
+      }
+      case 1: {
+        auto got = space.ReadU32(addr);
+        RefSpace::Seg* s = ref.Check(addr, 4, AccessKind::kRead);
+        expect_same_status(got.status(), s != nullptr, op);
+        if (s != nullptr && got.ok()) {
+          const std::size_t off = addr - s->base;
+          std::uint32_t want = 0;
+          for (int i = 3; i >= 0; --i) want = (want << 8) | s->bytes[off + i];
+          EXPECT_EQ(got.value(), want) << op;
+        }
+        break;
+      }
+      case 2: {
+        auto got = space.ReadBytes(addr, len);
+        RefSpace::Seg* s = ref.Check(addr, len, AccessKind::kRead);
+        expect_same_status(got.status(), s != nullptr, op);
+        if (s != nullptr && got.ok()) {
+          const auto first = s->bytes.begin() + (addr - s->base);
+          EXPECT_EQ(got.value(), util::Bytes(first, first + len)) << op;
+        }
+        break;
+      }
+      case 3: {
+        const auto value = static_cast<std::uint8_t>(rng.NextU32());
+        const util::Status got = space.WriteU8(addr, value);
+        RefSpace::Seg* s = ref.Check(addr, 1, AccessKind::kWrite);
+        expect_same_status(got, s != nullptr, op);
+        if (s != nullptr) s->bytes[addr - s->base] = value;
+        break;
+      }
+      case 4: {
+        const std::uint32_t value = rng.NextU32();
+        const util::Status got = space.WriteU32(addr, value);
+        RefSpace::Seg* s = ref.Check(addr, 4, AccessKind::kWrite);
+        expect_same_status(got, s != nullptr, op);
+        if (s != nullptr) {
+          for (std::uint32_t i = 0; i < 4; ++i) {
+            s->bytes[addr - s->base + i] =
+                static_cast<std::uint8_t>(value >> (8 * i));
+          }
+        }
+        break;
+      }
+      case 5: {
+        const util::Bytes data = rng.NextBytes(len);
+        const util::Status got = space.WriteBytes(addr, data);
+        RefSpace::Seg* s = ref.Check(addr, len, AccessKind::kWrite);
+        expect_same_status(got, s != nullptr, op);
+        if (s != nullptr) {
+          std::copy(data.begin(), data.end(),
+                    s->bytes.begin() + (addr - s->base));
+        }
+        break;
+      }
+      default: {
+        auto got = space.FetchSegment(addr, len);
+        RefSpace::Seg* s = ref.Check(addr, len, AccessKind::kFetch);
+        expect_same_status(got.status(), s != nullptr, op);
+        if (s != nullptr && got.ok()) {
+          EXPECT_EQ(got.value()->name(), s->name) << op;
+        }
+        break;
+      }
+    }
+    expect_same_fault(op);
+  }
+  // Both halves of the front door ran: hits and faults alike.
+  EXPECT_GT(ref.faults, 1000u);
+  for (const RefSpace::Seg& s : ref.segs()) {
+    const Segment* seg = space.FindSegmentByName(s.name);
+    ASSERT_NE(seg, nullptr);
+    EXPECT_EQ(seg->data(), s.bytes) << s.name;
+    EXPECT_EQ(seg->perms(), s.perms) << s.name;
+  }
 }
 
 }  // namespace

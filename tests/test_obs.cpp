@@ -288,16 +288,17 @@ TEST(ObsCampaign, MetricsAreDeterministicAcrossRuns) {
             b.histograms.at("fuzz.input_bytes").sum);
 }
 
+std::uint64_t CounterOr0(const MetricsSnapshot& m, const char* name) {
+  auto it = m.counters.find(name);
+  return it == m.counters.end() ? std::uint64_t{0} : it->second;
+}
+
 // The superblock tier's counters ride the CPU's batched obs flush: a
 // campaign with the tier on (the default) exports compiles/hits/fallbacks
 // under vm.superblock.*, and every compiled block is executed at least
 // once. With the tier disabled on the target, the counters never appear —
 // the campaign's counter deltas all stay at zero.
 TEST(ObsCampaign, SuperblockCountersExported) {
-  const auto value_or_zero = [](const MetricsSnapshot& m, const char* name) {
-    auto it = m.counters.find(name);
-    return it == m.counters.end() ? std::uint64_t{0} : it->second;
-  };
   {
     // Cold shared registry so compiled blocks count as compiles here, not
     // as imports of some earlier test's canonicals.
@@ -320,11 +321,40 @@ TEST(ObsCampaign, SuperblockCountersExported) {
     auto report = fuzz::Fuzzer(config).Run();
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     const MetricsSnapshot m = scope.Metrics();
-    EXPECT_EQ(value_or_zero(m, "vm.superblock.compiles"), 0u);
-    EXPECT_EQ(value_or_zero(m, "vm.superblock.hits"), 0u);
-    EXPECT_EQ(value_or_zero(m, "vm.superblock.fallbacks"), 0u);
-    EXPECT_EQ(value_or_zero(m, "vm.superblock.invalidations"), 0u);
-    EXPECT_EQ(value_or_zero(m, "vm.superblock.imports"), 0u);
+    EXPECT_EQ(CounterOr0(m, "vm.superblock.compiles"), 0u);
+    EXPECT_EQ(CounterOr0(m, "vm.superblock.hits"), 0u);
+    EXPECT_EQ(CounterOr0(m, "vm.superblock.fallbacks"), 0u);
+    EXPECT_EQ(CounterOr0(m, "vm.superblock.invalidations"), 0u);
+    EXPECT_EQ(CounterOr0(m, "vm.superblock.imports"), 0u);
+  }
+}
+
+// Tier residency: every retired guest step is counted by exactly one tier,
+// so vm.steps.superblock + vm.steps.interp == vm.steps. On dnsproxy the
+// label copies run as self-looping blocks, so the superblock share is
+// nonzero; with the tier off every step is the interpreter's.
+TEST(ObsCampaign, TierResidencyCountersSumToSteps) {
+  {
+    Scope scope;
+    auto report = fuzz::Fuzzer(SmallCampaign(42, 1)).Run();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    const MetricsSnapshot m = scope.Metrics();
+    const std::uint64_t steps = m.counters.at("vm.steps");
+    const std::uint64_t superblock = CounterOr0(m, "vm.steps.superblock");
+    const std::uint64_t interp = CounterOr0(m, "vm.steps.interp");
+    EXPECT_EQ(superblock + interp, steps);
+    EXPECT_GT(superblock, 0u);
+    EXPECT_GT(interp, 0u);  // host-function transits are interpreter steps
+  }
+  {
+    Scope scope;
+    fuzz::FuzzConfig config = SmallCampaign(42, 1);
+    config.target.exec.superblocks = false;
+    auto report = fuzz::Fuzzer(config).Run();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    const MetricsSnapshot m = scope.Metrics();
+    EXPECT_EQ(CounterOr0(m, "vm.steps.superblock"), 0u);
+    EXPECT_EQ(CounterOr0(m, "vm.steps.interp"), m.counters.at("vm.steps"));
   }
 }
 

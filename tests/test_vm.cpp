@@ -2,9 +2,16 @@
 // W^X fetch enforcement, host functions, breakpoints, step limits.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "src/isa/assembler.hpp"
 #include "src/isa/varm.hpp"
 #include "src/isa/vx86.hpp"
+#include "src/loader/boot.hpp"
+#include "src/obs/obs.hpp"
 #include "src/vm/cpu.hpp"
 #include "src/vm/superblock.hpp"
 #include "src/vm/syscalls.hpp"
@@ -1042,6 +1049,432 @@ TEST(CpuSuperblock, BreakpointOnSuccessorEntryHonoured) {
     EXPECT_EQ(m.cpu->reg(isa::kESI), 7u);
   }
   EXPECT_EQ(steps_seen[0], steps_seen[1]);
+}
+
+// --- Side exits: conditional branches inside a block -----------------------
+//
+// jz/jnz no longer end a block: taken leaves through the branch exit (a
+// branch to the block's own entry re-enters it), not taken falls through
+// to the next op. Every shape below runs once per tier with coverage
+// attached and must leave identical registers, memory, stop records, step
+// counts, events and coverage cells.
+
+/// Everything a run leaves behind that the two tiers must agree on.
+struct TierRun {
+  std::array<std::uint32_t, 16> regs{};
+  std::uint32_t pc = 0;
+  bool zf = false;
+  std::vector<StopReason> reasons;
+  std::vector<std::string> details;
+  std::vector<std::uint32_t> stop_pcs;
+  std::vector<std::uint64_t> steps;
+  std::vector<std::string> faults;  // "kind addr detail" per stop, or ""
+  std::vector<std::string> events;
+  std::vector<util::Bytes> memory;
+  std::vector<std::uint8_t> coverage;
+  std::vector<std::uint16_t> touched;
+};
+
+/// One program: its bytes at 0x1000 (or wherever `setup` puts code), the
+/// machine set-up, and the Run budgets to drive it with (one Run each,
+/// resuming where the last stopped).
+struct SideExitCase {
+  Arch arch = Arch::kVX86;
+  util::Bytes text;
+  mem::Perm stack_perm = mem::kPermRW;
+  std::function<void(Machine&)> setup;
+  std::vector<std::uint64_t> budgets = {100000};
+};
+
+TierRun RunCase(const SideExitCase& c, bool superblocks) {
+  auto m = MakeMachine(c.arch, c.text, c.stack_perm,
+                       {.superblocks = superblocks});
+  std::vector<std::uint8_t> bitmap(1u << 16, 0);
+  std::vector<std::uint16_t> touched;
+  m.cpu->AttachCoverage(bitmap.data(), 0xFFFF, &touched);
+  if (c.setup) c.setup(m);
+  TierRun r;
+  for (const std::uint64_t budget : c.budgets) {
+    const StopInfo stop = m.cpu->Run(budget);
+    r.reasons.push_back(stop.reason);
+    r.details.push_back(stop.detail);
+    r.stop_pcs.push_back(stop.pc);
+    r.steps.push_back(stop.steps);
+    r.faults.push_back(stop.fault.has_value()
+                           ? mem::AccessKindName(stop.fault->kind) + " " +
+                                 std::to_string(stop.fault->addr) + " " +
+                                 stop.fault->detail
+                           : std::string());
+  }
+  for (int i = 0; i < 16; ++i) {
+    r.regs[i] = m.cpu->reg(static_cast<std::uint8_t>(i));
+  }
+  r.pc = m.cpu->pc();
+  r.zf = m.cpu->zf();
+  for (const Event& e : m.cpu->events()) r.events.push_back(e.ToString());
+  for (const auto& seg : m.space.segments()) r.memory.push_back(seg->data());
+  r.coverage = bitmap;
+  r.touched = touched;
+  return r;
+}
+
+/// Runs `c` on both tiers and requires identical records; returns the
+/// superblock run for shape-specific checks.
+TierRun ExpectTiersAgree(const SideExitCase& c) {
+  const TierRun interp = RunCase(c, /*superblocks=*/false);
+  const TierRun tier = RunCase(c, /*superblocks=*/true);
+  EXPECT_EQ(tier.regs, interp.regs);
+  EXPECT_EQ(tier.pc, interp.pc);
+  EXPECT_EQ(tier.zf, interp.zf);
+  EXPECT_EQ(tier.reasons, interp.reasons);
+  EXPECT_EQ(tier.details, interp.details);
+  EXPECT_EQ(tier.stop_pcs, interp.stop_pcs);
+  EXPECT_EQ(tier.steps, interp.steps);
+  EXPECT_EQ(tier.faults, interp.faults);
+  EXPECT_EQ(tier.events, interp.events);
+  EXPECT_TRUE(tier.memory == interp.memory);
+  EXPECT_TRUE(tier.coverage == interp.coverage);
+  EXPECT_EQ(tier.touched, interp.touched);
+  return tier;
+}
+
+constexpr Arch kBothArchs[] = {Arch::kVX86, Arch::kVARM};
+
+/// The register playing one role on each ISA.
+std::uint8_t ArchReg(Arch arch, std::uint8_t vx86, std::uint8_t varm) {
+  return arch == Arch::kVX86 ? vx86 : varm;
+}
+
+/// Seeds .data with a byte pattern the copy loops read.
+void SeedData(Machine& m) {
+  util::Bytes pattern(0x1000);
+  for (std::size_t i = 0; i < pattern.size(); ++i) {
+    pattern[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  }
+  ASSERT_TRUE(m.space.DebugWrite(0x4000, pattern).ok());
+}
+
+/// The copy_label shape, `cmp; jz out; ldb; stb; add; add; sub; jmp head`:
+/// copies ecx/r2 bytes from esi/r1 to edi/r0.
+util::Bytes WhileCopyLoop(Arch arch) {
+  isa::Assembler a(arch, 0x1000);
+  a.Label("head");
+  if (arch == Arch::kVX86) {
+    x::EncCmpImm(a.w(), isa::kECX, 0);
+    a.JzLabel("out");
+    x::EncLoadByte(a.w(), isa::kEAX, isa::kESI, 0);
+    x::EncStoreByte(a.w(), isa::kEAX, isa::kEDI, 0);
+    x::EncAddImm(a.w(), isa::kEDI, 1);
+    x::EncAddImm(a.w(), isa::kESI, 1);
+    x::EncSubImm(a.w(), isa::kECX, 1);
+    a.JmpLabel("head");
+    a.Label("out");
+    x::EncHlt(a.w());
+  } else {
+    v::EncCmpImm(a.w(), isa::kR2, 0);
+    a.BeqLabel("out");
+    v::EncLdrb(a.w(), isa::kR3, isa::kR1, 0);
+    v::EncStrb(a.w(), isa::kR3, isa::kR0, 0);
+    v::EncAddImm(a.w(), isa::kR0, isa::kR0, 1);
+    v::EncAddImm(a.w(), isa::kR1, isa::kR1, 1);
+    v::EncSubImm(a.w(), isa::kR2, isa::kR2, 1);
+    a.BLabel("head");
+    a.Label("out");
+    v::EncHlt(a.w());
+  }
+  return a.Finish().value();
+}
+
+/// Points the copy loop at `count` bytes from `src` to `dst`.
+std::function<void(Machine&)> CopyArgs(Arch arch, std::uint32_t dst,
+                                       std::uint32_t src,
+                                       std::uint32_t count) {
+  return [=](Machine& m) {
+    SeedData(m);
+    m.cpu->set_reg(ArchReg(arch, isa::kEDI, isa::kR0), dst);
+    m.cpu->set_reg(ArchReg(arch, isa::kESI, isa::kR1), src);
+    m.cpu->set_reg(ArchReg(arch, isa::kECX, isa::kR2), count);
+  };
+}
+
+TEST(CpuSuperblock, SideExitWhileLoopMatchesInterpreter) {
+  for (const Arch arch : kBothArchs) {
+    SCOPED_TRACE(isa::ArchName(arch));
+    SideExitCase c;
+    c.arch = arch;
+    c.text = WhileCopyLoop(arch);
+    c.setup = CopyArgs(arch, 0x8400, 0x4010, 100);
+    const TierRun run = ExpectTiersAgree(c);
+    EXPECT_EQ(run.reasons, std::vector<StopReason>{StopReason::kHalted});
+    EXPECT_EQ(run.steps[0], 100u * 8 + 3);  // 8 per byte, cmp + jz + hlt
+  }
+}
+
+TEST(CpuSuperblock, SideExitDoWhileLoopMatchesInterpreter) {
+  for (const Arch arch : kBothArchs) {
+    SCOPED_TRACE(isa::ArchName(arch));
+    isa::Assembler a(arch, 0x1000);
+    if (arch == Arch::kVX86) {
+      x::EncMovImm(a.w(), isa::kECX, 50);
+      a.Label("head");
+      x::EncAddImm(a.w(), isa::kEBX, 3);
+      x::EncStoreByte(a.w(), isa::kEBX, isa::kEDI, 0);
+      x::EncAddImm(a.w(), isa::kEDI, 1);
+      x::EncSubImm(a.w(), isa::kECX, 1);
+      x::EncCmpImm(a.w(), isa::kECX, 0);
+      a.JnzLabel("head");
+      x::EncHlt(a.w());
+    } else {
+      v::EncMovW(a.w(), isa::kR2, 50);
+      a.Label("head");
+      v::EncAddImm(a.w(), isa::kR4, isa::kR4, 3);
+      v::EncStrb(a.w(), isa::kR4, isa::kR0, 0);
+      v::EncAddImm(a.w(), isa::kR0, isa::kR0, 1);
+      v::EncSubImm(a.w(), isa::kR2, isa::kR2, 1);
+      v::EncCmpImm(a.w(), isa::kR2, 0);
+      a.BneLabel("head");
+      v::EncHlt(a.w());
+    }
+    SideExitCase c;
+    c.arch = arch;
+    c.text = a.Finish().value();
+    c.setup = [arch](Machine& m) {
+      m.cpu->set_reg(ArchReg(arch, isa::kEDI, isa::kR0), 0x8100);
+    };
+    const TierRun run = ExpectTiersAgree(c);
+    EXPECT_EQ(run.reasons, std::vector<StopReason>{StopReason::kHalted});
+    EXPECT_EQ(run.steps[0], 1u + 50 * 6 + 1);
+  }
+}
+
+/// The copy source runs off the end of .data: the ldb/ldrb right after the
+/// not-taken jz faults, with the interpreter's fault pc and detail.
+TEST(CpuSuperblock, SideExitFaultAfterNotTakenBranch) {
+  for (const Arch arch : kBothArchs) {
+    SCOPED_TRACE(isa::ArchName(arch));
+    SideExitCase c;
+    c.arch = arch;
+    c.text = WhileCopyLoop(arch);
+    c.setup = CopyArgs(arch, 0x8400, 0x4FF0, 100);
+    const TierRun run = ExpectTiersAgree(c);
+    ASSERT_EQ(run.reasons, std::vector<StopReason>{StopReason::kFault});
+    EXPECT_EQ(run.details[0], "ldrb failed");
+    EXPECT_NE(run.faults[0].find("unmapped address 0x00005000"),
+              std::string::npos);
+  }
+}
+
+/// Taken side exits into breakpoint'd pcs: the while loop's jz target, and
+/// a do-while's self-loop head (the branch that would otherwise re-enter
+/// its own block). Each resume steps over the breakpoint once.
+TEST(CpuSuperblock, SideExitTakenIntoBreakpoint) {
+  for (const Arch arch : kBothArchs) {
+    SCOPED_TRACE(isa::ArchName(arch));
+    const util::Bytes text = WhileCopyLoop(arch);
+    const auto copy_args = CopyArgs(arch, 0x8400, 0x4010, 20);
+    // out: the hlt that ends the program.
+    std::uint32_t out = 0x1000 + static_cast<std::uint32_t>(text.size());
+    out -= arch == Arch::kVX86 ? 1 : 4;
+    SideExitCase c;
+    c.arch = arch;
+    c.text = text;
+    c.setup = [copy_args, out](Machine& m) {
+      copy_args(m);
+      m.cpu->AddBreakpoint(out);
+    };
+    c.budgets = {100000, 100000};
+    const TierRun at_out = ExpectTiersAgree(c);
+    EXPECT_EQ(at_out.reasons,
+              (std::vector<StopReason>{StopReason::kBreakpoint,
+                                       StopReason::kHalted}));
+    EXPECT_EQ(at_out.stop_pcs[0], out);
+
+    c.setup = [copy_args](Machine& m) {
+      copy_args(m);
+      m.cpu->AddBreakpoint(0x1000);  // head: every pass re-enters it
+    };
+    c.budgets = {1000, 1000, 1000, 1000};
+    const TierRun at_head = ExpectTiersAgree(c);
+    EXPECT_EQ(at_head.reasons,
+              std::vector<StopReason>(4, StopReason::kBreakpoint));
+  }
+}
+
+/// Every budget from 1 to past the end: the budget runs out before, inside
+/// and right after the side exit, on the first pass and on self-loop
+/// re-entries, and every stop matches the interpreter step for step.
+TEST(CpuSuperblock, SideExitStepBudgetExhaustedInsideBlock) {
+  for (const Arch arch : kBothArchs) {
+    SCOPED_TRACE(isa::ArchName(arch));
+    for (std::uint64_t budget = 1; budget <= 60; ++budget) {
+      SCOPED_TRACE(budget);
+      SideExitCase c;
+      c.arch = arch;
+      c.text = WhileCopyLoop(arch);
+      c.setup = CopyArgs(arch, 0x8400, 0x4010, 6);
+      c.budgets = {budget, budget};
+      const TierRun run = ExpectTiersAgree(c);
+      EXPECT_EQ(run.reasons[0], budget < 51 ? StopReason::kStepLimit
+                                            : StopReason::kHalted);
+    }
+  }
+}
+
+/// Code in the RWX stack stores over the instruction right after a
+/// not-taken branch in its own block: the store's mid-block generation
+/// check must leave the compiled ops and run the patched bytes.
+TEST(CpuSuperblock, SideExitStorePatchesInstructionAfterBranch) {
+  for (const Arch arch : kBothArchs) {
+    SCOPED_TRACE(isa::ArchName(arch));
+    isa::Assembler a(arch, 0x8000);
+    if (arch == Arch::kVX86) {
+      // The patch rewrites the imm32 of `mov edx, 1` (its last four
+      // bytes) to 2.
+      util::ByteWriter probe;
+      x::EncMovImm(probe, isa::kEDX, 1);
+      const auto imm_off = static_cast<std::uint32_t>(probe.size() - 4);
+      a.MovLabelAddr(isa::kEBX, "target");
+      x::EncMovImm(a.w(), isa::kEAX, 2);
+      x::EncStore(a.w(), isa::kEAX, isa::kEBX, imm_off);
+      x::EncCmpImm(a.w(), isa::kECX, 0);  // ecx = 5: not taken
+      a.JzLabel("out");
+      a.Label("target");
+      x::EncMovImm(a.w(), isa::kEDX, 1);
+      x::EncAddImm(a.w(), isa::kEDX, 10);
+      a.Label("out");
+      x::EncHlt(a.w());
+    } else {
+      util::ByteWriter patch;
+      v::EncMovW(patch, isa::kR5, 2);
+      const util::ByteSpan p = patch.bytes();
+      const std::uint32_t word = p[0] | (p[1] << 8) | (p[2] << 16) |
+                                 (static_cast<std::uint32_t>(p[3]) << 24);
+      a.MovImm32Label(isa::kR6, "target");
+      v::EncMovImm32(a.w(), isa::kR7, word);
+      v::EncStr(a.w(), isa::kR7, isa::kR6, 0);
+      v::EncCmpImm(a.w(), isa::kR2, 0);  // r2 = 5: not taken
+      a.BeqLabel("out");
+      a.Label("target");
+      v::EncMovW(a.w(), isa::kR5, 1);
+      v::EncAddImm(a.w(), isa::kR5, isa::kR5, 10);
+      a.Label("out");
+      v::EncHlt(a.w());
+    }
+    const util::Bytes code = a.Finish().value();
+    SideExitCase c;
+    c.arch = arch;
+    c.stack_perm = mem::kPermRWX;
+    c.setup = [arch, code](Machine& m) {
+      ASSERT_TRUE(m.space.DebugWrite(0x8000, code).ok());
+      m.cpu->set_reg(ArchReg(arch, isa::kECX, isa::kR2), 5);
+      m.cpu->set_pc(0x8000);
+    };
+    c.budgets = {1000};
+    const TierRun run = ExpectTiersAgree(c);
+    EXPECT_EQ(run.reasons, std::vector<StopReason>{StopReason::kHalted});
+    EXPECT_EQ(run.regs[ArchReg(arch, isa::kEDX, isa::kR5)], 12u);
+  }
+}
+
+/// CFI on: a call inside a loop with a side exit, whose callee smashes its
+/// own return address on the third call. The shadow stack must see the
+/// same pushes and checks on both tiers and trap at the same ret.
+TEST(CpuSuperblock, SideExitLoopUnderCfi) {
+  for (const Arch arch : kBothArchs) {
+    SCOPED_TRACE(isa::ArchName(arch));
+    isa::Assembler a(arch, 0x1000);
+    if (arch == Arch::kVX86) {
+      a.Label("head");
+      x::EncCmpImm(a.w(), isa::kECX, 0);
+      a.JzLabel("out");
+      a.CallLabel("f");
+      x::EncSubImm(a.w(), isa::kECX, 1);
+      a.JmpLabel("head");
+      a.Label("out");
+      x::EncHlt(a.w());
+      a.Label("f");
+      x::EncAddImm(a.w(), isa::kEAX, 3);
+      x::EncCmpImm(a.w(), isa::kEAX, 9);
+      a.JnzLabel("f_ret");
+      x::EncPopReg(a.w(), isa::kEBX);  // drop the real return address
+      a.PushLabelAddr("head");
+      a.Label("f_ret");
+      x::EncRet(a.w());
+    } else {
+      a.Label("head");
+      v::EncCmpImm(a.w(), isa::kR4, 0);
+      a.BeqLabel("out");
+      a.BlLabel("f");
+      v::EncSubImm(a.w(), isa::kR4, isa::kR4, 1);
+      a.BLabel("head");
+      a.Label("out");
+      v::EncHlt(a.w());
+      a.Label("f");
+      v::EncPush(a.w(), 1u << isa::kLR);
+      v::EncAddImm(a.w(), isa::kR0, isa::kR0, 3);
+      v::EncCmpImm(a.w(), isa::kR0, 9);
+      a.BneLabel("f_ret");
+      v::EncPop(a.w(), 1u << isa::kR1);  // drop the real return address
+      a.MovImm32Label(isa::kR1, "head");
+      v::EncPush(a.w(), 1u << isa::kR1);
+      a.Label("f_ret");
+      v::EncPop(a.w(), 1u << isa::kPC);
+    }
+    SideExitCase c;
+    c.arch = arch;
+    c.text = a.Finish().value();
+    c.setup = [arch](Machine& m) {
+      m.cpu->set_shadow_stack_enabled(true);
+      m.cpu->set_reg(ArchReg(arch, isa::kECX, isa::kR4), 6);
+    };
+    const TierRun run = ExpectTiersAgree(c);
+    EXPECT_EQ(run.reasons, std::vector<StopReason>{StopReason::kCfiViolation});
+    EXPECT_EQ(run.events.size(), 1u);
+  }
+}
+
+/// connman.copy_label's loop is one self-looping block: a 200-byte copy
+/// dispatches about one block per byte, where splitting the loop at its
+/// jz (two blocks per byte) records twice that.
+TEST(CpuSuperblock, CopyLabelRunsOneBlockPassPerByte) {
+  for (const Arch arch : kBothArchs) {
+    SCOPED_TRACE(isa::ArchName(arch));
+    constexpr std::uint32_t kLen = 200;
+    obs::Scope scope;
+    {
+      auto sys =
+          loader::Boot(arch, loader::ProtectionConfig::None(), 11).value();
+      auto& cpu = *sys->cpu;
+      const mem::GuestAddr copy = sys->Sym("connman.copy_label").value();
+      const mem::GuestAddr done = sys->Sym("connman.copy_done").value();
+      const mem::GuestAddr dst = sys->layout.initial_sp() - 0x400;
+      const mem::GuestAddr src = sys->layout.heap_base;
+      const auto stop_at_done = [](Cpu& c) {
+        c.RequestStop(StopReason::kHalted, "copied");
+        return util::OkStatus();
+      };
+      ASSERT_TRUE(cpu.RegisterHostFn(done, "done", stop_at_done).ok());
+      cpu.set_sp(dst - 0x40);
+      if (arch == Arch::kVX86) {
+        ASSERT_TRUE(cpu.Push(kLen).ok());
+        ASSERT_TRUE(cpu.Push(src).ok());
+        ASSERT_TRUE(cpu.Push(dst).ok());
+        ASSERT_TRUE(cpu.Push(done).ok());
+      } else {
+        cpu.set_reg(isa::kR0, dst);
+        cpu.set_reg(isa::kR1, src);
+        cpu.set_reg(isa::kR2, kLen);
+        cpu.set_reg(isa::kLR, done);
+      }
+      cpu.set_pc(copy);
+      const StopInfo stop = cpu.Run(64 + 8ull * kLen);
+      ASSERT_EQ(stop.reason, StopReason::kHalted) << stop.ToString();
+    }  // ~Cpu flushes the batched counters
+    const std::uint64_t hits =
+        scope.Metrics().counters.at("vm.superblock.hits");
+    EXPECT_GE(hits, kLen);
+    EXPECT_LE(hits, kLen + 4);
+  }
 }
 
 // --- Shared superblocks: one compiled block per image content -------------
