@@ -127,7 +127,7 @@ void PrintHeapIntegrityTable() {
       const auto put =
           adapt::Camstored::WrapInPut(util::Bytes(56, 'a'), "snap", 64);
       const auto del = adapt::Camstored::WrapInDelete("snap");
-      // Warm the arena, the decode caches and the branch predictors: a
+      // Warm the arena, the superblock cache and the branch predictors: a
       // couple of cold rounds otherwise dominate a microsecond-scale loop.
       for (int i = 0; i < 64; ++i) {
         (void)cam.HandleRequest(put);

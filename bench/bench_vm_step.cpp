@@ -1,11 +1,12 @@
-// E13/E19/E23 — VM hot-path throughput ladder: interpreter steps/second up
-// the execution tiers — vm::ExecConfig all off (legacy fetch/decode), decode
-// caches only (predecode slots + shared plans) and all on (the superblock
-// tier) — measured on the paper's x86 ROP chain replay, on a tight
-// arithmetic loop and on connman.copy_label's byte-copy loop, plus the cost
-// of a loader Boot vs a snapshot restore (the fuzzer's fast reboot).
-// Table: steps/sec per tier with speedups; boot vs restore microseconds,
-// full-copy vs dirty-page-only restores on a lightly-dirtied image.
+// E13/E19/E23/E24 — VM hot-path throughput ladder: guest steps/second on
+// the two execution tiers — vm::ExecConfig all off (the interpreter, which
+// fetches and decodes every step) and all on (the superblock tier, the VM's
+// only decode cache) — measured on the paper's x86 ROP chain replay, on a
+// tight arithmetic loop and on connman.copy_label's byte-copy loop, plus the
+// cost of a loader Boot vs a snapshot restore (the fuzzer's fast reboot).
+// Table: steps/sec per tier with the superblock speedup; boot vs restore
+// microseconds, full-copy vs dirty-page-only restores on a lightly-dirtied
+// image. The interpreter column's JSON keys carry the `_legacy` suffix.
 // Timing: single ROP delivery, Boot, TakeSnapshot and RestoreSnapshot
 // (full and dirty-only).
 // `--json[=path]` additionally writes BENCH_vm.json for CI.
@@ -34,18 +35,14 @@ double Seconds(Clock::time_point since) {
   return std::chrono::duration<double>(Clock::now() - since).count();
 }
 
-/// The three columns of the ladder. The legacy and predecode columns run
-/// the plain interpreter (tier off) so the superblock column has an honest
-/// baseline.
-constexpr vm::ExecConfig kLegacy{
-    .superblocks = false, .decode_caches = false, .dirty_restores = false};
-constexpr vm::ExecConfig kPredecode{
-    .superblocks = false, .decode_caches = true, .dirty_restores = false};
+/// The two columns of the ladder: the plain interpreter (tier off) is the
+/// superblock column's baseline.
+constexpr vm::ExecConfig kInterpreter{.superblocks = false,
+                                      .dirty_restores = false};
 constexpr vm::ExecConfig kSuperblock{};
 
 struct Throughput {
   double steps_per_sec = 0;
-  double items_per_sec = 0;  // deliveries (ROP) or loop runs
   std::uint64_t steps = 0;
 };
 
@@ -73,7 +70,6 @@ Throughput MeasureRopReplay(const vm::ExecConfig& exec,
   Throughput tp;
   const std::uint64_t steps0 = sys->cpu->steps_executed();
   std::uint16_t id = 1;
-  int reps = 0;
   const auto t0 = Clock::now();
   double secs = 0;
   do {
@@ -81,12 +77,10 @@ Throughput MeasureRopReplay(const vm::ExecConfig& exec,
     (void)proxy.AcceptClientQuery(dns::Encode(query).value());
     dns::Message evil = dns::MaliciousAResponse(query, labels);
     benchmark::DoNotOptimize(proxy.HandleServerResponse(dns::Encode(evil).value()));
-    ++reps;
     secs = Seconds(t0);
   } while (secs < budget_secs);
   tp.steps = sys->cpu->steps_executed() - steps0;
   tp.steps_per_sec = static_cast<double>(tp.steps) / secs;
-  tp.items_per_sec = reps / secs;
   return tp;
 }
 
@@ -111,16 +105,13 @@ Throughput MeasureTightLoop(const vm::ExecConfig& exec, double budget_secs) {
   Throughput tp;
   const auto t0 = Clock::now();
   double secs = 0;
-  int runs = 0;
   do {
     sys->cpu->set_pc(scratch);
     const vm::StopInfo stop = sys->cpu->Run(20000000);
     tp.steps += stop.steps;
-    ++runs;
     secs = Seconds(t0);
   } while (secs < budget_secs);
   tp.steps_per_sec = static_cast<double>(tp.steps) / secs;
-  tp.items_per_sec = runs / secs;
   return tp;
 }
 
@@ -158,7 +149,6 @@ Throughput MeasureCopyLoop(const vm::ExecConfig& exec, double budget_secs) {
   Throughput tp;
   const auto t0 = Clock::now();
   double secs = 0;
-  int runs = 0;
   do {
     for (int i = 0; i < 100; ++i) {
       sys->cpu->set_reg(isa::kESI, src);
@@ -167,12 +157,10 @@ Throughput MeasureCopyLoop(const vm::ExecConfig& exec, double budget_secs) {
       sys->cpu->set_pc(scratch);
       const vm::StopInfo stop = sys->cpu->Run(16 * kBytes);
       tp.steps += stop.steps;
-      ++runs;
     }
     secs = Seconds(t0);
   } while (secs < budget_secs);
   tp.steps_per_sec = static_cast<double>(tp.steps) / secs;
-  tp.items_per_sec = runs / secs;
   return tp;
 }
 
@@ -296,42 +284,30 @@ int main(int argc, char** argv) {
   // step fast; the interactive table gets steadier numbers.
   const double budget = json_path.empty() ? 3.0 : 1.5;
 
-  std::printf(
-      "== E13/E19: VM hot path — interp / predecode / superblock ==\n\n");
+  std::printf("== E13/E19/E24: VM hot path — interp / superblock ==\n\n");
   g_labels = RopLabels();
 
-  const Throughput rop_legacy = MeasureRopReplay(kLegacy, g_labels, budget);
-  const Throughput rop_fast = MeasureRopReplay(kPredecode, g_labels, budget);
+  const Throughput rop_interp = MeasureRopReplay(kInterpreter, g_labels, budget);
   const Throughput rop_sb = MeasureRopReplay(kSuperblock, g_labels, budget);
-  const Throughput loop_legacy = MeasureTightLoop(kLegacy, budget);
-  const Throughput loop_fast = MeasureTightLoop(kPredecode, budget);
+  const Throughput loop_interp = MeasureTightLoop(kInterpreter, budget);
   const Throughput loop_sb = MeasureTightLoop(kSuperblock, budget);
-  const Throughput copy_legacy = MeasureCopyLoop(kLegacy, budget);
-  const Throughput copy_fast = MeasureCopyLoop(kPredecode, budget);
+  const Throughput copy_interp = MeasureCopyLoop(kInterpreter, budget);
   const Throughput copy_sb = MeasureCopyLoop(kSuperblock, budget);
   const RebootCost reboot = MeasureRebootCost();
 
-  const double rop_speedup = rop_fast.steps_per_sec / rop_legacy.steps_per_sec;
-  const double loop_speedup =
-      loop_fast.steps_per_sec / loop_legacy.steps_per_sec;
-  const double sb_speedup = loop_sb.steps_per_sec / loop_fast.steps_per_sec;
+  const double sb_speedup = loop_sb.steps_per_sec / loop_interp.steps_per_sec;
 
-  std::printf("%-18s %13s %13s %13s %9s\n", "workload", "legacy st/s",
-              "fast st/s", "superblk st/s", "sb spd");
-  std::printf("%s\n", std::string(72, '-').c_str());
-  std::printf("%-18s %13.0f %13.0f %13.0f %8.2fx\n", "rop replay (x86)",
-              rop_legacy.steps_per_sec, rop_fast.steps_per_sec,
-              rop_sb.steps_per_sec,
-              rop_sb.steps_per_sec / rop_fast.steps_per_sec);
-  std::printf("%-18s %13.0f %13.0f %13.0f %8.2fx\n", "tight loop (x86)",
-              loop_legacy.steps_per_sec, loop_fast.steps_per_sec,
-              loop_sb.steps_per_sec, sb_speedup);
-  std::printf("%-18s %13.0f %13.0f %13.0f %8.2fx\n", "label copy (x86)",
-              copy_legacy.steps_per_sec, copy_fast.steps_per_sec,
-              copy_sb.steps_per_sec,
-              copy_sb.steps_per_sec / copy_fast.steps_per_sec);
-  std::printf("  (legacy→fast speedups: rop %.2fx, loop %.2fx)\n", rop_speedup,
-              loop_speedup);
+  std::printf("%-18s %13s %13s %9s\n", "workload", "interp st/s",
+              "superblk st/s", "sb spd");
+  std::printf("%s\n", std::string(58, '-').c_str());
+  std::printf("%-18s %13.0f %13.0f %8.2fx\n", "rop replay (x86)",
+              rop_interp.steps_per_sec, rop_sb.steps_per_sec,
+              rop_sb.steps_per_sec / rop_interp.steps_per_sec);
+  std::printf("%-18s %13.0f %13.0f %8.2fx\n", "tight loop (x86)",
+              loop_interp.steps_per_sec, loop_sb.steps_per_sec, sb_speedup);
+  std::printf("%-18s %13.0f %13.0f %8.2fx\n", "label copy (x86)",
+              copy_interp.steps_per_sec, copy_sb.steps_per_sec,
+              copy_sb.steps_per_sec / copy_interp.steps_per_sec);
   std::printf("\nreboot: full Boot %.1f us, full restore %.1f us, "
               "dirty-only restore %.1f us\n"
               "        (restore %.1fx cheaper than Boot; dirty-only %.1fx "
@@ -343,18 +319,12 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     benchout::JsonWriter json;
     json.String("bench", "vm_step");
-    json.Number("rop_steps_per_sec_legacy", rop_legacy.steps_per_sec);
-    json.Number("rop_steps_per_sec", rop_fast.steps_per_sec);
+    json.Number("rop_steps_per_sec_legacy", rop_interp.steps_per_sec);
     json.Number("rop_steps_per_sec_superblock", rop_sb.steps_per_sec);
-    json.Number("rop_speedup", rop_speedup);
-    json.Number("rop_deliveries_per_sec", rop_fast.items_per_sec);
-    json.Number("loop_steps_per_sec_legacy", loop_legacy.steps_per_sec);
-    json.Number("loop_steps_per_sec", loop_fast.steps_per_sec);
+    json.Number("loop_steps_per_sec_legacy", loop_interp.steps_per_sec);
     json.Number("loop_steps_per_sec_superblock", loop_sb.steps_per_sec);
-    json.Number("loop_speedup", loop_speedup);
     json.Number("superblock_speedup", sb_speedup);
-    json.Number("copy_steps_per_sec_legacy", copy_legacy.steps_per_sec);
-    json.Number("copy_steps_per_sec", copy_fast.steps_per_sec);
+    json.Number("copy_steps_per_sec_legacy", copy_interp.steps_per_sec);
     json.Number("copy_steps_per_sec_superblock", copy_sb.steps_per_sec);
     json.Number("boot_us", reboot.boot_us);
     // restore_us stays the headline key (the mode campaigns actually run,

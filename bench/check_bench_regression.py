@@ -34,18 +34,12 @@ import sys
 # scaling headline: aggregate w8 over aggregate w1 throughput.
 HIGHER_BETTER = {
     "speedup_w8",
-    "rop_steps_per_sec",
     "rop_steps_per_sec_legacy",
     "rop_steps_per_sec_superblock",
-    "rop_deliveries_per_sec",
-    "loop_steps_per_sec",
     "loop_steps_per_sec_legacy",
     "loop_steps_per_sec_superblock",
-    "copy_steps_per_sec",
     "copy_steps_per_sec_legacy",
     "copy_steps_per_sec_superblock",
-    "rop_speedup",
-    "loop_speedup",
     "superblock_speedup",
     "reboot_speedup",
     "dirty_restore_speedup",

@@ -54,6 +54,22 @@ ServiceOutcome ServiceOutcomeFromStop(const vm::StopInfo& stop) {
   return outcome;
 }
 
+connman::ProxyOutcome::Kind ToProxyOutcomeKind(
+    ServiceOutcome::Kind kind) noexcept {
+  using In = ServiceOutcome::Kind;
+  using Out = connman::ProxyOutcome::Kind;
+  switch (kind) {
+    case In::kOk: return Out::kParsedOk;
+    case In::kRejected: return Out::kDroppedInvalid;
+    case In::kCrash: return Out::kCrash;
+    case In::kShell: return Out::kShell;
+    case In::kExec: return Out::kExec;
+    case In::kAbort: return Out::kAbort;
+    case In::kOther: return Out::kOther;
+  }
+  return Out::kOther;
+}
+
 Minimasq::Minimasq(loader::System& sys)
     : sys_(sys), resume_(sys.Sym("connman.resume_ok")) {
   frame_base_ = sys_.layout.initial_sp() - (ret_offset() + 4);

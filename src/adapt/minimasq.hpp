@@ -44,6 +44,11 @@ std::string_view ServiceOutcomeKindName(ServiceOutcome::Kind kind);
 /// service uses after running the guest.
 ServiceOutcome ServiceOutcomeFromStop(const vm::StopInfo& stop);
 
+/// The zoo-service outcome in the connman::ProxyOutcome vocabulary the
+/// attack-matrix tables and the victim pool's memo speak.
+connman::ProxyOutcome::Kind ToProxyOutcomeKind(
+    ServiceOutcome::Kind kind) noexcept;
+
 class Minimasq {
  public:
   static constexpr std::uint32_t kBufSize = 512;

@@ -105,23 +105,6 @@ util::Result<std::vector<AttackResult>> RunDefenseMatrix(
 
 namespace {
 
-/// Bridges a zoo-service outcome into the ProxyOutcome vocabulary the
-/// report tables speak.
-connman::ProxyOutcome::Kind BridgeKind(adapt::ServiceOutcome::Kind kind) {
-  using In = adapt::ServiceOutcome::Kind;
-  using Out = connman::ProxyOutcome::Kind;
-  switch (kind) {
-    case In::kOk: return Out::kParsedOk;
-    case In::kRejected: return Out::kDroppedInvalid;
-    case In::kCrash: return Out::kCrash;
-    case In::kShell: return Out::kShell;
-    case In::kExec: return Out::kExec;
-    case In::kAbort: return Out::kAbort;
-    case In::kOther: return Out::kOther;
-  }
-  return Out::kOther;
-}
-
 /// One bug-class-zoo grid cell: fires the service's native exploit at a
 /// victim hardened with `policy` (over a no-protection base, so each
 /// mitigation's contribution is isolated).
@@ -144,7 +127,7 @@ util::Result<AttackResult> RunZooCell(const std::string& service,
   result.exploit_available = true;
   result.shell = zoo.shell;
   result.crash = zoo.kind == adapt::ServiceOutcome::Kind::kCrash;
-  result.kind = BridgeKind(zoo.kind);
+  result.kind = adapt::ToProxyOutcomeKind(zoo.kind);
   result.detail = zoo.detail;
   result.defense = policy.Label();
   result.payload_bytes = zoo.payload_bytes;

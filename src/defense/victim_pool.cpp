@@ -16,31 +16,6 @@ std::uint64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
           .count());
 }
 
-/// The zoo daemons speak ServiceOutcome; the pool's memo speaks the proxy
-/// vocabulary. Same bridge as the attack matrix uses.
-connman::ProxyOutcome::Kind BridgeServiceKind(
-    adapt::ServiceOutcome::Kind kind) noexcept {
-  using In = adapt::ServiceOutcome::Kind;
-  using Out = connman::ProxyOutcome::Kind;
-  switch (kind) {
-    case In::kOk:
-      return Out::kParsedOk;
-    case In::kRejected:
-      return Out::kDroppedInvalid;
-    case In::kCrash:
-      return Out::kCrash;
-    case In::kShell:
-      return Out::kShell;
-    case In::kExec:
-      return Out::kExec;
-    case In::kAbort:
-      return Out::kAbort;
-    case In::kOther:
-      return Out::kOther;
-  }
-  return Out::kOther;
-}
-
 }  // namespace
 
 util::Result<VictimPool::Lane*> VictimPool::GetLane(std::uint32_t variant,
@@ -158,7 +133,7 @@ util::Result<VictimPool::VolleyOutcome> VictimPool::FireServiceVolley(
   ++stats_.evaluations;
 
   VolleyOutcome result;
-  result.kind = BridgeServiceKind(outcome.kind);
+  result.kind = adapt::ToProxyOutcomeKind(outcome.kind);
   result.shell = outcome.kind == adapt::ServiceOutcome::Kind::kShell;
   result.crashed = outcome.kind == adapt::ServiceOutcome::Kind::kCrash;
   result.trapped = outcome.kind == adapt::ServiceOutcome::Kind::kAbort;

@@ -98,7 +98,7 @@ struct Instr {
 /// Instruction width bookkeeping: VARM is fixed 4; VX86 varies per op.
 constexpr std::uint32_t kVARMInstrSize = 4;
 /// Longest VX86 encoding (opcode + two reg bytes + 4-byte immediate). Fetch
-/// windows and predecode bounds never need more than this.
+/// windows and block decodes never need more than this.
 constexpr std::uint32_t kVX86MaxInstrSize = 7;
 
 }  // namespace connlab::isa

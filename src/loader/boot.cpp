@@ -1,16 +1,45 @@
 #include "src/loader/boot.hpp"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "src/loader/connman_image.hpp"
 #include "src/loader/libc_image.hpp"
 #include "src/obs/obs.hpp"
-#include "src/vm/decode_plan.hpp"
 
 namespace connlab::loader {
+
+namespace {
+
+/// A booted System is about 290 KiB of heap: a 128 KiB stack, a 64 KiB guest
+/// heap, the text images and, once it runs, the superblock slot array. The
+/// defense grid boots and drops thousands a second. glibc's default
+/// policy returns that span to the kernel whenever a teardown leaves more
+/// than 264 KiB free at the top of the heap (twice the largest mmap'd chunk
+/// freed so far, the first 128 KiB stack), and the next boot faults it back
+/// in page by page: 46 minor faults per grid cell and a fifth of a grid run
+/// in the kernel, at a cost that swings with the host's load. Fixed
+/// thresholds keep every System allocation in the heap and keep freed
+/// Systems there for the next boot. Called once, before the first boot
+/// allocates.
+bool KeepFreedSystemsInHeap() {
+#if defined(__GLIBC__)
+  constexpr int kMmapThreshold = 1 << 20;  // 8x the largest System buffer
+  constexpr int kTrimThreshold = 16 << 20;
+  mallopt(M_MMAP_THRESHOLD, kMmapThreshold);
+  mallopt(M_TRIM_THRESHOLD, kTrimThreshold);
+#endif
+  return true;
+}
+
+}  // namespace
 
 util::Result<std::unique_ptr<System>> Boot(isa::Arch arch,
                                            const ProtectionConfig& prot,
                                            std::uint64_t seed,
                                            const vm::ExecConfig& exec) {
+  [[maybe_unused]] static const bool heap_policy = KeepFreedSystemsInHeap();
   OBS_TRACE_SPAN(boot_span, "loader", "Boot");
   OBS_COUNT("loader.boots");
   util::Rng rng(seed ^ 0xB007B007B007ULL);
@@ -61,23 +90,6 @@ util::Result<std::unique_ptr<System>> Boot(isa::Arch arch,
     CONNLAB_ASSIGN_OR_RETURN(mem::GuestAddr entry, sys->Sym("connman._start"));
     sys->cpu->set_pc(entry);
 
-    // Shared decode plans for the immutable text images (.text, libc):
-    // executable and never writable, so the plan built from this content is
-    // valid until a Protect or a debugger poke moves the generation. An
-    // identically-seeded boot in another worker reuses the same plan; a
-    // diversity-reshuffled boot hashes differently and gets its own. RWX
-    // segments (the non-W^X stack) are skipped — the first shellcode byte
-    // would invalidate the plan anyway.
-    if (exec.decode_caches) {
-      for (const auto& seg : sys->space.segments()) {
-        if (mem::Has(seg->perms(), mem::Perm::kExec) &&
-            !mem::Has(seg->perms(), mem::Perm::kWrite)) {
-          sys->cpu->BindDecodePlan(
-              seg.get(),
-              vm::DecodePlanRegistry::Instance().GetOrBuild(arch, *seg));
-        }
-      }
-    }
     return sys;
   }
   return util::Internal("could not place stack after 16 ASLR redraws");

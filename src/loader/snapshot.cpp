@@ -3,7 +3,6 @@
 #include <atomic>
 
 #include "src/obs/obs.hpp"
-#include "src/vm/decode_plan.hpp"
 
 namespace connlab::loader {
 
@@ -22,9 +21,7 @@ Snapshot TakeSnapshot(System& sys) {
   snap.segments.reserve(sys.space.segments().size());
   for (const auto& seg : sys.space.segments()) {
     snap.segments.push_back(Snapshot::SegmentImage{
-        seg->name(), seg->base(), seg->data(), seg->perms(),
-        vm::DecodePlan::HashContent(
-            util::ByteSpan(seg->data().data(), seg->data().size()))});
+        seg->name(), seg->base(), seg->data(), seg->perms()});
     // From here on, "dirty" means "diverged from this snapshot".
     seg->ResetDirty(snap.id);
   }
@@ -60,15 +57,15 @@ util::Status RestoreSnapshot(System& sys, const Snapshot& snap,
     if (dirty_only && seg.dirty_baseline() == snap.id) {
       // The dirty bitmap measures divergence from exactly this snapshot:
       // copy back only the touched pages. An untouched segment keeps its
-      // write generation, so predecodes and shared-plan bindings stay warm.
+      // write generation, so superblocks compiled from it stay warm.
       pages_copied += seg.RestoreDirtyPagesFrom(
           util::ByteSpan(img.data.data(), img.data.size()));
       ++dirty_restores;
     } else {
       // Either a full restore was requested or the bitmap belongs to some
       // other snapshot of this System — copy wholesale. mutable_data()
-      // bumps the write generation, so stale predecodes of the pre-restore
-      // bytes can never execute.
+      // bumps the write generation, so superblocks compiled from the
+      // pre-restore bytes can never execute.
       seg.mutable_data() = img.data;
       // The bytes now equal the snapshot's, so future dirty-only restores
       // against this snapshot may trust the (cleared) bitmap.
@@ -77,14 +74,10 @@ util::Status RestoreSnapshot(System& sys, const Snapshot& snap,
     }
     if (seg.perms() != img.perms) {
       // Roll back W^X flips etc.; bump mirrors AddressSpace::Protect so any
-      // decode cached under the interim permissions dies with the restore.
+      // block compiled under the interim permissions dies with the restore.
       seg.set_perms(img.perms);
       seg.BumpGeneration();
     }
-    // Full copies (and permission rollbacks) moved the generation even
-    // though the content provably matches the snapshot image again; re-arm
-    // the shared decode plan rather than losing it to the staleness check.
-    sys.cpu->RearmDecodePlan(&seg, img.content_hash);
   }
   sys.space.ClearFault();
   sys.cpu->RestoreState(snap.cpu);

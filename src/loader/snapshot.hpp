@@ -17,8 +17,8 @@
 //   kDirtyOnly — only the 256-byte pages written since TakeSnapshot are
 //                copied back, using mem::Segment's dirty bitmap. A segment
 //                that was never touched keeps its bytes AND its write
-//                generation, so predecode-cache entries and shared decode
-//                plans stay warm across the reboot. The dirty bitmap is only
+//                generation, so superblocks compiled from it stay warm
+//                across the reboot. The dirty bitmap is only
 //                trusted when the segment's baseline id matches this
 //                snapshot's id (TakeSnapshot stamps it); any mismatch — an
 //                older snapshot, an interleaved TakeSnapshot on the same
@@ -26,7 +26,7 @@
 //
 // Both flavours restore permissions too: a W^X flip (mprotect-style attack
 // staging) between snapshot and restore is rolled back, with a generation
-// bump mirroring AddressSpace::Protect so stale decodes die with it.
+// bump mirroring AddressSpace::Protect so stale blocks die with it.
 //
 // Used by src/fuzz (per-exec reboot after a corrupted run) and the defense
 // diversity lab (one boot + many volleys per diversified victim).
@@ -51,10 +51,6 @@ struct Snapshot {
     mem::GuestAddr base = 0;
     util::Bytes data;
     mem::Perm perms = mem::Perm::kNone;
-    // Content hash of `data` (vm::DecodePlan::HashContent), used after a
-    // full-copy restore to re-arm shared decode-plan bindings whose segment
-    // generation moved but whose bytes provably did not change.
-    std::uint64_t content_hash = 0;
   };
   std::vector<SegmentImage> segments;
   vm::Cpu::State cpu;

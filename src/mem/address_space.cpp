@@ -152,14 +152,6 @@ util::Status AddressSpace::WriteBytes(GuestAddr addr, util::ByteSpan data) {
   return util::OkStatus();
 }
 
-util::Result<util::Bytes> AddressSpace::Fetch(GuestAddr addr,
-                                              std::uint32_t len) const {
-  const Segment* seg = CheckAccess(addr, len, AccessKind::kFetch);
-  if (seg == nullptr) return FaultStatus();
-  auto span = seg->SpanAt(addr, len);
-  return util::Bytes(span.begin(), span.end());
-}
-
 util::Result<const Segment*> AddressSpace::FetchSegment(
     GuestAddr addr, std::uint32_t len) const {
   const Segment* seg = CheckAccess(addr, len, AccessKind::kFetch);

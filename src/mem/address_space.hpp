@@ -74,15 +74,12 @@ class AddressSpace {
   util::Status WriteBytes(GuestAddr addr, util::ByteSpan data);
 
   /// Fetch check used by the CPU: validates X permission at `addr` for `len`
-  /// bytes and returns them. A stack address under W^X fails here.
-  util::Result<util::Bytes> Fetch(GuestAddr addr, std::uint32_t len) const;
-
-  /// Zero-allocation fetch: same permission semantics as Fetch, but returns
-  /// the backing segment instead of copying bytes out. The caller reads the
-  /// window via seg->SpanAt(addr, len) and tags cached decodes with
-  /// seg->generation(). The pointer stays valid for the segment's lifetime
-  /// (segments are never unmapped); the *bytes* it exposes are only current
-  /// while the generation is unchanged.
+  /// bytes and returns the backing segment without copying bytes out. A
+  /// stack address under W^X fails here. The caller reads the window via
+  /// seg->SpanAt(addr, len) and tags compiled blocks with seg->generation().
+  /// The pointer stays valid for the segment's lifetime (segments are never
+  /// unmapped); the *bytes* it exposes are only current while the
+  /// generation is unchanged.
   util::Result<const Segment*> FetchSegment(GuestAddr addr, std::uint32_t len) const;
 
   /// Unchecked variants for the loader/debugger (ptrace analogue): they see

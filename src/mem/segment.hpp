@@ -3,7 +3,7 @@
 //
 // Each segment carries a monotonically increasing write generation: any
 // mutation of its bytes (or its permissions) bumps the counter. The CPU's
-// predecode cache keys cached instructions on (segment, generation), so
+// superblock tier keys compiled blocks on (segment, generation), so
 // self-modifying code — shellcode written onto an executable stack and then
 // jumped to — is never executed from a stale decode.
 //
@@ -71,8 +71,8 @@ class Segment {
     return data_;
   }
 
-  /// Write generation: bumped on every byte/permission mutation. Cached
-  /// decodes tagged with an older generation are stale.
+  /// Write generation: bumped on every byte/permission mutation. Compiled
+  /// blocks tagged with an older generation are stale.
   [[nodiscard]] std::uint64_t generation() const noexcept { return generation_; }
   void BumpGeneration() noexcept { ++generation_; }
 
@@ -95,8 +95,8 @@ class Segment {
   /// Copies every dirty page's bytes back from `reference` (a same-size
   /// image of this segment), clears the dirty set, and bumps the generation
   /// once iff anything was copied — an untouched segment keeps its
-  /// generation, so cached decodes and shared-plan bindings stay warm
-  /// across the restore. Returns the number of pages copied.
+  /// generation, so blocks compiled from it stay warm across the restore.
+  /// Returns the number of pages copied.
   std::uint32_t RestoreDirtyPagesFrom(util::ByteSpan reference) noexcept;
 
  private:

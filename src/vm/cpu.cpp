@@ -74,8 +74,7 @@ Cpu::Cpu(isa::Arch arch, mem::AddressSpace& space, const ExecConfig& exec)
     : arch_(arch),
       space_(&space),
       exec_(exec),
-      predecode_(kPredecodeSlots),
-      predecode_shift_(arch == isa::Arch::kVARM ? 2 : 0) {}
+      sb_slot_shift_(arch == isa::Arch::kVARM ? 2 : 0) {}
 
 Cpu::~Cpu() {
 #ifndef CONNLAB_OBS_DISABLED
@@ -121,63 +120,9 @@ void Cpu::FlushObsBatch() noexcept {
       OBS_COUNT_N("vm.superblock.invalidations", sb_->invalidations);
       sb_->invalidations = 0;
     }
-    if (sb_->imports != 0) {
-      OBS_COUNT_N("vm.superblock.imports", sb_->imports);
-      sb_->imports = 0;
-    }
   }
 }
 #endif
-
-void Cpu::FlushPredecodeCache() noexcept {
-  for (PredecodeEntry& slot : predecode_) slot = PredecodeEntry{};
-}
-
-void Cpu::BindDecodePlan(const mem::Segment* seg,
-                         std::shared_ptr<const DecodePlan> plan) {
-  if (seg == nullptr || plan == nullptr) return;
-  for (PlanBinding& binding : plan_bindings_) {
-    if (binding.seg == seg) {
-      binding.gen = seg->generation();
-      binding.plan = std::move(plan);
-      return;
-    }
-  }
-  plan_bindings_.push_back(PlanBinding{seg, seg->generation(), std::move(plan)});
-}
-
-void Cpu::RearmDecodePlan(const mem::Segment* seg,
-                          std::uint64_t content_hash) noexcept {
-  for (std::size_t i = 0; i < plan_bindings_.size(); ++i) {
-    if (plan_bindings_[i].seg != seg) continue;
-    if (plan_bindings_[i].plan->content_hash() == content_hash) {
-      plan_bindings_[i].gen = seg->generation();
-    } else {
-      plan_bindings_.erase(plan_bindings_.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-    }
-    return;
-  }
-}
-
-const DecodePlan* Cpu::BoundPlan(const mem::Segment* seg) const noexcept {
-  for (const PlanBinding& binding : plan_bindings_) {
-    if (binding.seg == seg) return binding.plan.get();
-  }
-  return nullptr;
-}
-
-const isa::Instr* Cpu::PlannedInstr(const mem::Segment* seg) const noexcept {
-  for (const PlanBinding& binding : plan_bindings_) {
-    if (binding.seg != seg) continue;
-    // A moved generation means the segment was written or re-protected
-    // since binding; the plan's decodes may be stale, so refuse and let the
-    // ordinary decode path (and its SMC-correct per-CPU cache) take over.
-    if (binding.gen != seg->generation()) return nullptr;
-    return binding.plan->Lookup(pc_);
-  }
-  return nullptr;
-}
 
 std::uint32_t Cpu::sp() const noexcept {
   return arch_ == isa::Arch::kVX86 ? regs_[isa::kESP] : regs_[isa::kSP];
@@ -209,10 +154,8 @@ util::Status Cpu::RegisterHostFn(mem::GuestAddr addr, std::string name, HostFn f
     return util::AlreadyExists("host function already at " + Hex(addr));
   }
   host_fns_[addr] = {std::move(name), std::move(fn)};
-  // A new trampoline may shadow an address whose decode (or absence) is
-  // cached; start clean rather than tracking individual slots. Compiled
-  // superblocks may likewise run straight through the new trampoline's pc.
-  FlushPredecodeCache();
+  // Compiled superblocks may run straight through the new trampoline's pc;
+  // start clean rather than tracking individual blocks.
   FlushSuperblocks();
   return util::OkStatus();
 }
@@ -314,103 +257,26 @@ void Cpu::Step() {
   if (stopped()) return;
   if (cov_bitmap_ != nullptr) RecordCoverageEdge(CoverageLocation(pc_));
 
-  if (exec_.decode_caches) {
-    const PredecodeEntry& slot = PredecodeSlot(pc_);
-    if (slot.pc == pc_ && slot.kind == PredecodeEntry::Kind::kInstr &&
-        slot.gen == slot.seg->generation()) {
-      // Hot path: pc hit and the backing segment is byte-for-byte what we
-      // decoded from (write generation unchanged). No map lookup, no fetch,
-      // no decode. Copying the 12-byte Instr out keeps ExecuteInstr free of
-      // any aliasing with the cache slot.
-      const isa::Instr ins = slot.instr;
-      ++steps_;
-      if (trace_limit_ != 0) {
-        trace_.push_back({pc_, ins.ToString(arch_)});
-        if (trace_.size() > trace_limit_) trace_.pop_front();
-      }
-      ExecuteInstr(ins);
-      return;
-    }
-    if (slot.pc == pc_ && slot.kind == PredecodeEntry::Kind::kHostFn) {
-      DispatchHostFn(*slot.host);
-      return;
-    }
-  }
-  StepSlow();
-}
-
-void Cpu::DispatchHostFn(const std::pair<std::string, HostFn>& fn) {
-  ++steps_;
-  if (trace_limit_ != 0) {
-    trace_.push_back({pc_, "<host: " + fn.first + ">"});
-    if (trace_.size() > trace_limit_) trace_.pop_front();
-  }
-  CONNLAB_DEBUG("vm") << "host fn " << fn.first << " at " << Hex(pc_);
-  util::Status status = fn.second(*this);
-  if (!status.ok() && !stopped()) {
-    Fault("in host function " + fn.first + ": " + status.ToString());
-  }
-}
-
-void Cpu::StepSlow() {
   // Host-function trampoline takes priority over decoding.
   auto host = host_fns_.find(pc_);
   if (host != host_fns_.end()) {
-    if (exec_.decode_caches) {
-      PredecodeEntry& slot = PredecodeSlot(pc_);
-      slot.pc = pc_;
-      slot.kind = PredecodeEntry::Kind::kHostFn;
-      slot.seg = nullptr;
-      slot.host = &host->second;  // std::map nodes are pointer-stable
-    }
-    DispatchHostFn(host->second);
-    return;
-  }
-
-  if (!exec_.decode_caches) {
-    // Legacy fetch/decode, byte-copying via util::Bytes. Kept verbatim as
-    // the differential-test baseline: identical fault wording, identical
-    // two-step VX86 fetch semantics.
-    const std::uint32_t fetch_len =
-        arch_ == isa::Arch::kVARM ? isa::kVARMInstrSize : 1;
-    auto first = space_->Fetch(pc_, fetch_len);
-    if (!first.ok()) {
-      Fault("instruction fetch failed");
-      return;
-    }
-    util::Bytes window = std::move(first).value();
-    if (arch_ == isa::Arch::kVX86) {
-      const std::uint8_t len = isa::vx86::InstrLength(window[0]);
-      if (len == 0) {
-        Fault("illegal instruction byte " + Hex(window[0]) + " at " + Hex(pc_));
-        return;
-      }
-      if (len > 1) {
-        auto rest = space_->Fetch(pc_, len);
-        if (!rest.ok()) {
-          Fault("instruction fetch failed (tail)");
-          return;
-        }
-        window = std::move(rest).value();
-      }
-    }
-    auto decoded = isa::Decode(arch_, window, 0);
-    if (!decoded.ok()) {
-      Fault("illegal instruction at " + Hex(pc_));
-      return;
-    }
-    OBS_COUNT("vm.decodes");
+    const auto& [name, fn] = host->second;
     ++steps_;
     if (trace_limit_ != 0) {
-      trace_.push_back({pc_, decoded.value().ToString(arch_)});
+      trace_.push_back({pc_, "<host: " + name + ">"});
       if (trace_.size() > trace_limit_) trace_.pop_front();
     }
-    ExecuteInstr(decoded.value());
+    CONNLAB_DEBUG("vm") << "host fn " << name << " at " << Hex(pc_);
+    util::Status status = fn(*this);
+    if (!status.ok() && !stopped()) {
+      Fault("in host function " + name + ": " + status.ToString());
+    }
     return;
   }
 
-  // Zero-allocation fetch (this is where W^X bites: no X => fault). Mirrors
-  // the legacy path's two-step VX86 probe so fault details stay identical.
+  // Zero-allocation fetch (this is where W^X bites: no X => fault). VX86
+  // probes the opcode byte first and then its full length, so a fault names
+  // the step that failed.
   const std::uint32_t first_len =
       arch_ == isa::Arch::kVARM ? isa::kVARMInstrSize : 1;
   auto head = space_->FetchSegment(pc_, first_len);
@@ -419,32 +285,6 @@ void Cpu::StepSlow() {
     return;
   }
   const mem::Segment* seg = head.value();
-
-  // Shared decode plan (the cross-CPU L2 behind the per-CPU slots): the
-  // fetch above already enforced X on this segment, a valid plan entry is
-  // wholly inside it, and the generation check above ruled out writes since
-  // the plan was built — so executing the planned decode is bit-identical
-  // to decoding here. Offsets the plan could not decode fall through so
-  // fault wording stays byte-identical to the plain path.
-  if (const isa::Instr* planned = PlannedInstr(seg)) {
-    OBS_COUNT("vm.plan_hits");
-    PredecodeEntry& slot = PredecodeSlot(pc_);
-    slot.pc = pc_;
-    slot.kind = PredecodeEntry::Kind::kInstr;
-    slot.seg = seg;
-    slot.gen = seg->generation();
-    slot.instr = *planned;
-    slot.host = nullptr;
-    const isa::Instr ins = *planned;  // plans are immutable; copy anyway,
-    ++steps_;                         // matching the hot path's idiom
-    if (trace_limit_ != 0) {
-      trace_.push_back({pc_, ins.ToString(arch_)});
-      if (trace_.size() > trace_limit_) trace_.pop_front();
-    }
-    ExecuteInstr(ins);
-    return;
-  }
-
   std::uint32_t len = first_len;
   if (arch_ == isa::Arch::kVX86) {
     const std::uint8_t op = seg->At(pc_);
@@ -467,16 +307,6 @@ void Cpu::StepSlow() {
     Fault("illegal instruction at " + Hex(pc_));
     return;
   }
-  OBS_COUNT("vm.decodes");
-
-  PredecodeEntry& slot = PredecodeSlot(pc_);
-  slot.pc = pc_;
-  slot.kind = PredecodeEntry::Kind::kInstr;
-  slot.seg = seg;
-  slot.gen = seg->generation();
-  slot.instr = decoded.value();
-  slot.host = nullptr;
-
   ++steps_;
   if (trace_limit_ != 0) {
     trace_.push_back({pc_, decoded.value().ToString(arch_)});
@@ -507,8 +337,8 @@ void Cpu::RestoreState(const State& state) {
   skip_breakpoint_once_ = false;
   trace_.clear();
   cov_prev_ = 0;
-  // Cached decodes whose segments were rewritten are invalidated by the
-  // generation tags; no flush needed.
+  // Superblocks compiled from segments the restore rewrote are invalidated
+  // by the generation tags; no flush needed.
 }
 
 void Cpu::ExecuteInstr(const isa::Instr& ins) {

@@ -1,6 +1,8 @@
 // The guest CPU: an interpreter over VX86 / VARM instruction streams with
 // W^X-enforcing fetch, a host-function trampoline registry, breakpoints and
-// an event log.
+// an event log. The interpreter keeps no decode cache: every step fetches
+// through the permission-checked front door and decodes in place. The
+// superblock tier (vm/superblock.hpp) is the VM's only decode cache.
 //
 // Host functions are how connlab hosts high-level guest code (the simulated
 // Connman parser, libc routines) without a C compiler: a guest address is
@@ -24,7 +26,6 @@
 
 #include "src/isa/isa.hpp"
 #include "src/mem/address_space.hpp"
-#include "src/vm/decode_plan.hpp"
 #include "src/vm/events.hpp"
 
 namespace connlab::vm {
@@ -35,10 +36,8 @@ class SuperblockCache;
 /// How a booted System executes and rewinds. Every field defaults to the
 /// fast path; turning one off selects the reference that path must match.
 struct ExecConfig {
-  /// Off: the interpreter alone.
+  /// Off: the interpreter alone (fetch + decode every step).
   bool superblocks = true;
-  /// Off: fetch + decode every step; no predecode slots, no shared plans.
-  bool decode_caches = true;
   /// Off: RestoreSnapshot copies every segment.
   bool dirty_restores = true;
 };
@@ -126,44 +125,13 @@ class Cpu {
   /// The execution configuration this CPU was constructed with.
   [[nodiscard]] const ExecConfig& exec() const noexcept { return exec_; }
 
-  // --- Predecode cache ------------------------------------------------------
-  // Direct-mapped cache of decoded instructions (and host-function hits)
-  // keyed by pc. Entries are tagged with the backing segment's write
-  // generation, so any write into a segment — shellcode landing on the
-  // stack, a debugger poke into .text — invalidates its cached decodes and
-  // the next execution re-fetches through the permission-checked front door.
-  // With ExecConfig::decode_caches off the CPU never fills it and runs the
-  // legacy fetch/decode path instruction by instruction (the differential
-  // reference).
-  void FlushPredecodeCache() noexcept;
-
-  // --- Shared decode plans --------------------------------------------------
-  // A binding attaches an immutable DecodePlan (see vm/decode_plan.hpp) to
-  // one of this CPU's segments at its current write generation. While the
-  // generation holds, predecode misses inside the segment are served from
-  // the plan instead of decoding; the moment the segment is written or
-  // re-protected the binding goes stale and the CPU falls back to the
-  // ordinary per-CPU decode path (SMC-correct by construction). The loader
-  // binds plans for executable, non-writable segments at Boot when
-  // ExecConfig::decode_caches is on.
-  void BindDecodePlan(const mem::Segment* seg,
-                      std::shared_ptr<const DecodePlan> plan);
-  /// After a snapshot restore rewrote `seg`'s bytes: re-arms the binding at
-  /// the new generation when the restored content (identified by its hash)
-  /// is exactly what the plan was built from, and drops it otherwise.
-  void RearmDecodePlan(const mem::Segment* seg,
-                       std::uint64_t content_hash) noexcept;
-  /// The plan currently bound for `seg` (stale or not); nullptr if none.
-  [[nodiscard]] const DecodePlan* BoundPlan(const mem::Segment* seg) const noexcept;
-
   // --- Superblock tier ------------------------------------------------------
   // Straight-line regions compiled into computed-goto threaded code (see
   // vm/superblock.hpp): the Run() loop dispatches whole blocks when it can
   // and falls back to Step() everywhere else. Blocks are keyed to (segment,
-  // write generation) exactly like predecode slots, so SMC / W^X flips /
-  // snapshot restores invalidate them; store-class ops re-check the code
-  // segment's generation mid-block. ExecConfig::superblocks off pins the
-  // CPU to the interpreter.
+  // write generation), so SMC / W^X flips / snapshot restores invalidate
+  // them; store-class ops re-check the code segment's generation mid-block.
+  // ExecConfig::superblocks off pins the CPU to the interpreter.
   void FlushSuperblocks() noexcept;
 
   // --- Snapshot state (loader::Snapshot) ------------------------------------
@@ -283,38 +251,6 @@ class Cpu {
   [[nodiscard]] std::string RegistersString() const;
 
  private:
-  /// One direct-mapped predecode slot. kInstr slots are valid while the
-  /// backing segment's generation matches `gen`; kHostFn slots are valid
-  /// until RegisterHostFn flushes the cache (map nodes are pointer-stable).
-  struct PredecodeEntry {
-    enum class Kind : std::uint8_t { kEmpty, kInstr, kHostFn };
-    mem::GuestAddr pc = 0;
-    Kind kind = Kind::kEmpty;
-    std::uint64_t gen = 0;
-    const mem::Segment* seg = nullptr;
-    isa::Instr instr{};
-    const std::pair<std::string, HostFn>* host = nullptr;
-  };
-  static constexpr std::uint32_t kPredecodeSlots = 4096;  // power of two
-
-  [[nodiscard]] PredecodeEntry& PredecodeSlot(mem::GuestAddr pc) noexcept {
-    return predecode_[(pc >> predecode_shift_) & (kPredecodeSlots - 1)];
-  }
-  /// Predecode miss / legacy path: host-fn map lookup, permission-checked
-  /// fetch, decode, execute — and (when the cache is on) slot fill.
-  void StepSlow();
-  void DispatchHostFn(const std::pair<std::string, HostFn>& fn);
-
-  /// One bound shared plan. Valid while seg->generation() == gen.
-  struct PlanBinding {
-    const mem::Segment* seg = nullptr;
-    std::uint64_t gen = 0;
-    std::shared_ptr<const DecodePlan> plan;
-  };
-  /// Shared-plan lookup for the current pc inside `seg`, nullptr on a stale
-  /// binding or an offset the plan could not decode.
-  [[nodiscard]] const isa::Instr* PlannedInstr(const mem::Segment* seg) const noexcept;
-
   /// Superblock tier internals (vm/superblock.cpp). TrySuperblocks chains
   /// block executions from the current pc while blocks are available and
   /// the budget allows, returning true when at least one block ran (the
@@ -367,9 +303,9 @@ class Cpu {
   std::vector<std::uint16_t>* cov_touched_ = nullptr;
   std::uint32_t cov_prev_ = 0;
   const ExecConfig exec_;
-  std::vector<PredecodeEntry> predecode_;
-  std::uint32_t predecode_shift_ = 0;  // 2 on VARM (4-byte aligned), 0 on VX86
-  std::vector<PlanBinding> plan_bindings_;  // one or two entries (.text, libc)
+  /// pc >> sb_slot_shift_ indexes the superblock slot array: 2 on VARM
+  /// (4-byte aligned), 0 on VX86.
+  std::uint32_t sb_slot_shift_ = 0;
   std::unique_ptr<SuperblockCache> sb_;  // lazily created on first Run
 
 #ifndef CONNLAB_OBS_DISABLED

@@ -4,7 +4,7 @@
 // register file, address space, shadow stack and coverage state directly —
 // the handler bodies are line-for-line transcriptions of the interpreter's
 // ExecVX86/ExecVARM cases (vm/cpu.cpp), with the per-instruction dispatch,
-// cache probes and generation checks hoisted to block granularity. When in
+// fetch, decode and generation checks hoisted to block granularity. When in
 // doubt about semantics, the interpreter is the single source of truth and
 // the differential suite (tests/test_differential.cpp) is the referee.
 #include "src/vm/superblock.hpp"
@@ -179,49 +179,7 @@ const Superblock* Cpu::SuperblockFor(const mem::Segment* seg,
   auto it = store.blocks.find(entry);
   if (it != store.blocks.end()) return &it->second;
 
-  // Decode through a *fresh* bound DecodePlan when one covers this segment;
-  // otherwise decode straight from the segment bytes (code assembled into a
-  // scratch or stack segment after Boot has no plan, and must still tier
-  // up — that is exactly the injected-shellcode / bench-loop case).
-  const DecodePlan* plan = nullptr;
-  for (const PlanBinding& binding : plan_bindings_) {
-    if (binding.seg == seg && binding.gen == seg->generation()) {
-      plan = binding.plan.get();
-      break;
-    }
-  }
-
   const void* const* labels = ExecSuperblock(nullptr, nullptr, 0, 0);
-
-  // Shared-registry import: when a fresh DecodePlan binding pins this
-  // segment's content identity, a canonical block compiled by any CPU booted
-  // from the same image is copied into the private store instead of
-  // re-walking the instruction stream. Import is refused — and the local
-  // build below takes over — when local state could change the block's
-  // shape: a breakpoint anywhere, or a host function shadowing an interior
-  // pc.
-  const bool shareable = plan != nullptr && breakpoints_.empty();
-  bool import_refused = false;
-  if (shareable) {
-    auto canonical = SharedSuperblockRegistry::Instance().Lookup(
-        arch_, plan->base(), plan->size(), plan->content_hash(), entry);
-    if (canonical != nullptr) {
-      bool import_ok = true;
-      for (const SbOp& op : canonical->ops) {
-        if (op.handler == labels[kHExit]) continue;  // retires nothing
-        if (!host_fns_.empty() && host_fns_.contains(op.pc)) {
-          import_ok = false;  // a local trampoline would have ended the block
-          break;
-        }
-      }
-      if (import_ok) {
-        ++sb_->imports;
-        auto [pos, inserted] = store.blocks.emplace(entry, *canonical);
-        return &pos->second;
-      }
-      import_refused = true;
-    }
-  }
 
   Superblock block;
   block.entry = entry;
@@ -234,30 +192,25 @@ const Superblock* Cpu::SuperblockFor(const mem::Segment* seg,
     // changing either set flushes all blocks.)
     if (!host_fns_.empty() && host_fns_.contains(pc)) break;
     if (pc != entry && breakpoints_.contains(pc)) break;
-    isa::Instr local{};
-    const isa::Instr* ins = plan != nullptr ? plan->Lookup(pc) : nullptr;
-    if (ins == nullptr) {
-      const std::uint32_t first_len =
-          arch_ == isa::Arch::kVARM ? isa::kVARMInstrSize : 1u;
-      if (!seg->ContainsRange(pc, first_len)) break;
-      std::uint32_t len = first_len;
-      if (arch_ == isa::Arch::kVX86) {
-        len = isa::vx86::InstrLength(seg->At(pc));
-        if (len == 0 || !seg->ContainsRange(pc, len)) break;
-      }
-      auto decoded = isa::Decode(arch_, seg->SpanAt(pc, len), 0);
-      if (!decoded.ok()) break;
-      local = decoded.value();
-      ins = &local;
+    const std::uint32_t first_len =
+        arch_ == isa::Arch::kVARM ? isa::kVARMInstrSize : 1u;
+    if (!seg->ContainsRange(pc, first_len)) break;
+    std::uint32_t len = first_len;
+    if (arch_ == isa::Arch::kVX86) {
+      len = isa::vx86::InstrLength(seg->At(pc));
+      if (len == 0 || !seg->ContainsRange(pc, len)) break;
     }
+    auto decoded = isa::Decode(arch_, seg->SpanAt(pc, len), 0);
+    if (!decoded.ok()) break;
+    const isa::Instr& ins = decoded.value();
     const HandlerPick pick =
-        arch_ == isa::Arch::kVX86 ? PickVX86(*ins) : PickVARM(*ins);
+        arch_ == isa::Arch::kVX86 ? PickVX86(ins) : PickVARM(ins);
     if (pick.index < 0) break;
     SbOp op;
     op.handler = labels[pick.index];
-    op.instr = *ins;
+    op.instr = ins;
     op.pc = pc;
-    op.pc_next = pc + ins->length;
+    op.pc_next = pc + ins.length;
     op.cov_loc = CoverageLocation(pc);
     block.ops.push_back(op);
     pc = op.pc_next;
@@ -278,18 +231,7 @@ const Superblock* Cpu::SuperblockFor(const mem::Segment* seg,
       exit_op.pc_next = pc;
       block.ops.push_back(exit_op);
     }
-    // A CPU whose publish loses the race to an identical canonical counts an
-    // import, as if its lookup had come a moment later: a campaign records
-    // one compile per canonical however its workers interleave.
-    bool lost_race = false;
-    if (shareable) {
-      // The block is a pure function of the segment content the key hashes.
-      lost_race = !SharedSuperblockRegistry::Instance().Publish(
-                      arch_, plan->base(), plan->size(), plan->content_hash(),
-                      entry, std::make_shared<const Superblock>(block)) &&
-                  !import_refused;
-    }
-    ++(lost_race ? sb_->imports : sb_->compiles);
+    ++sb_->compiles;
   }
   // Unusable blocks are inserted too: they negative-cache this entry pc so
   // the interpreter region is not re-scanned every visit.
@@ -304,7 +246,7 @@ bool Cpu::TrySuperblocks(std::uint64_t remaining) {
   if (sb_ == nullptr) sb_ = std::make_unique<SuperblockCache>();
   bool executed = false;
   for (;;) {
-    SuperblockCache::Slot& slot = sb_->SlotFor(pc_, predecode_shift_);
+    SuperblockCache::Slot& slot = sb_->SlotFor(pc_, sb_slot_shift_);
     const Superblock* block;
     const mem::Segment* seg;
     std::uint64_t gen;
@@ -916,56 +858,5 @@ a_hlt:
 #undef CL_SET_PC_ARM
 #undef CL_SET_PC_X86
 #undef CL_BRANCH
-
-SharedSuperblockRegistry& SharedSuperblockRegistry::Instance() {
-  static SharedSuperblockRegistry registry;
-  return registry;
-}
-
-std::shared_ptr<const Superblock> SharedSuperblockRegistry::Lookup(
-    isa::Arch arch, mem::GuestAddr base, std::uint32_t size,
-    std::uint64_t content_hash, mem::GuestAddr entry) const {
-  const Key key{static_cast<std::uint8_t>(arch), base, size, content_hash,
-                entry};
-  std::shared_lock lock(mu_);
-  auto it = blocks_.find(key);
-  if (it == blocks_.end()) return nullptr;
-  imports_.fetch_add(1, std::memory_order_relaxed);
-  return it->second;
-}
-
-bool SharedSuperblockRegistry::Publish(isa::Arch arch, mem::GuestAddr base,
-                                       std::uint32_t size,
-                                       std::uint64_t content_hash,
-                                       mem::GuestAddr entry,
-                                       std::shared_ptr<const Superblock> block) {
-  const Key key{static_cast<std::uint8_t>(arch), base, size, content_hash,
-                entry};
-  std::unique_lock lock(mu_);
-  auto [it, inserted] = blocks_.emplace(key, std::move(block));
-  if (!inserted) return false;  // racing publish of identical content
-  publishes_.fetch_add(1, std::memory_order_relaxed);
-  insertion_order_.push_back(key);
-  while (blocks_.size() > kMaxBlocks) {
-    blocks_.erase(insertion_order_.front());
-    insertion_order_.pop_front();
-  }
-  return true;
-}
-
-SharedSuperblockRegistry::Stats SharedSuperblockRegistry::GetStats() const {
-  std::shared_lock lock(mu_);
-  Stats stats;
-  stats.publishes = publishes_.load(std::memory_order_relaxed);
-  stats.imports = imports_.load(std::memory_order_relaxed);
-  stats.live_blocks = blocks_.size();
-  return stats;
-}
-
-void SharedSuperblockRegistry::Clear() {
-  std::unique_lock lock(mu_);
-  blocks_.clear();
-  insertion_order_.clear();
-}
 
 }  // namespace connlab::vm

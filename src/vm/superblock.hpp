@@ -1,18 +1,18 @@
 // Superblock execution tier: lazily compiled straight-line guest regions
 // executed as computed-goto threaded code.
 //
-// The interpreter (vm/cpu.cpp) pays a per-instruction tax even with warm
-// predecode caches: the Run() loop's budget/breakpoint probes, the
-// switch-dispatch in ExecVX86/ExecVARM, and a generation check per cached
-// decode. A superblock hoists all of that to once per *block*: starting from
-// a hot pc, the builder walks the instruction stream until the first
-// unconditional control transfer (jmp, call, ret, indirect branch, syscall,
-// hlt), host-function trampoline, breakpoint'd pc, undecodable byte,
-// segment end or the block-length cap, and records one threaded-code op per
-// instruction — a direct handler address (GCC/Clang `&&label`), the decoded
-// instruction, its pc / fall-through pc and its precomputed AFL coverage
-// location. Execution then jumps handler-to-handler with no switch and no
-// per-step cache probes.
+// The interpreter (vm/cpu.cpp) pays a per-instruction tax: the Run() loop's
+// budget/breakpoint probes, a host-function lookup, a permission-checked
+// fetch, a decode and the switch-dispatch in ExecVX86/ExecVARM. This tier is
+// the VM's only decode cache, and it hoists all of that to once per *block*:
+// starting from a hot pc, the builder walks the instruction stream until the
+// first unconditional control transfer (jmp, call, ret, indirect branch,
+// syscall, hlt), host-function trampoline, breakpoint'd pc, undecodable
+// byte, segment end or the block-length cap, and records one threaded-code
+// op per instruction — a direct handler address (GCC/Clang `&&label`), the
+// decoded instruction, its pc / fall-through pc and its precomputed AFL
+// coverage location. Execution then jumps handler-to-handler with no switch
+// and no per-step fetch or decode.
 //
 // Conditional branches (jz/jnz) are side exits, not block ends: taken, the
 // op leaves the block exactly as a terminating branch would; not taken, it
@@ -27,10 +27,8 @@
 // breakpoints). Every other block exit returns to the dispatch loop, whose
 // direct-mapped slot probe finds the next block.
 //
-// A shared per-image block store (SharedSuperblockRegistry below) lets CPUs
-// with a valid DecodePlan binding publish their compiled blocks keyed by the
-// plan's content identity, so other CPUs booted from the same image import a
-// private copy instead of re-walking the instruction stream.
+// Each CPU compiles its own blocks straight from segment bytes; no block
+// store outlives its CPU or is shared between CPUs.
 //
 // Correctness contract (the differential suite enforces all of it, tier on
 // vs off):
@@ -57,12 +55,8 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
-#include <memory>
-#include <shared_mutex>
 #include <vector>
 
 #include "src/isa/isa.hpp"
@@ -154,91 +148,24 @@ class SuperblockCache {
   }
 
   // Tier counters, batched per-CPU like ObsBatch and flushed to the obs
-  // registry as vm.superblock.{compiles,hits,fallbacks,invalidations,
-  // imports}.
-  std::uint64_t compiles = 0;       // usable blocks built (a lost publish
-                                    // race counts as an import instead)
+  // registry as vm.superblock.{compiles,hits,fallbacks,invalidations}.
+  std::uint64_t compiles = 0;       // usable blocks built
   std::uint64_t hits = 0;           // blocks dispatched
   std::uint64_t fallbacks = 0;      // entries that deferred to the interpreter
   std::uint64_t invalidations = 0;  // generation bumps that dropped blocks
-  std::uint64_t imports = 0;        // blocks copied from the shared registry
 
  private:
   std::vector<SegBlocks> segs_;  // a handful of segments per address space
   std::array<Slot, kSlots> slots_{};
 };
 
-/// Process-wide compiled-block store, mirroring DecodePlanRegistry: one
-/// canonical copy of each compiled block per executable-segment *content*,
-/// so N fuzz workers / fleet victim lanes booted from the same image walk
-/// and pick-handler each hot region exactly once. Keyed by the bound
-/// DecodePlan's identity (arch, base, size, content hash) plus the block's
-/// entry pc — a diversity-reshuffled boot has different bytes (and usually a
-/// different base), so it can never be served another layout's block.
-///
-/// A compiled block holds no per-CPU state: handler addresses are
-/// function-local statics inside Cpu::ExecSuperblock, identical across every
-/// CPU in the process, and coverage locations are a pure function of pc — so
-/// the whole payload is content-deterministic. Every plan-backed block is
-/// published when its CPU has no breakpoint set. Importers copy the
-/// canonical into their private SegBlocks map after re-validating it
-/// against local state: no interior pc may be shadowed by a local host
-/// function.
-///
-/// Thread-safe like DecodePlanRegistry: lookups take a shared (reader) lock,
-/// builds happen outside any lock, and when two workers race to publish the
-/// same block the first insert wins and the loser's copy is dropped. The
-/// loser counts its build as an import, as DecodePlanRegistry counts a
-/// losing builder as a share, so a campaign's compiles/imports split is one
-/// compile per canonical however its workers interleave.
-class SharedSuperblockRegistry {
- public:
-  static SharedSuperblockRegistry& Instance();
-
-  /// Canonical block for (image identity, entry), or nullptr when none has
-  /// been published yet.
-  [[nodiscard]] std::shared_ptr<const Superblock> Lookup(
-      isa::Arch arch, mem::GuestAddr base, std::uint32_t size,
-      std::uint64_t content_hash, mem::GuestAddr entry) const;
-
-  /// Publishes a canonical (first insert wins; later publishes of the same
-  /// key are dropped — identical content compiles identically).
-  /// Returns false when the key already held a canonical.
-  bool Publish(isa::Arch arch, mem::GuestAddr base, std::uint32_t size,
-               std::uint64_t content_hash, mem::GuestAddr entry,
-               std::shared_ptr<const Superblock> block);
-
-  struct Stats {
-    std::uint64_t publishes = 0;  // canonicals inserted (cold compiles)
-    std::uint64_t imports = 0;    // lookups served from a canonical
-    std::size_t live_blocks = 0;
-  };
-  [[nodiscard]] Stats GetStats() const;
-
-  /// Drops every canonical (tests; importers own private copies).
-  void Clear();
-
- private:
-  struct Key {
-    std::uint8_t arch = 0;
-    mem::GuestAddr base = 0;
-    std::uint32_t size = 0;
-    std::uint64_t hash = 0;
-    mem::GuestAddr entry = 0;
-    auto operator<=>(const Key&) const = default;
-  };
-
-  /// The diversity lab boots hundreds of unique layouts, each with many hot
-  /// blocks; cap the registry and evict oldest-inserted so it cannot grow
-  /// without bound (importers hold private copies, so eviction only costs a
-  /// recompile).
-  static constexpr std::size_t kMaxBlocks = 4096;
-
-  mutable std::shared_mutex mu_;
-  std::map<Key, std::shared_ptr<const Superblock>> blocks_;
-  std::deque<Key> insertion_order_;
-  std::atomic<std::uint64_t> publishes_{0};
-  mutable std::atomic<std::uint64_t> imports_{0};  // counted in const Lookup
+/// An empty type with a no-op Clear(), kept only for perfbench/workloads.cpp,
+/// which calls `vm::SharedSuperblockRegistry::Instance().Clear()` before each
+/// campaign. No compiled block outlives its CPU, so every campaign already
+/// starts as a fresh process would.
+struct SharedSuperblockRegistry {
+  static SharedSuperblockRegistry Instance() noexcept { return {}; }
+  void Clear() noexcept {}
 };
 
 }  // namespace connlab::vm

@@ -2,6 +2,9 @@
 // minimasq (DNS delivery, different geometry) and httpcamd (HTTP delivery).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "src/adapt/retarget.hpp"
 
 #include "src/exploit/rop_arm.hpp"
@@ -223,6 +226,26 @@ TEST(Adapt, MinimasqTakesFullBinShChain) {
   auto evil = dns::MaliciousAResponse(query, labels.value());
   auto outcome = service.HandleReply(dns::Encode(evil).value());
   EXPECT_EQ(outcome.kind, Kind::kShell) << outcome.detail;
+}
+
+// The one bridge from zoo-service outcomes to the proxy vocabulary, used by
+// the attack matrix and the victim pool alike: every service kind maps to
+// its proxy counterpart.
+TEST(Adapt, OutcomeBridgeMapsEveryServiceKind) {
+  using Proxy = connman::ProxyOutcome::Kind;
+  constexpr std::pair<Kind, Proxy> kTable[] = {
+      {Kind::kOk, Proxy::kParsedOk},
+      {Kind::kRejected, Proxy::kDroppedInvalid},
+      {Kind::kCrash, Proxy::kCrash},
+      {Kind::kShell, Proxy::kShell},
+      {Kind::kExec, Proxy::kExec},
+      {Kind::kAbort, Proxy::kAbort},
+      {Kind::kOther, Proxy::kOther},
+  };
+  for (const auto& [service, proxy] : kTable) {
+    SCOPED_TRACE(std::string(ServiceOutcomeKindName(service)));
+    EXPECT_EQ(ToProxyOutcomeKind(service), proxy);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Differential correctness gate for the VM's fast paths: the superblock
-// tier, the decode caches (predecode slots and shared decode plans),
-// dirty-page-only restores and snapshot fast reboots must be pure speedups.
+// tier, dirty-page-only restores and snapshot fast reboots must be pure
+// speedups.
 //
 // Every scenario below runs under vm::ExecConfig combinations and is
 // compared with the all-off reference — the plain interpreter, fetch +
@@ -9,7 +9,7 @@
 // details, retired-step counts, crash-bucket sets and coverage digests
 // must be identical. Any divergence means a fast path served a stale
 // decode or block, or a restore differs from a real boot, and fails the
-// build. Between them the tests cover all eight ExecConfig combinations.
+// build. Between them the tests cover all four ExecConfig combinations.
 #include <gtest/gtest.h>
 
 #include <initializer_list>
@@ -25,12 +25,11 @@
 namespace connlab {
 namespace {
 
-constexpr vm::ExecConfig kAllOff{
-    .superblocks = false, .decode_caches = false, .dirty_restores = false};
+constexpr vm::ExecConfig kAllOff{.superblocks = false,
+                                 .dirty_restores = false};
 
 std::string Label(const vm::ExecConfig& exec) {
   return std::string("superblocks=") + (exec.superblocks ? "on" : "off") +
-         " decode_caches=" + (exec.decode_caches ? "on" : "off") +
          " dirty_restores=" + (exec.dirty_restores ? "on" : "off");
 }
 
@@ -43,9 +42,9 @@ std::vector<attack::AttackResult> RunMatrix(const vm::ExecConfig& exec) {
 
 /// The six-attack matrix — every protection level × technique outcome from
 /// the paper — under each of `combos`, row for row against the all-off
-/// reference. A compiled block or cached decode serving one stale op
-/// anywhere in the exploit chains (SMC shellcode, W^X flips, canary/CFI
-/// traps, diversity reshuffles) moves a row and fails this.
+/// reference. A compiled block serving one stale op anywhere in the
+/// exploit chains (SMC shellcode, W^X flips, canary/CFI traps, diversity
+/// reshuffles) moves a row and fails this.
 void ExpectMatrixMatchesReference(
     std::initializer_list<vm::ExecConfig> combos) {
   const std::vector<attack::AttackResult> reference = RunMatrix(kAllOff);
@@ -73,20 +72,14 @@ TEST(Differential, SixAttackMatrixIdenticalAcrossModes) {
   ExpectMatrixMatchesReference({vm::ExecConfig{}});  // every fast path on
 }
 
+// The interpreter with dirty-only restores.
 TEST(Differential, SixAttackMatrixIdenticalAcrossPlanAndRestoreCombos) {
-  ExpectMatrixMatchesReference({
-      {.superblocks = false, .decode_caches = true, .dirty_restores = false},
-      {.superblocks = false, .decode_caches = false, .dirty_restores = true},
-      {.superblocks = false, .decode_caches = true, .dirty_restores = true},
-  });
+  ExpectMatrixMatchesReference({{.superblocks = false, .dirty_restores = true}});
 }
 
+// The superblock tier with full-copy restores.
 TEST(Differential, SixAttackMatrixIdenticalAcrossSuperblockCombos) {
-  ExpectMatrixMatchesReference({
-      {.superblocks = true, .decode_caches = false, .dirty_restores = false},
-      {.superblocks = true, .decode_caches = true, .dirty_restores = false},
-      {.superblocks = true, .decode_caches = false, .dirty_restores = true},
-  });
+  ExpectMatrixMatchesReference({{.superblocks = true, .dirty_restores = false}});
 }
 
 fuzz::FuzzConfig ReplayConfig(const vm::ExecConfig& exec, bool fast_reset) {
@@ -150,21 +143,17 @@ TEST(Differential, FuzzReplayIdenticalAcrossModes) {
   ExpectReplayMatchesReference({vm::ExecConfig{}});  // every fast path on
 }
 
+// The interpreter with snapshot reboots, full-copy and dirty-only.
 TEST(Differential, FuzzReplayIdenticalAcrossPlanAndRestoreCombos) {
   ExpectReplayMatchesReference({
       kAllOff,  // snapshot reboots alone
-      {.superblocks = false, .decode_caches = true, .dirty_restores = false},
-      {.superblocks = false, .decode_caches = false, .dirty_restores = true},
-      {.superblocks = false, .decode_caches = true, .dirty_restores = true},
+      {.superblocks = false, .dirty_restores = true},
   });
 }
 
+// The superblock tier with full-copy restores.
 TEST(Differential, FuzzReplayIdenticalAcrossSuperblockCombos) {
-  ExpectReplayMatchesReference({
-      {.superblocks = true, .decode_caches = false, .dirty_restores = false},
-      {.superblocks = true, .decode_caches = true, .dirty_restores = false},
-      {.superblocks = true, .decode_caches = false, .dirty_restores = true},
-  });
+  ExpectReplayMatchesReference({{.superblocks = true, .dirty_restores = false}});
 }
 
 /// Multi-worker determinism with every fast path on: worker count must not
@@ -212,9 +201,7 @@ TEST(Differential, EpochSyncedReplayIdenticalAcrossVmModes) {
 /// tier on and off: both must land on the very digests committed before the
 /// superblock tier existed (tests/test_fuzz.cpp pins the same constants).
 /// This is the cross-PR anchor — the tier changed nothing observable, even
-/// under worker-parallel execution with mid-campaign corpus exchanges and
-/// workers racing to publish/import compiled blocks through the
-/// process-global registry.
+/// under worker-parallel execution with mid-campaign corpus exchanges.
 TEST(Differential, EightWorkerSyncedDigestUnmovedByTierModes) {
   constexpr std::uint64_t kCoverageDigest = 0xd8788bc796ab373cULL;
   constexpr std::uint64_t kCorpusDigest = 0x9c372e9e5056301aULL;
@@ -263,14 +250,11 @@ TEST(Differential, ExecConfigReachesEveryBoot) {
         EXPECT_EQ(value, 0u) << name;
       }
     }
-    EXPECT_GT(Counter(m, "vm.plan_hits"), 0u);
   }
   {
     obs::Scope scope;
-    ASSERT_FALSE(RunMatrix({.decode_caches = false}).empty());
-    const obs::MetricsSnapshot m = scope.Metrics();
-    EXPECT_EQ(Counter(m, "vm.plan_hits"), 0u);
-    EXPECT_GT(Counter(m, "vm.superblock.hits"), 0u);
+    ASSERT_FALSE(RunMatrix({.dirty_restores = false}).empty());
+    EXPECT_GT(Counter(scope.Metrics(), "vm.superblock.hits"), 0u);
   }
   {
     obs::Scope scope;

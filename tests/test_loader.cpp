@@ -1,6 +1,7 @@
 // Loader tests: layouts, ASLR behaviour, symbol tables, image loading, and
 // end-to-end guest execution of PLT/libc paths on both architectures.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <memory>
 #include <vector>
@@ -13,7 +14,6 @@
 #include "src/loader/libc_image.hpp"
 #include "src/loader/snapshot.hpp"
 #include "src/obs/obs.hpp"
-#include "src/vm/decode_plan.hpp"
 
 namespace connlab::loader {
 namespace {
@@ -350,6 +350,52 @@ INSTANTIATE_TEST_SUITE_P(BothArchs, BootTest,
                            return info.param == Arch::kVX86 ? "vx86" : "varm";
                          });
 
+// --- Heap reuse across boots ------------------------------------------------
+
+// Boot's heap thresholds are glibc malloc's; ASan and TSan replace malloc.
+#if defined(__has_feature)
+#define CONNLAB_HAS_FEATURE(x) __has_feature(x)
+#else
+#define CONNLAB_HAS_FEATURE(x) 0
+#endif
+#if defined(__SANITIZE_ADDRESS__) || CONNLAB_HAS_FEATURE(address_sanitizer)
+constexpr bool kGlibcHeap = false;
+#elif defined(__SANITIZE_THREAD__) || CONNLAB_HAS_FEATURE(thread_sanitizer)
+constexpr bool kGlibcHeap = false;
+#elif defined(__GLIBC__)
+constexpr bool kGlibcHeap = true;
+#else
+constexpr bool kGlibcHeap = false;
+#endif
+
+long MinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+// Boot keeps dropped Systems' memory in the process heap for the next boot:
+// booting, running and dropping Systems in a loop, as every defense grid
+// cell does, faults no page back in once the heap has grown. Under glibc's
+// default heap thresholds each teardown of two Systems handed their span
+// back to the kernel and the next boots faulted it in again (about 35
+// faults per cycle).
+TEST(BootHeap, RebootsReuseFreedSystemMemory) {
+  if (!kGlibcHeap) GTEST_SKIP() << "Boot sets glibc malloc's thresholds";
+  const auto boot_run_drop = [] {
+    auto x86 = Boot(Arch::kVX86, ProtectionConfig::None(), 9).value();
+    auto arm = Boot(Arch::kVARM, ProtectionConfig::None(), 9).value();
+    // Running compiles blocks, so each CPU allocates its slot array too.
+    (void)x86->cpu->Run(200);
+    (void)arm->cpu->Run(200);
+  };
+  for (int i = 0; i < 4; ++i) boot_run_drop();  // grow the heap once
+  const long before = MinorFaults();
+  constexpr int kCycles = 64;
+  for (int i = 0; i < kCycles; ++i) boot_run_drop();
+  EXPECT_LT(MinorFaults() - before, kCycles);
+}
+
 // --- Snapshot / restore fast reboots ---------------------------------------
 
 TEST(Snapshot, RoundTripRestoresMemoryAndCpu) {
@@ -562,62 +608,6 @@ TEST(Snapshot, RestoreDropsStaleBlockLinksInBothModes) {
     EXPECT_EQ(sys->cpu->reg(isa::kESI), 9u)
         << "stale block survived restore, mode " << static_cast<int>(mode);
   }
-}
-
-// --- Shared decode plans at boot -------------------------------------------
-
-TEST(Boot, BindsSharedPlansForImmutableTextOnly) {
-  auto sys = Boot(Arch::kVX86, ProtectionConfig::None(), 5).value();
-  const mem::Segment* text = sys->space.FindSegmentByName(".text");
-  const mem::Segment* libc = sys->space.FindSegmentByName("libc");
-  const mem::Segment* stack = sys->space.FindSegmentByName("stack");
-  ASSERT_NE(text, nullptr);
-  ASSERT_NE(libc, nullptr);
-  ASSERT_NE(stack, nullptr);
-  EXPECT_NE(sys->cpu->BoundPlan(text), nullptr);
-  EXPECT_NE(sys->cpu->BoundPlan(libc), nullptr);
-  // The non-W^X stack is RWX: the first shellcode byte would invalidate a
-  // plan anyway, so Boot never binds one to writable memory.
-  EXPECT_EQ(sys->cpu->BoundPlan(stack), nullptr);
-
-  // An identically-seeded boot — campaign worker N — reuses worker 0's plan
-  // object rather than re-decoding the image.
-  auto sys2 = Boot(Arch::kVX86, ProtectionConfig::None(), 5).value();
-  EXPECT_EQ(sys2->cpu->BoundPlan(sys2->space.FindSegmentByName(".text")),
-            sys->cpu->BoundPlan(text));
-}
-
-/// Diversity-reshuffled boots (per-boot function shuffle) must never be
-/// served a plan built from a differently-shuffled image: the registry keys
-/// on content, so each layout gets a plan hashing exactly its own bytes.
-TEST(Boot, DiversityReshuffledBootNeverSeesAForeignPlan) {
-  ProtectionConfig prot = ProtectionConfig::WxAslr();
-  prot.stochastic_diversity = true;
-  auto a = Boot(Arch::kVX86, prot, 11).value();
-  auto b = Boot(Arch::kVX86, prot, 12).value();
-  const mem::Segment* text_a = a->space.FindSegmentByName(".text");
-  const mem::Segment* text_b = b->space.FindSegmentByName(".text");
-  ASSERT_NE(text_a, nullptr);
-  ASSERT_NE(text_b, nullptr);
-  ASSERT_NE(text_a->data(), text_b->data());  // the shuffle actually shuffled
-
-  const vm::DecodePlan* plan_a = a->cpu->BoundPlan(text_a);
-  const vm::DecodePlan* plan_b = b->cpu->BoundPlan(text_b);
-  ASSERT_NE(plan_a, nullptr);
-  ASSERT_NE(plan_b, nullptr);
-  EXPECT_NE(plan_a, plan_b);
-  // Each plan describes its own boot's bytes — a stale cross-boot decode is
-  // structurally impossible.
-  EXPECT_EQ(plan_a->content_hash(),
-            vm::DecodePlan::HashContent(
-                util::ByteSpan(text_a->data().data(), text_a->data().size())));
-  EXPECT_EQ(plan_b->content_hash(),
-            vm::DecodePlan::HashContent(
-                util::ByteSpan(text_b->data().data(), text_b->data().size())));
-
-  // And both images execute from their own plans without faulting.
-  EXPECT_NE(a->cpu->Run(50).reason, vm::StopReason::kFault);
-  EXPECT_NE(b->cpu->Run(50).reason, vm::StopReason::kFault);
 }
 
 // The dirty-only restore walks the page bitmap a 64-bit word at a time.

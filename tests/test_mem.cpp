@@ -108,8 +108,8 @@ TEST(AddressSpace, RangeMayNotStraddleSegments) {
 
 TEST(AddressSpace, FetchEnforcesExec) {
   AddressSpace space = MakeSpace();
-  EXPECT_TRUE(space.Fetch(0x1000, 4).ok());
-  auto r = space.Fetch(0x8000, 4);  // stack is rw- : W^X blocks this
+  EXPECT_TRUE(space.FetchSegment(0x1000, 4).ok());
+  auto r = space.FetchSegment(0x8000, 4);  // stack is rw- : W^X blocks this
   EXPECT_EQ(r.status().code(), StatusCode::kPermissionDenied);
   ASSERT_TRUE(space.last_fault().has_value());
   EXPECT_EQ(space.last_fault()->kind, AccessKind::kFetch);
@@ -118,7 +118,7 @@ TEST(AddressSpace, FetchEnforcesExec) {
 TEST(AddressSpace, FetchFromRwxStackAllowed) {
   AddressSpace space = MakeSpace();
   ASSERT_TRUE(space.Protect("stack", kPermRWX).ok());
-  EXPECT_TRUE(space.Fetch(0x8000, 4).ok());
+  EXPECT_TRUE(space.FetchSegment(0x8000, 4).ok());
 }
 
 TEST(AddressSpace, ProtectUnknownSegment) {
@@ -210,7 +210,7 @@ TEST(AddressSpace, FetchSegmentWindowMatchesFetch) {
   auto got = space.FetchSegment(0x1000, 4);
   ASSERT_TRUE(got.ok());
   const util::ByteSpan window = got.value()->SpanAt(0x1000, 4);
-  const util::Bytes copied = space.Fetch(0x1000, 4).value();
+  const util::Bytes copied = space.DebugRead(0x1000, 4).value();
   EXPECT_TRUE(std::equal(window.begin(), window.end(), copied.begin()));
 }
 

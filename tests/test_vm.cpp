@@ -13,7 +13,6 @@
 #include "src/loader/boot.hpp"
 #include "src/obs/obs.hpp"
 #include "src/vm/cpu.hpp"
-#include "src/vm/superblock.hpp"
 #include "src/vm/syscalls.hpp"
 
 namespace connlab::vm {
@@ -514,13 +513,21 @@ TEST(CpuByteOps, ByteStoreToReadOnlyFaults) {
   EXPECT_EQ(stop.reason, StopReason::kFault);
 }
 
-// --- Predecode cache: self-modifying code must never run stale decodes ----
+// --- Self-modifying code: neither tier may run a stale decode -------------
+
+/// Every case runs on both tiers: the interpreter decodes each step in place,
+/// and the superblock tier must drop blocks whose segment generation moved.
+constexpr bool kSuperblocksOnOff[] = {true, false};
+
+const char* TierName(bool superblocks) {
+  return superblocks ? "superblocks on" : "superblocks off";
+}
 
 /// Guest stores rewrite a stack stub between two executions of the same pc
-/// (W^X off, stack RWX). The first run primes the predecode cache with the
-/// old stub; the stores bump the stack segment's write generation, so the
-/// second run must decode — and execute — the new bytes.
-TEST(CpuPredecode, GuestStoresInvalidateStackDecodes) {
+/// (W^X off, stack RWX). The first run executes the old stub; the stores
+/// bump the stack segment's write generation, so the second run must decode
+/// — and execute — the new bytes.
+TEST(CpuSelfModifyingCode, GuestStoresInvalidateStackDecodes) {
   util::ByteWriter stub1;
   x::EncMovImm(stub1, isa::kEAX, 1);
   x::EncHlt(stub1);
@@ -544,25 +551,28 @@ TEST(CpuPredecode, GuestStoresInvalidateStackDecodes) {
   }
   x::EncJmp(w, 0x8000);
 
-  auto m = MakeMachine(Arch::kVX86, w.bytes(), mem::kPermRWX);
-  ASSERT_TRUE(m.cpu->exec().decode_caches);
-  ASSERT_TRUE(m.space.DebugWrite(0x8000, stub1.bytes()).ok());
+  for (const bool superblocks : kSuperblocksOnOff) {
+    SCOPED_TRACE(TierName(superblocks));
+    auto m = MakeMachine(Arch::kVX86, w.bytes(), mem::kPermRWX,
+                         {.superblocks = superblocks});
+    ASSERT_TRUE(m.space.DebugWrite(0x8000, stub1.bytes()).ok());
 
-  m.cpu->set_pc(0x8000);
-  auto first = m.cpu->Run(100);
-  EXPECT_EQ(first.reason, StopReason::kHalted);
-  EXPECT_EQ(m.cpu->reg(isa::kEAX), 1u);
+    m.cpu->set_pc(0x8000);
+    auto first = m.cpu->Run(100);
+    EXPECT_EQ(first.reason, StopReason::kHalted);
+    EXPECT_EQ(m.cpu->reg(isa::kEAX), 1u);
 
-  m.cpu->set_pc(0x1000);
-  auto second = m.cpu->Run(100);
-  EXPECT_EQ(second.reason, StopReason::kHalted);
-  EXPECT_EQ(m.cpu->reg(isa::kEAX), 2u);
+    m.cpu->set_pc(0x1000);
+    auto second = m.cpu->Run(100);
+    EXPECT_EQ(second.reason, StopReason::kHalted);
+    EXPECT_EQ(m.cpu->reg(isa::kEAX), 2u);
+  }
 }
 
 /// Same shape on VARM (fixed 4-byte instructions): the heap-ish .data
 /// segment is made executable, a stub runs, the guest overwrites it, and
 /// the rewrite must be honoured on re-entry.
-TEST(CpuPredecode, GuestStoresInvalidateVarmDecodes) {
+TEST(CpuSelfModifyingCode, GuestStoresInvalidateVarmDecodes) {
   util::ByteWriter stub1;
   v::EncMovW(stub1, 0, 7);
   v::EncHlt(stub1);
@@ -584,80 +594,74 @@ TEST(CpuPredecode, GuestStoresInvalidateVarmDecodes) {
   }
   v::EncHlt(w);
 
-  auto m = MakeMachine(Arch::kVARM, w.bytes());
-  ASSERT_TRUE(m.space.Protect(".data", mem::kPermRWX).ok());
-  ASSERT_TRUE(m.space.DebugWrite(0x4000, stub1.bytes()).ok());
+  for (const bool superblocks : kSuperblocksOnOff) {
+    SCOPED_TRACE(TierName(superblocks));
+    auto m = MakeMachine(Arch::kVARM, w.bytes(), mem::kPermRW,
+                         {.superblocks = superblocks});
+    ASSERT_TRUE(m.space.Protect(".data", mem::kPermRWX).ok());
+    ASSERT_TRUE(m.space.DebugWrite(0x4000, stub1.bytes()).ok());
 
-  m.cpu->set_pc(0x4000);
-  auto first = m.cpu->Run(100);
-  EXPECT_EQ(first.reason, StopReason::kHalted);
-  EXPECT_EQ(m.cpu->reg(0), 7u);
+    m.cpu->set_pc(0x4000);
+    auto first = m.cpu->Run(100);
+    EXPECT_EQ(first.reason, StopReason::kHalted);
+    EXPECT_EQ(m.cpu->reg(0), 7u);
 
-  m.cpu->set_pc(0x1000);
-  auto rewrite = m.cpu->Run(100);
-  EXPECT_EQ(rewrite.reason, StopReason::kHalted);
+    m.cpu->set_pc(0x1000);
+    auto rewrite = m.cpu->Run(100);
+    EXPECT_EQ(rewrite.reason, StopReason::kHalted);
 
-  m.cpu->set_pc(0x4000);
-  auto second = m.cpu->Run(100);
-  EXPECT_EQ(second.reason, StopReason::kHalted);
-  EXPECT_EQ(m.cpu->reg(0), 9u);
+    m.cpu->set_pc(0x4000);
+    auto second = m.cpu->Run(100);
+    EXPECT_EQ(second.reason, StopReason::kHalted);
+    EXPECT_EQ(m.cpu->reg(0), 9u);
+  }
 }
 
 /// A debugger poke (DebugWrite bypasses permissions) must also invalidate
-/// cached decodes of .text.
-TEST(CpuPredecode, DebugPokeInvalidatesTextDecodes) {
+/// decodes of .text.
+TEST(CpuSelfModifyingCode, DebugPokeInvalidatesTextDecodes) {
   util::ByteWriter w;
   x::EncMovImm(w, isa::kEAX, 1);
   x::EncHlt(w);
-  auto m = MakeMachine(Arch::kVX86, w.bytes());
-  auto first = m.cpu->Run(100);
-  EXPECT_EQ(first.reason, StopReason::kHalted);
-  EXPECT_EQ(m.cpu->reg(isa::kEAX), 1u);
-
   util::ByteWriter patched;
   x::EncMovImm(patched, isa::kEAX, 42);
   x::EncHlt(patched);
-  ASSERT_TRUE(m.space.DebugWrite(0x1000, patched.bytes()).ok());
 
-  m.cpu->set_pc(0x1000);
-  auto second = m.cpu->Run(100);
-  EXPECT_EQ(second.reason, StopReason::kHalted);
-  EXPECT_EQ(m.cpu->reg(isa::kEAX), 42u);
+  for (const bool superblocks : kSuperblocksOnOff) {
+    SCOPED_TRACE(TierName(superblocks));
+    auto m = MakeMachine(Arch::kVX86, w.bytes(), mem::kPermRW,
+                         {.superblocks = superblocks});
+    auto first = m.cpu->Run(100);
+    EXPECT_EQ(first.reason, StopReason::kHalted);
+    EXPECT_EQ(m.cpu->reg(isa::kEAX), 1u);
+
+    ASSERT_TRUE(m.space.DebugWrite(0x1000, patched.bytes()).ok());
+
+    m.cpu->set_pc(0x1000);
+    auto second = m.cpu->Run(100);
+    EXPECT_EQ(second.reason, StopReason::kHalted);
+    EXPECT_EQ(m.cpu->reg(isa::kEAX), 42u);
+  }
 }
 
-/// An mprotect revoking X must take effect even for already-cached pcs.
-TEST(CpuPredecode, ProtectRevokingExecInvalidatesDecodes) {
+/// An mprotect revoking X must take effect even for already-executed pcs.
+TEST(CpuSelfModifyingCode, ProtectRevokingExecInvalidatesDecodes) {
   util::ByteWriter w;
   x::EncMovImm(w, isa::kEAX, 5);
   x::EncHlt(w);
-  auto m = MakeMachine(Arch::kVX86, w.bytes());
-  auto first = m.cpu->Run(100);
-  EXPECT_EQ(first.reason, StopReason::kHalted);
 
-  ASSERT_TRUE(m.space.Protect(".text", mem::kPermRW).ok());
-  m.cpu->set_pc(0x1000);
-  auto second = m.cpu->Run(100);
-  EXPECT_EQ(second.reason, StopReason::kFault);
-  EXPECT_EQ(second.detail, "instruction fetch failed");
-}
-
-/// Legacy mode (decode caches off) executes the same program on the
-/// interpreter with identical architectural results and step counts.
-TEST(CpuPredecode, LegacyModeExecutesIdentically) {
-  for (const bool predecode : {true, false}) {
-    util::ByteWriter w;
-    x::EncMovImm(w, isa::kEAX, 40);
-    x::EncAddImm(w, isa::kEAX, 2);
-    x::EncCmpImm(w, isa::kEAX, 42);
-    x::EncHlt(w);
+  for (const bool superblocks : kSuperblocksOnOff) {
+    SCOPED_TRACE(TierName(superblocks));
     auto m = MakeMachine(Arch::kVX86, w.bytes(), mem::kPermRW,
-                         {.superblocks = false, .decode_caches = predecode});
-    EXPECT_EQ(m.cpu->exec().decode_caches, predecode);
-    auto stop = m.cpu->Run(100);
-    EXPECT_EQ(stop.reason, StopReason::kHalted);
-    EXPECT_EQ(stop.steps, 4u);
-    EXPECT_EQ(m.cpu->reg(isa::kEAX), 42u);
-    EXPECT_TRUE(m.cpu->zf());
+                         {.superblocks = superblocks});
+    auto first = m.cpu->Run(100);
+    EXPECT_EQ(first.reason, StopReason::kHalted);
+
+    ASSERT_TRUE(m.space.Protect(".text", mem::kPermRW).ok());
+    m.cpu->set_pc(0x1000);
+    auto second = m.cpu->Run(100);
+    EXPECT_EQ(second.reason, StopReason::kFault);
+    EXPECT_EQ(second.detail, "instruction fetch failed");
   }
 }
 
@@ -1475,193 +1479,6 @@ TEST(CpuSuperblock, CopyLabelRunsOneBlockPassPerByte) {
     EXPECT_GE(hits, kLen);
     EXPECT_LE(hits, kLen + 4);
   }
-}
-
-// --- Shared superblocks: one compiled block per image content -------------
-
-/// Worker 0 publishes its compiled blocks; an identically-imaged worker 1
-/// imports them instead of re-walking the instruction stream, and both
-/// retire identically.
-TEST(CpuSharedSuperblock, SecondCpuImportsAndMatches) {
-  util::ByteWriter w;
-  x::EncMovImm(w, isa::kEAX, 1000);
-  const std::uint32_t loop = 0x1000 + static_cast<std::uint32_t>(w.bytes().size());
-  x::EncSubImm(w, isa::kEAX, 1);
-  x::EncCmpImm(w, isa::kEAX, 0);
-  x::EncJnz(w, loop);
-  x::EncHlt(w);
-  const util::Bytes text = w.bytes();
-
-  auto& registry = SharedSuperblockRegistry::Instance();
-  registry.Clear();
-  const auto stats0 = registry.GetStats();
-
-  auto boot = [&]() {
-    auto m = MakeMachine(Arch::kVX86, text);
-    const mem::Segment* seg = m.space.FindSegmentByName(".text");
-    EXPECT_NE(seg, nullptr);
-    // Sharing keys on the bound DecodePlan's content identity, exactly as
-    // Boot sets workers up.
-    m.cpu->BindDecodePlan(
-        seg, DecodePlanRegistry::Instance().GetOrBuild(Arch::kVX86, *seg));
-    return m;
-  };
-
-  auto m1 = boot();
-  auto first = m1.cpu->Run(100000);
-  EXPECT_EQ(first.reason, StopReason::kHalted);
-  const auto stats1 = registry.GetStats();
-  EXPECT_GT(stats1.publishes, stats0.publishes);
-  EXPECT_GT(stats1.live_blocks, stats0.live_blocks);
-
-  auto m2 = boot();
-  auto second = m2.cpu->Run(100000);
-  EXPECT_EQ(second.reason, StopReason::kHalted);
-  EXPECT_EQ(second.steps, first.steps);
-  EXPECT_EQ(m2.cpu->reg(isa::kEAX), m1.cpu->reg(isa::kEAX));
-  const auto stats2 = registry.GetStats();
-  EXPECT_GT(stats2.imports, stats1.imports);
-  EXPECT_EQ(stats2.publishes, stats1.publishes);  // nothing recompiled
-}
-
-// --- Shared decode plans: one predecoded table per image content ----------
-
-/// A CPU with a plan bound executes byte-identically to one without:
-/// same stop, same step count, same registers.
-TEST(CpuSharedPlan, PlanHitsExecuteIdentically) {
-  util::ByteWriter w;
-  x::EncMovImm(w, isa::kEAX, 40);
-  x::EncAddImm(w, isa::kEAX, 2);
-  x::EncCmpImm(w, isa::kEAX, 42);
-  x::EncHlt(w);
-  const util::Bytes text = w.bytes();
-
-  auto planned = MakeMachine(Arch::kVX86, text);
-  const mem::Segment* seg = planned.space.FindSegmentByName(".text");
-  ASSERT_NE(seg, nullptr);
-  planned.cpu->BindDecodePlan(
-      seg, DecodePlanRegistry::Instance().GetOrBuild(Arch::kVX86, *seg));
-  ASSERT_NE(planned.cpu->BoundPlan(seg), nullptr);
-  EXPECT_GT(planned.cpu->BoundPlan(seg)->valid_entries(), 0u);
-
-  auto unplanned = MakeMachine(Arch::kVX86, text);
-
-  auto a = planned.cpu->Run(100);
-  auto b = unplanned.cpu->Run(100);
-  EXPECT_EQ(a.reason, StopReason::kHalted);
-  EXPECT_EQ(b.reason, a.reason);
-  EXPECT_EQ(b.steps, a.steps);
-  EXPECT_EQ(planned.cpu->reg(isa::kEAX), 42u);
-  EXPECT_EQ(unplanned.cpu->reg(isa::kEAX), 42u);
-}
-
-/// Identical segment content yields the very same shared plan object;
-/// different content (a diversity-reshuffled image) yields a distinct one.
-TEST(CpuSharedPlan, RegistryKeysOnContent) {
-  util::ByteWriter w1;
-  x::EncMovImm(w1, isa::kEAX, 1);
-  x::EncHlt(w1);
-  util::ByteWriter w2;
-  x::EncMovImm(w2, isa::kEAX, 2);
-  x::EncHlt(w2);
-
-  auto a = MakeMachine(Arch::kVX86, w1.bytes());
-  auto b = MakeMachine(Arch::kVX86, w1.bytes());
-  auto c = MakeMachine(Arch::kVX86, w2.bytes());
-  auto& registry = DecodePlanRegistry::Instance();
-  const auto stats0 = registry.GetStats();
-  const auto plan_a = registry.GetOrBuild(
-      Arch::kVX86, *a.space.FindSegmentByName(".text"));
-  const auto plan_b = registry.GetOrBuild(
-      Arch::kVX86, *b.space.FindSegmentByName(".text"));
-  const auto plan_c = registry.GetOrBuild(
-      Arch::kVX86, *c.space.FindSegmentByName(".text"));
-  const auto stats1 = registry.GetStats();
-
-  EXPECT_EQ(plan_a.get(), plan_b.get());
-  EXPECT_NE(plan_a.get(), plan_c.get());
-  EXPECT_NE(plan_a->content_hash(), plan_c->content_hash());
-  EXPECT_GE(stats1.shares, stats0.shares + 1);  // b's request was served warm
-}
-
-/// SMC through a shared plan: once the guest rewrites a planned segment the
-/// generation moves, the stale plan is refused, and execution decodes the
-/// new bytes — same contract as the per-CPU predecode cache.
-TEST(CpuSharedPlan, StalePlanNeverExecutesAfterRewrite) {
-  util::ByteWriter stub1;
-  x::EncMovImm(stub1, isa::kEAX, 1);
-  x::EncHlt(stub1);
-  util::ByteWriter stub2w;
-  x::EncMovImm(stub2w, isa::kEAX, 2);
-  x::EncHlt(stub2w);
-  util::Bytes stub2 = stub2w.bytes();
-  while (stub2.size() % 4 != 0) stub2.push_back(0);
-
-  util::ByteWriter w;
-  x::EncMovImm(w, isa::kEBX, 0x8000);
-  for (std::size_t i = 0; i < stub2.size(); i += 4) {
-    const std::uint32_t word = static_cast<std::uint32_t>(stub2[i]) |
-                               (static_cast<std::uint32_t>(stub2[i + 1]) << 8) |
-                               (static_cast<std::uint32_t>(stub2[i + 2]) << 16) |
-                               (static_cast<std::uint32_t>(stub2[i + 3]) << 24);
-    x::EncMovImm(w, isa::kEAX, word);
-    x::EncStore(w, isa::kEAX, isa::kEBX, static_cast<std::uint32_t>(i));
-  }
-  x::EncJmp(w, 0x8000);
-
-  auto m = MakeMachine(Arch::kVX86, w.bytes(), mem::kPermRWX);
-  ASSERT_TRUE(m.space.DebugWrite(0x8000, stub1.bytes()).ok());
-  const mem::Segment* stack = m.space.FindSegmentByName("stack");
-  ASSERT_NE(stack, nullptr);
-  // Deliberately bind a plan for writable memory (Boot never would) to
-  // prove the generation check stands even if someone does.
-  m.cpu->BindDecodePlan(
-      stack, DecodePlanRegistry::Instance().GetOrBuild(Arch::kVX86, *stack));
-
-  m.cpu->set_pc(0x8000);
-  auto first = m.cpu->Run(100);
-  EXPECT_EQ(first.reason, StopReason::kHalted);
-  EXPECT_EQ(m.cpu->reg(isa::kEAX), 1u);
-
-  m.cpu->set_pc(0x1000);
-  auto second = m.cpu->Run(100);
-  EXPECT_EQ(second.reason, StopReason::kHalted);
-  // The bound plan still describes the old bytes…
-  const DecodePlan* plan = m.cpu->BoundPlan(stack);
-  ASSERT_NE(plan, nullptr);
-  EXPECT_NE(plan->content_hash(),
-            DecodePlan::HashContent(util::ByteSpan(stack->data().data(),
-                                                   stack->data().size())));
-  // …but the CPU executed the rewritten stub, not the stale decode.
-  EXPECT_EQ(m.cpu->reg(isa::kEAX), 2u);
-}
-
-/// Rearm semantics: a matching content hash revalidates the binding after a
-/// generation-only move (snapshot restore); a mismatch drops it.
-TEST(CpuSharedPlan, RearmRevalidatesOrDrops) {
-  util::ByteWriter w;
-  x::EncMovImm(w, isa::kEAX, 7);
-  x::EncHlt(w);
-  auto m = MakeMachine(Arch::kVX86, w.bytes());
-  const mem::Segment* text = m.space.FindSegmentByName(".text");
-  ASSERT_NE(text, nullptr);
-  const auto plan =
-      DecodePlanRegistry::Instance().GetOrBuild(Arch::kVX86, *text);
-  m.cpu->BindDecodePlan(text, plan);
-
-  // Content-preserving generation move, as a full snapshot restore causes
-  // (a same-perms Protect still bumps the generation).
-  ASSERT_TRUE(m.space.Protect(".text", mem::kPermRX).ok());
-  m.cpu->RearmDecodePlan(text, plan->content_hash());
-  EXPECT_EQ(m.cpu->BoundPlan(text), plan.get());
-  auto stop = m.cpu->Run(100);
-  EXPECT_EQ(stop.reason, StopReason::kHalted);
-  EXPECT_EQ(m.cpu->reg(isa::kEAX), 7u);
-
-  // A restore that changed the bytes re-arms with a different hash: the
-  // binding must go away entirely.
-  m.cpu->RearmDecodePlan(text, plan->content_hash() ^ 1u);
-  EXPECT_EQ(m.cpu->BoundPlan(text), nullptr);
 }
 
 /// Snapshot state round-trip at the CPU level: registers, flags, steps,
