@@ -177,8 +177,8 @@ void BM_Campaign(benchmark::State& state) {
 }
 BENCHMARK(BM_Campaign)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
-/// Legacy vs fast VM mode on a 1-worker campaign: legacy = vm::ExecConfig
-/// all off (plain interpreter, fetch/decode every step) + full loader
+/// Legacy vs fast VM mode on a 1-worker campaign: legacy = the superblock
+/// tier off (plain interpreter, fetch/decode every step) + full loader
 /// re-Boot per corruption; fast = the defaults (superblock tier,
 /// dirty-page snapshot-restore reboots). Same seed, so the coverage digests
 /// must match — the speedup is free only if behaviour is identical.
@@ -188,7 +188,6 @@ void CompareModes(const std::string& json_path, std::size_t workers_flag) {
   fuzz::FuzzConfig legacy_config = CampaignConfig(1, kExecs);
   legacy_config.target.fast_reset = false;
   legacy_config.target.exec.superblocks = false;
-  legacy_config.target.exec.dirty_restores = false;
   auto legacy = fuzz::Fuzzer(legacy_config).Run();
   auto fast = fuzz::Fuzzer(CampaignConfig(1, kExecs)).Run();
   if (!legacy.ok() || !fast.ok()) {

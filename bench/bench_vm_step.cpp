@@ -37,8 +37,7 @@ double Seconds(Clock::time_point since) {
 
 /// The two columns of the ladder: the plain interpreter (tier off) is the
 /// superblock column's baseline.
-constexpr vm::ExecConfig kInterpreter{.superblocks = false,
-                                      .dirty_restores = false};
+constexpr vm::ExecConfig kInterpreter{.superblocks = false};
 constexpr vm::ExecConfig kSuperblock{};
 
 struct Throughput {

@@ -1,4 +1,4 @@
-// Defense lab: the pluggable mitigation subsystem (src/defense/) evaluated
+// Defense lab: the defense-policy subsystem (src/defense/) evaluated
 // against the full six-attack matrix.
 //
 // Four demonstrations:
@@ -23,7 +23,6 @@
 #include "src/attack/matrix.hpp"
 #include "src/attack/report.hpp"
 #include "src/defense/canary.hpp"
-#include "src/defense/cfi.hpp"
 #include "src/defense/diversity.hpp"
 #include "src/defense/mitigation.hpp"
 #include "src/obs/obs.hpp"
@@ -85,8 +84,8 @@ int main(int argc, char** argv) {
       continue;
     }
     std::printf("\n");
-    for (const auto& m : policy.mitigations()) {
-      std::printf("    - %s\n", m->Describe().c_str());
+    for (const std::string& line : policy.Describe()) {
+      std::printf("    - %s\n", line.c_str());
     }
   }
   std::printf("\n");

@@ -1,9 +1,6 @@
 #include "src/adapt/minimasq.hpp"
 
 #include "src/dns/name.hpp"
-#include "src/gadget/finder.hpp"
-#include "src/gadget/memstr.hpp"
-#include "src/isa/varm.hpp"
 
 namespace connlab::adapt {
 
@@ -185,34 +182,9 @@ ServiceOutcome Minimasq::HandleReply(util::ByteSpan wire) {
 
 util::Result<exploit::TargetProfile> Minimasq::ProfileFor() const {
   exploit::TargetProfile profile;
-  profile.arch = sys_.arch;
-  profile.prot = sys_.prot;
-  profile.ret_offset = ret_offset();          // the "changed variable"
+  profile.ret_offset = ret_offset();  // the "changed variable"
   profile.buffer_addr = frame_base_;
-  CONNLAB_ASSIGN_OR_RETURN(profile.plt_memcpy, sys_.Sym("plt.memcpy"));
-  CONNLAB_ASSIGN_OR_RETURN(profile.plt_execlp, sys_.Sym("plt.execlp"));
-  CONNLAB_ASSIGN_OR_RETURN(profile.bss, sys_.Sym("bss.start"));
-  CONNLAB_ASSIGN_OR_RETURN(profile.libc_system, sys_.Sym("libc.system"));
-  CONNLAB_ASSIGN_OR_RETURN(profile.libc_exit, sys_.Sym("libc.exit"));
-  CONNLAB_ASSIGN_OR_RETURN(profile.libc_binsh, sys_.Sym("libc.str.bin_sh"));
-  gadget::Finder finder(sys_);
-  if (sys_.arch == isa::Arch::kVX86) {
-    CONNLAB_ASSIGN_OR_RETURN(gadget::Gadget pppr, finder.FindPopRet(4));
-    profile.gadget_pop_ret4 = pppr.addr;
-  } else {
-    const std::uint16_t need = isa::varm::Mask(
-        {isa::kR0, isa::kR1, isa::kR2, isa::kR3, isa::kR5, isa::kR6, isa::kR7});
-    CONNLAB_ASSIGN_OR_RETURN(gadget::Gadget pops, finder.FindPopRegsPc(need));
-    profile.gadget_pop_regs = pops.addr;
-    profile.gadget_pop_mask = pops.instrs.front().reg_mask;
-    CONNLAB_ASSIGN_OR_RETURN(gadget::Gadget blx, finder.FindBlx(isa::kR3));
-    profile.gadget_blx_r3 = blx.addr;
-  }
-  gadget::MemStr memstr(sys_);
-  for (char c : std::string("/bin/sh")) {
-    CONNLAB_ASSIGN_OR_RETURN(mem::GuestAddr addr, memstr.FindChar(c));
-    profile.char_addrs[c] = addr;
-  }
+  CONNLAB_RETURN_IF_ERROR(exploit::FillImageAddresses(sys_, profile));
   // No parse_rr quirks and no cleanup slots in this service: the fixup
   // maps stay empty — the payloads simply have fewer constraints.
   return profile;

@@ -88,7 +88,8 @@ class DnsProxy {
   /// When true (default), each label's unchecked copy runs as interpreted
   /// guest code (the connman.copy_label routine) instead of a host-side
   /// write — the overflow and any resulting fault execute instruction by
-  /// instruction. Host mode is kept for speed-sensitive sweeps.
+  /// instruction. Host mode is the reference GuestCopyTest compares the
+  /// guest routine against.
   void set_guest_copy(bool enabled) noexcept { guest_copy_ = enabled; }
   [[nodiscard]] bool guest_copy() const noexcept { return guest_copy_; }
   void set_now(std::uint64_t now) noexcept { now_ = now; }

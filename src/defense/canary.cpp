@@ -5,6 +5,7 @@
 
 #include "src/connman/dnsproxy.hpp"
 #include "src/connman/frame.hpp"
+#include "src/defense/mitigation.hpp"
 #include "src/dns/craft.hpp"
 #include "src/dns/record.hpp"
 #include "src/exploit/generator.hpp"
@@ -12,25 +13,6 @@
 #include "src/obs/obs.hpp"
 
 namespace connlab::defense {
-
-void StackCanary::Configure(loader::ProtectionConfig& prot) const {
-  prot.canary = true;
-  prot.canary_entropy_bits = entropy_bits_;
-}
-
-util::Status StackCanary::Arm(loader::System& sys) const {
-  if (!sys.prot.canary || sys.canary_value == 0) {
-    return util::FailedPrecondition(
-        "canary: boot drew no guard value (prot.canary not set?)");
-  }
-  return util::OkStatus();
-}
-
-std::string StackCanary::Describe() const {
-  return "stack canary: per-boot random guard below the saved registers, " +
-         std::to_string(entropy_bits_) +
-         " bits of entropy; checked before the parse_response epilogue";
-}
 
 double StackCanary::ExpectedBruteForceAttempts() const noexcept {
   return std::ldexp(1.0, entropy_bits_ - 1);
@@ -86,7 +68,7 @@ util::Result<CanaryBruteForceReport> BruteForceCanary(
   // one guard value — the brute force models a device that respawns the
   // worker without re-randomising (fork-server style).
   loader::ProtectionConfig victim_prot = lab_prot;
-  StackCanary(entropy_bits).Configure(victim_prot);
+  DefensePolicy::Canary(entropy_bits).Configure(victim_prot);
   CONNLAB_ASSIGN_OR_RETURN(auto victim,
                            loader::Boot(arch, victim_prot, target_seed));
   connman::DnsProxy proxy(*victim, connman::Version::k134);

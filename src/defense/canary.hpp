@@ -9,28 +9,16 @@
 
 #include <cstdint>
 
-#include "src/defense/mitigation.hpp"
+#include "src/isa/isa.hpp"
+#include "src/util/status.hpp"
 
 namespace connlab::defense {
 
-class StackCanary : public Mitigation {
+/// The brute-force cost model of a stack canary `entropy_bits` wide (the
+/// guard itself is DefensePolicy::canary_bits).
+class StackCanary {
  public:
   explicit StackCanary(int entropy_bits = 32) : entropy_bits_(entropy_bits) {}
-
-  [[nodiscard]] DefenseKind kind() const noexcept override {
-    return DefenseKind::kStackCanary;
-  }
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "canary";
-  }
-
-  /// Boots the victim with prot.canary at this entropy width.
-  void Configure(loader::ProtectionConfig& prot) const override;
-
-  /// Verifies the boot actually drew a guard value.
-  util::Status Arm(loader::System& sys) const override;
-
-  [[nodiscard]] std::string Describe() const override;
 
   [[nodiscard]] int entropy_bits() const noexcept { return entropy_bits_; }
 

@@ -2,18 +2,10 @@
 
 #include "src/attack/battery.hpp"
 #include "src/connman/dnsproxy.hpp"
+#include "src/defense/mitigation.hpp"
 #include "src/loader/snapshot.hpp"
 
 namespace connlab::defense {
-
-void StochasticDiversity::Configure(loader::ProtectionConfig& prot) const {
-  prot.stochastic_diversity = true;
-}
-
-std::string StochasticDiversity::Describe() const {
-  return "stochastic diversity: per-boot function shuffle, gap padding and "
-         "libc re-seating (DAEDALUS model); hardcoded addresses go stale";
-}
 
 util::Result<DiversityTrialStats> MeasureDiversityResistance(
     isa::Arch arch, loader::ProtectionConfig base, int trials,
@@ -45,7 +37,7 @@ util::Result<std::vector<DiversityTrialStats>> MeasureDiversityResistanceMatrix(
   }
 
   loader::ProtectionConfig victim_prot = base;
-  StochasticDiversity().Configure(victim_prot);
+  DefensePolicy::Diversity().Configure(victim_prot);
 
   std::vector<DiversityTrialStats> rows(techniques.size());
   for (DiversityTrialStats& row : rows) row.trials = trials;

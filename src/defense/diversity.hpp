@@ -7,27 +7,15 @@
 // instead of a certainty.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
-#include "src/defense/mitigation.hpp"
 #include "src/exploit/generator.hpp"
+#include "src/isa/isa.hpp"
+#include "src/loader/boot.hpp"
+#include "src/util/status.hpp"
 
 namespace connlab::defense {
-
-class StochasticDiversity : public Mitigation {
- public:
-  [[nodiscard]] DefenseKind kind() const noexcept override {
-    return DefenseKind::kStochasticDiversity;
-  }
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "diversity";
-  }
-
-  /// Boots the victim with per-boot layout shuffling enabled.
-  void Configure(loader::ProtectionConfig& prot) const override;
-
-  [[nodiscard]] std::string Describe() const override;
-};
 
 /// Outcome census of one exploit fired at `trials` independently
 /// diversified boots of the same firmware.

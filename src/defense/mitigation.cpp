@@ -1,157 +1,71 @@
 #include "src/defense/mitigation.hpp"
 
-#include "src/defense/canary.hpp"
-#include "src/defense/cfi.hpp"
-#include "src/defense/diversity.hpp"
-#include "src/defense/heap_integrity.hpp"
+#include <string_view>
 
 namespace connlab::defense {
 
-std::string_view DefenseKindName(DefenseKind kind) noexcept {
-  switch (kind) {
-    case DefenseKind::kStackCanary: return "stack-canary";
-    case DefenseKind::kShadowStackCfi: return "shadow-stack-cfi";
-    case DefenseKind::kStochasticDiversity: return "stochastic-diversity";
-    case DefenseKind::kHeapIntegrity: return "heap-integrity";
-  }
-  return "?";
-}
-
-util::Status Mitigation::Arm(loader::System& sys) const {
-  (void)sys;
-  return util::OkStatus();
-}
-
-std::shared_ptr<const Mitigation> MakeMitigation(DefenseKind kind) {
-  switch (kind) {
-    case DefenseKind::kStackCanary:
-      return std::make_shared<StackCanary>();
-    case DefenseKind::kShadowStackCfi:
-      return std::make_shared<ShadowStackCfi>();
-    case DefenseKind::kStochasticDiversity:
-      return std::make_shared<StochasticDiversity>();
-    case DefenseKind::kHeapIntegrity:
-      return std::make_shared<HeapIntegrity>();
-  }
-  return nullptr;
-}
-
-DefensePolicy DefensePolicy::Canary(int entropy_bits) {
-  DefensePolicy policy;
-  policy.Add(std::make_shared<StackCanary>(entropy_bits));
-  return policy;
-}
-
-DefensePolicy DefensePolicy::Cfi() {
-  DefensePolicy policy;
-  policy.Add(std::make_shared<ShadowStackCfi>());
-  return policy;
-}
-
-DefensePolicy DefensePolicy::Diversity() {
-  DefensePolicy policy;
-  policy.Add(std::make_shared<StochasticDiversity>());
-  return policy;
-}
-
-DefensePolicy DefensePolicy::HeapIntegrityChecks() {
-  DefensePolicy policy;
-  policy.Add(std::make_shared<HeapIntegrity>());
-  return policy;
-}
-
-DefensePolicy DefensePolicy::All() {
-  DefensePolicy policy;
-  policy.Add(std::make_shared<StackCanary>())
-      .Add(std::make_shared<ShadowStackCfi>())
-      .Add(std::make_shared<StochasticDiversity>());
-  return policy;
-}
-
-DefensePolicy& DefensePolicy::Add(std::shared_ptr<const Mitigation> mitigation) {
-  if (mitigation != nullptr) mitigations_.push_back(std::move(mitigation));
-  return *this;
-}
-
-bool DefensePolicy::Has(DefenseKind kind) const noexcept {
-  for (const auto& m : mitigations_) {
-    if (m->kind() == kind) return true;
-  }
-  return false;
-}
-
 void DefensePolicy::Configure(loader::ProtectionConfig& prot) const {
-  for (const auto& m : mitigations_) m->Configure(prot);
-}
-
-util::Status DefensePolicy::Arm(loader::System& sys) const {
-  for (const auto& m : mitigations_) {
-    CONNLAB_RETURN_IF_ERROR(m->Arm(sys));
+  if (canary_bits > 0) {
+    prot.canary = true;
+    prot.canary_entropy_bits = canary_bits;
   }
-  return util::OkStatus();
+  if (cfi) prot.cfi = true;
+  if (stochastic_diversity) prot.stochastic_diversity = true;
+  if (heap_integrity) prot.heap_integrity = true;
 }
 
 std::string DefensePolicy::Label() const {
-  if (mitigations_.empty()) return "none";
-  if (Has(DefenseKind::kStackCanary) && Has(DefenseKind::kShadowStackCfi) &&
-      Has(DefenseKind::kStochasticDiversity)) {
-    return "all";
-  }
+  if (empty()) return "none";
+  if (canary_bits > 0 && cfi && stochastic_diversity) return "all";
   std::string label;
-  for (const auto& m : mitigations_) {
+  const auto add = [&label](std::string_view name) {
     if (!label.empty()) label += '+';
-    label += m->name();
-  }
+    label += name;
+  };
+  if (canary_bits > 0) add("canary");
+  if (cfi) add("CFI");
+  if (stochastic_diversity) add("diversity");
+  if (heap_integrity) add("heap-integrity");
   return label;
+}
+
+std::vector<std::string> DefensePolicy::Describe() const {
+  std::vector<std::string> lines;
+  if (canary_bits > 0) {
+    lines.push_back(
+        "stack canary: per-boot random guard below the saved registers, " +
+        std::to_string(canary_bits) +
+        " bits of entropy; checked before the parse_response epilogue");
+  }
+  if (cfi) {
+    lines.push_back(
+        "shadow-stack CFI: returns must match an isolated shadow copy "
+        "(CFI CaRE model); violations stop the CPU with kCfiViolation");
+  }
+  if (stochastic_diversity) {
+    lines.push_back(
+        "stochastic diversity: per-boot function shuffle, gap padding and "
+        "libc re-seating (DAEDALUS model); hardcoded addresses go stale");
+  }
+  if (heap_integrity) {
+    lines.push_back(
+        "heap integrity: chunk-header canaries (size ^ per-boot secret) and "
+        "safe-unlink fd/bk checks verified on every free; a mismatch raises "
+        "the HeapCorruption VM stop before the unlink write fires");
+  }
+  return lines;
 }
 
 util::Result<std::unique_ptr<loader::System>> DefensePolicy::BootHardened(
     isa::Arch arch, loader::ProtectionConfig base, std::uint64_t seed,
     const vm::ExecConfig& exec) const {
   Configure(base);
-  CONNLAB_ASSIGN_OR_RETURN(auto sys, loader::Boot(arch, base, seed, exec));
-  CONNLAB_RETURN_IF_ERROR(Arm(*sys));
-  return sys;
-}
-
-DefensePolicy PolicySpec::Build() const {
-  DefensePolicy policy;
-  if (canary_bits > 0) policy.Add(std::make_shared<StackCanary>(canary_bits));
-  if (cfi) policy.Add(std::make_shared<ShadowStackCfi>());
-  if (stochastic_diversity) policy.Add(std::make_shared<StochasticDiversity>());
-  if (heap_integrity) policy.Add(std::make_shared<HeapIntegrity>());
-  return policy;
-}
-
-std::string PolicySpec::Label() const {
-  if (canary_bits <= 0 && !cfi && !stochastic_diversity && !heap_integrity) {
-    return "none";
-  }
-  std::string label;
-  if (canary_bits > 0) label = "canary" + std::to_string(canary_bits);
-  if (cfi) {
-    if (!label.empty()) label += '+';
-    label += "CFI";
-  }
-  if (stochastic_diversity) {
-    if (!label.empty()) label += '+';
-    label += "diversity";
-  }
-  if (heap_integrity) {
-    if (!label.empty()) label += '+';
-    label += "heap-integrity";
-  }
-  return label;
+  return loader::Boot(arch, base, seed, exec);
 }
 
 std::vector<DefensePolicy> StandardPolicies() {
-  std::vector<DefensePolicy> policies;
-  policies.push_back(DefensePolicy::None());
-  policies.push_back(DefensePolicy::Canary());
-  policies.push_back(DefensePolicy::Cfi());
-  policies.push_back(DefensePolicy::Diversity());
-  policies.push_back(DefensePolicy::All());
-  return policies;
+  return {DefensePolicy::None(), DefensePolicy::Canary(), DefensePolicy::Cfi(),
+          DefensePolicy::Diversity(), DefensePolicy::All()};
 }
 
 }  // namespace connlab::defense

@@ -18,13 +18,13 @@ std::uint64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-util::Result<VictimPool::Lane*> VictimPool::GetLane(std::uint32_t variant,
-                                                    const PolicySpec& spec) {
-  const std::uint64_t key = LaneKey(variant, spec);
+util::Result<VictimPool::Lane*> VictimPool::GetLane(
+    std::uint32_t variant, const DefensePolicy& policy) {
+  const std::uint64_t key = LaneKey(variant, policy);
   auto it = lanes_.find(key);
   if (it == lanes_.end()) {
     CONNLAB_ASSIGN_OR_RETURN(
-        auto sys, spec.Build().BootHardened(
+        auto sys, policy.BootHardened(
                       config_.arch, config_.base,
                       config_.seed0 + static_cast<std::uint64_t>(variant)));
     Lane lane;
@@ -38,8 +38,8 @@ util::Result<VictimPool::Lane*> VictimPool::GetLane(std::uint32_t variant,
 }
 
 util::Status VictimPool::BootVictim(std::uint32_t variant,
-                                    const PolicySpec& spec) {
-  CONNLAB_ASSIGN_OR_RETURN(Lane * lane, GetLane(variant, spec));
+                                    const DefensePolicy& policy) {
+  CONNLAB_ASSIGN_OR_RETURN(Lane * lane, GetLane(variant, policy));
   const auto start = std::chrono::steady_clock::now();
   CONNLAB_RETURN_IF_ERROR(loader::RestoreSnapshot(*lane->sys, lane->snap));
   OBS_HISTOGRAM("loader.restore_cost", ElapsedNs(start));
@@ -48,10 +48,10 @@ util::Status VictimPool::BootVictim(std::uint32_t variant,
 }
 
 util::Result<VictimPool::VolleyOutcome> VictimPool::FireVolley(
-    std::uint32_t variant, const PolicySpec& spec, std::uint64_t volley_id,
+    std::uint32_t variant, const DefensePolicy& policy, std::uint64_t volley_id,
     const util::Bytes& query_wire, const util::Bytes& response_wire,
     bool bypass_memo) {
-  const auto memo_key = std::make_pair(LaneKey(variant, spec), volley_id);
+  const auto memo_key = std::make_pair(LaneKey(variant, policy), volley_id);
   if (!bypass_memo) {
     auto hit = memo_.find(memo_key);
     if (hit != memo_.end()) {
@@ -60,8 +60,8 @@ util::Result<VictimPool::VolleyOutcome> VictimPool::FireVolley(
     }
   }
 
-  CONNLAB_RETURN_IF_ERROR(BootVictim(variant, spec));
-  CONNLAB_ASSIGN_OR_RETURN(Lane * lane, GetLane(variant, spec));
+  CONNLAB_RETURN_IF_ERROR(BootVictim(variant, policy));
+  CONNLAB_ASSIGN_OR_RETURN(Lane * lane, GetLane(variant, policy));
 
   // A fresh proxy per delivery clears host-side pending state, exactly like
   // the freshly-rebooted device it models.
@@ -88,7 +88,7 @@ util::Result<VictimPool::VolleyOutcome> VictimPool::FireVolley(
 }
 
 util::Result<VictimPool::VolleyOutcome> VictimPool::FireServiceVolley(
-    std::uint32_t variant, const PolicySpec& spec, std::uint64_t volley_id,
+    std::uint32_t variant, const DefensePolicy& policy, std::uint64_t volley_id,
     ServiceKind service, const std::vector<util::Bytes>& requests,
     bool bypass_memo) {
   // Salt the service into the id's top bits so resolvd, camstored, and the
@@ -97,7 +97,7 @@ util::Result<VictimPool::VolleyOutcome> VictimPool::FireServiceVolley(
   // coordinates.
   const std::uint64_t salted_id =
       volley_id | (static_cast<std::uint64_t>(service) + 1) << 56;
-  const auto memo_key = std::make_pair(LaneKey(variant, spec), salted_id);
+  const auto memo_key = std::make_pair(LaneKey(variant, policy), salted_id);
   if (!bypass_memo) {
     auto hit = memo_.find(memo_key);
     if (hit != memo_.end()) {
@@ -106,8 +106,8 @@ util::Result<VictimPool::VolleyOutcome> VictimPool::FireServiceVolley(
     }
   }
 
-  CONNLAB_RETURN_IF_ERROR(BootVictim(variant, spec));
-  CONNLAB_ASSIGN_OR_RETURN(Lane * lane, GetLane(variant, spec));
+  CONNLAB_RETURN_IF_ERROR(BootVictim(variant, policy));
+  CONNLAB_ASSIGN_OR_RETURN(Lane * lane, GetLane(variant, policy));
 
   const auto start = std::chrono::steady_clock::now();
   adapt::ServiceOutcome outcome;

@@ -63,17 +63,17 @@ class VictimPool {
   VictimPool(const VictimPool&) = delete;
   VictimPool& operator=(const VictimPool&) = delete;
 
-  /// Boots this victim: lazily materialises the (variant, spec) lane on
+  /// Boots this victim: lazily materialises the (variant, policy) lane on
   /// first use, then restores its snapshot. Records the restore cost in the
   /// `loader.restore_cost` histogram (nanoseconds).
-  util::Status BootVictim(std::uint32_t variant, const PolicySpec& spec);
+  util::Status BootVictim(std::uint32_t variant, const DefensePolicy& policy);
 
   /// Boots the victim, then fires `query_wire` + `response_wire` through a
-  /// fresh proxy attached to it. Memoized on (variant, spec, volley_id);
+  /// fresh proxy attached to it. Memoized on (variant, policy, volley_id);
   /// pass `bypass_memo` to force a real guest-code run (tests use this to
   /// check the memo's honesty). Real runs record `vm.exec_latency` (ns).
   util::Result<VolleyOutcome> FireVolley(std::uint32_t variant,
-                                         const PolicySpec& spec,
+                                         const DefensePolicy& policy,
                                          std::uint64_t volley_id,
                                          const util::Bytes& query_wire,
                                          const util::Bytes& response_wire,
@@ -84,12 +84,12 @@ class VictimPool {
   /// proxy), and feeds `requests` in order — the groom sequence plus the
   /// trigger. The first non-OK outcome ends the run: a device that dies
   /// mid-groom is down, there is nobody left to parse the rest. Memoized on
-  /// (variant, spec, volley_id) like FireVolley; callers must hand distinct
+  /// (variant, policy, volley_id) like FireVolley; callers must hand distinct
   /// volley_ids to distinct request sequences.
   util::Result<VolleyOutcome> FireServiceVolley(
-      std::uint32_t variant, const PolicySpec& spec, std::uint64_t volley_id,
-      ServiceKind service, const std::vector<util::Bytes>& requests,
-      bool bypass_memo = false);
+      std::uint32_t variant, const DefensePolicy& policy,
+      std::uint64_t volley_id, ServiceKind service,
+      const std::vector<util::Bytes>& requests, bool bypass_memo = false);
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
@@ -100,11 +100,12 @@ class VictimPool {
   };
 
   static std::uint64_t LaneKey(std::uint32_t variant,
-                               const PolicySpec& spec) noexcept {
-    return (static_cast<std::uint64_t>(variant) << 32) | spec.Key();
+                               const DefensePolicy& policy) noexcept {
+    return (static_cast<std::uint64_t>(variant) << 32) | policy.Key();
   }
 
-  util::Result<Lane*> GetLane(std::uint32_t variant, const PolicySpec& spec);
+  util::Result<Lane*> GetLane(std::uint32_t variant,
+                              const DefensePolicy& policy);
 
   Config config_;
   std::map<std::uint64_t, Lane> lanes_;

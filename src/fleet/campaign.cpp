@@ -143,7 +143,7 @@ util::Result<FleetResult> RunFleetCampaign(const FleetConfig& config) {
   // draw is the whole point); mitigation hardening only matters when a
   // volley is actually evaluated, so it stays off the restore path and the
   // resident-lane count is 2^b + a handful of hardened eval lanes.
-  defense::PolicySpec restore_spec;
+  defense::DefensePolicy restore_spec;
   restore_spec.stochastic_diversity = config.population.diversity_bits > 0;
   // Every mismatched variant fails the same way — the volley's addresses
   // are stale — so one representative wrong variant stands in for all of
@@ -159,7 +159,7 @@ util::Result<FleetResult> RunFleetCampaign(const FleetConfig& config) {
   // diversity-sensitive addresses, so every variant behaves identically.)
   const auto volley_id = static_cast<std::uint64_t>(config.bug_class);
   const auto fire = [&](std::uint32_t eval_variant,
-                        const defense::PolicySpec& spec)
+                        const defense::DefensePolicy& spec)
       -> util::Result<defense::VictimPool::VolleyOutcome> {
     switch (config.bug_class) {
       case BugClass::kStackSmash:
@@ -283,7 +283,7 @@ util::Result<FleetResult> RunFleetCampaign(const FleetConfig& config) {
               st.traits.variant == config.profiled_variant
                   ? st.traits.variant
                   : wrong_rep;
-          defense::PolicySpec spec = st.traits.policy;
+          defense::DefensePolicy spec = st.traits.policy;
           if (st.canary_burned) spec.canary_bits = 0;
           CONNLAB_ASSIGN_OR_RETURN(
               defense::VictimPool::VolleyOutcome outcome,

@@ -46,7 +46,7 @@ struct PopulationProfile {
 
 /// One concrete device + session plan drawn from the profile.
 struct ClientTraits {
-  defense::PolicySpec policy;
+  defense::DefensePolicy policy;
   std::uint32_t variant = 0;   // which of the 2^b layout variants it boots
   std::uint32_t queries = 1;   // DNS queries this session will issue
   bool roams = false;          // one detach/re-attach mid-life

@@ -106,8 +106,11 @@ util::Result<Corpus> DeserializeCorpus(const std::string& text) {
                     &news, &found_at, &size) != 3) {
       return util::InvalidArgument("corpus file: bad entry line: " + line);
     }
+    // `size` comes from the file: compare without multiplying, so a huge
+    // size cannot wrap to match a short payload line.
     std::string hex;
-    if (!std::getline(in, hex) || hex.size() != size * 2) {
+    if (!std::getline(in, hex) || hex.size() % 2 != 0 ||
+        hex.size() / 2 != size) {
       return util::InvalidArgument("corpus file: truncated entry payload");
     }
     util::Bytes data(size);

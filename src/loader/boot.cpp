@@ -51,7 +51,6 @@ util::Result<std::unique_ptr<System>> Boot(isa::Arch arch,
     sys->arch = arch;
     sys->prot = prot;
     sys->boot_seed = seed;
-    sys->exec = exec;
     sys->rng = rng.Fork();
     sys->layout = RandomizedLayout(arch, prot, rng);
     sys->cpu = std::make_unique<vm::Cpu>(arch, sys->space, exec);

@@ -37,9 +37,6 @@ struct System {
   std::uint64_t boot_seed = 0;
   /// Per-boot RNG stream (transaction ids etc. downstream).
   util::Rng rng{0};
-  /// How this System executes and rewinds: the Cpu was constructed with it,
-  /// and RestoreSnapshot's default mode reads `exec.dirty_restores`.
-  vm::ExecConfig exec;
 
   System() = default;
   System(const System&) = delete;
@@ -52,8 +49,7 @@ struct System {
 
 /// Boots a fresh simulated target. `seed` drives every random draw (ASLR
 /// slides, canary value): same seed + same config => identical process image.
-/// `exec` selects the execution tier and restore mode; the default is the
-/// fast path everywhere.
+/// `exec` selects the execution tier; the default is the superblock tier.
 util::Result<std::unique_ptr<System>> Boot(isa::Arch arch,
                                            const ProtectionConfig& prot,
                                            std::uint64_t seed,

@@ -45,9 +45,7 @@ util::Status RestoreSnapshot(System& sys, const Snapshot& snap,
                                       seg.name() + "'");
     }
   }
-  const bool dirty_only = mode == RestoreMode::kDirtyOnly ||
-                          (mode == RestoreMode::kDefault &&
-                           sys.exec.dirty_restores);
+  const bool dirty_only = mode == RestoreMode::kDirtyOnly;
   std::uint64_t pages_copied = 0;
   std::uint64_t dirty_restores = 0;
   std::uint64_t full_restores = 0;

@@ -60,10 +60,11 @@ struct Snapshot {
   std::uint64_t id = 0;
 };
 
+/// kDirtyOnly copies a segment whole when its dirty bitmap belongs to some
+/// other snapshot of the System.
 enum class RestoreMode {
-  kDefault,    // dirty-only when the System's exec.dirty_restores is on
-  kFull,       // copy every segment wholesale
   kDirtyOnly,  // copy only pages dirtied since TakeSnapshot
+  kFull,       // copy every segment wholesale
 };
 
 /// Captures the complete restorable state of a booted System and resets
@@ -74,6 +75,6 @@ enum class RestoreMode {
 /// segment roster no longer matches the snapshot — snapshots are only valid
 /// against the System they were taken from, which never remaps.
 util::Status RestoreSnapshot(System& sys, const Snapshot& snap,
-                             RestoreMode mode = RestoreMode::kDefault);
+                             RestoreMode mode = RestoreMode::kDirtyOnly);
 
 }  // namespace connlab::loader

@@ -33,13 +33,11 @@ namespace connlab::vm {
 struct Superblock;
 class SuperblockCache;
 
-/// How a booted System executes and rewinds. Every field defaults to the
-/// fast path; turning one off selects the reference that path must match.
+/// How a booted System executes. The default is the fast path; turning it
+/// off selects the reference that path must match.
 struct ExecConfig {
   /// Off: the interpreter alone (fetch + decode every step).
   bool superblocks = true;
-  /// Off: RestoreSnapshot copies every segment.
-  bool dirty_restores = true;
 };
 
 enum class StopReason : std::uint8_t {

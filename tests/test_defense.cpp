@@ -3,11 +3,13 @@
 // and DAEDALUS-style per-boot stochastic diversity.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/attack/matrix.hpp"
 #include "src/attack/report.hpp"
 #include "src/attack/scenario.hpp"
 #include "src/defense/canary.hpp"
-#include "src/defense/cfi.hpp"
 #include "src/defense/diversity.hpp"
 #include "src/defense/mitigation.hpp"
 #include "src/loader/boot.hpp"
@@ -16,7 +18,6 @@ namespace connlab {
 namespace {
 
 using connman::ProxyOutcome;
-using defense::DefenseKind;
 using defense::DefensePolicy;
 using exploit::FailureCause;
 using isa::Arch;
@@ -32,12 +33,19 @@ TEST(DefensePolicy, LabelsAndComposition) {
   EXPECT_EQ(DefensePolicy::Cfi().Label(), "CFI");
   EXPECT_EQ(DefensePolicy::Diversity().Label(), "diversity");
   EXPECT_EQ(DefensePolicy::All().Label(), "all");
+  EXPECT_EQ(DefensePolicy::HeapIntegrityChecks().Label(), "heap-integrity");
   DefensePolicy two = DefensePolicy::Canary();
-  two.Add(defense::MakeMitigation(DefenseKind::kShadowStackCfi));
+  two.cfi = true;
   EXPECT_EQ(two.Label(), "canary+CFI");
-  EXPECT_TRUE(two.Has(DefenseKind::kStackCanary));
-  EXPECT_TRUE(two.Has(DefenseKind::kShadowStackCfi));
-  EXPECT_FALSE(two.Has(DefenseKind::kStochasticDiversity));
+  EXPECT_NE(two, DefensePolicy::Canary());
+  EXPECT_NE(two.Key(), DefensePolicy::Canary().Key());
+
+  // Describe() gives one non-empty line per enabled defense.
+  EXPECT_TRUE(DefensePolicy::None().Describe().empty());
+  EXPECT_EQ(two.Describe().size(), 2u);
+  const std::vector<std::string> all = DefensePolicy::All().Describe();
+  ASSERT_EQ(all.size(), 3u);
+  for (const std::string& line : all) EXPECT_FALSE(line.empty());
 }
 
 TEST(DefensePolicy, StandardPoliciesSweepInReportOrder) {
@@ -63,6 +71,11 @@ TEST(DefensePolicy, ConfigureFoldsIntoProtectionConfig) {
   prot = ProtectionConfig::WxOnly();
   DefensePolicy::Diversity().Configure(prot);
   EXPECT_TRUE(prot.stochastic_diversity);
+
+  prot = ProtectionConfig::WxOnly();
+  DefensePolicy::HeapIntegrityChecks().Configure(prot);
+  EXPECT_TRUE(prot.heap_integrity);
+  EXPECT_FALSE(prot.canary || prot.cfi || prot.stochastic_diversity);
 
   prot = ProtectionConfig::WxOnly();
   DefensePolicy::All().Configure(prot);
@@ -328,25 +341,6 @@ TEST(StochasticDiversity, SurvivalMeasuredOverBoots) {
       Arch::kVX86, ProtectionConfig::WxOnly(), /*trials=*/6, /*seed0=*/100);
   ASSERT_TRUE(ret2libc.ok()) << ret2libc.status().ToString();
   EXPECT_LT(ret2libc.value().shells, ret2libc.value().trials);
-}
-
-// ----------------------------------------------------------- descriptions ----
-
-TEST(Mitigation, KindNamesAndDescriptions) {
-  EXPECT_EQ(defense::DefenseKindName(DefenseKind::kStackCanary),
-            "stack-canary");
-  EXPECT_EQ(defense::DefenseKindName(DefenseKind::kShadowStackCfi),
-            "shadow-stack-cfi");
-  EXPECT_EQ(defense::DefenseKindName(DefenseKind::kStochasticDiversity),
-            "stochastic-diversity");
-  for (DefenseKind kind :
-       {DefenseKind::kStackCanary, DefenseKind::kShadowStackCfi,
-        DefenseKind::kStochasticDiversity}) {
-    auto m = defense::MakeMitigation(kind);
-    ASSERT_NE(m, nullptr);
-    EXPECT_EQ(m->kind(), kind);
-    EXPECT_FALSE(m->Describe().empty());
-  }
 }
 
 }  // namespace

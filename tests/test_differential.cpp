@@ -2,17 +2,16 @@
 // tier, dirty-page-only restores and snapshot fast reboots must be pure
 // speedups.
 //
-// Every scenario below runs under vm::ExecConfig combinations and is
-// compared with the all-off reference — the plain interpreter, fetch +
-// decode every step, full-copy restores and, for fuzz replays, a full
-// loader re-Boot after every corrupting exec. Stop reasons, failure
-// details, retired-step counts, crash-bucket sets and coverage digests
-// must be identical. Any divergence means a fast path served a stale
-// decode or block, or a restore differs from a real boot, and fails the
-// build. Between them the tests cover all four ExecConfig combinations.
+// Every scenario below runs with the superblock tier on and off and is
+// compared with the reference — the plain interpreter, fetch + decode
+// every step and, for fuzz replays, a full loader re-Boot after every
+// corrupting exec instead of a dirty-page snapshot restore. Stop reasons,
+// failure details, retired-step counts, crash-bucket sets and coverage
+// digests must be identical. Any divergence means a fast path served a
+// stale decode or block, or a restore differs from a real boot, and fails
+// the build.
 #include <gtest/gtest.h>
 
-#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -25,13 +24,7 @@
 namespace connlab {
 namespace {
 
-constexpr vm::ExecConfig kAllOff{.superblocks = false,
-                                 .dirty_restores = false};
-
-std::string Label(const vm::ExecConfig& exec) {
-  return std::string("superblocks=") + (exec.superblocks ? "on" : "off") +
-         " dirty_restores=" + (exec.dirty_restores ? "on" : "off");
-}
+constexpr vm::ExecConfig kInterpreter{.superblocks = false};
 
 std::vector<attack::AttackResult> RunMatrix(const vm::ExecConfig& exec) {
   auto rows = attack::RunSixAttackMatrix(4242, exec);
@@ -41,45 +34,27 @@ std::vector<attack::AttackResult> RunMatrix(const vm::ExecConfig& exec) {
 }
 
 /// The six-attack matrix — every protection level × technique outcome from
-/// the paper — under each of `combos`, row for row against the all-off
-/// reference. A compiled block serving one stale op anywhere in the
-/// exploit chains (SMC shellcode, W^X flips, canary/CFI traps, diversity
+/// the paper — with the superblock tier on, row for row against the
+/// interpreter reference. A compiled block serving one stale op anywhere in
+/// the exploit chains (SMC shellcode, W^X flips, canary/CFI traps, diversity
 /// reshuffles) moves a row and fails this.
-void ExpectMatrixMatchesReference(
-    std::initializer_list<vm::ExecConfig> combos) {
-  const std::vector<attack::AttackResult> reference = RunMatrix(kAllOff);
-  ASSERT_FALSE(reference.empty());
-  for (const vm::ExecConfig& exec : combos) {
-    const std::vector<attack::AttackResult> rows = RunMatrix(exec);
-    ASSERT_EQ(rows.size(), reference.size()) << Label(exec);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      SCOPED_TRACE(Label(exec) + ", row " + std::to_string(i) + ": " +
-                   rows[i].RowLabel());
-      EXPECT_EQ(rows[i].kind, reference[i].kind);
-      EXPECT_EQ(rows[i].shell, reference[i].shell);
-      EXPECT_EQ(rows[i].crash, reference[i].crash);
-      EXPECT_EQ(rows[i].exploit_available, reference[i].exploit_available);
-      EXPECT_EQ(rows[i].failure, reference[i].failure);
-      EXPECT_EQ(rows[i].detail, reference[i].detail);
-      EXPECT_EQ(rows[i].guest_steps, reference[i].guest_steps);
-      EXPECT_EQ(rows[i].payload_bytes, reference[i].payload_bytes);
-      EXPECT_EQ(rows[i].response_bytes, reference[i].response_bytes);
-    }
-  }
-}
-
 TEST(Differential, SixAttackMatrixIdenticalAcrossModes) {
-  ExpectMatrixMatchesReference({vm::ExecConfig{}});  // every fast path on
-}
-
-// The interpreter with dirty-only restores.
-TEST(Differential, SixAttackMatrixIdenticalAcrossPlanAndRestoreCombos) {
-  ExpectMatrixMatchesReference({{.superblocks = false, .dirty_restores = true}});
-}
-
-// The superblock tier with full-copy restores.
-TEST(Differential, SixAttackMatrixIdenticalAcrossSuperblockCombos) {
-  ExpectMatrixMatchesReference({{.superblocks = true, .dirty_restores = false}});
+  const std::vector<attack::AttackResult> reference = RunMatrix(kInterpreter);
+  ASSERT_FALSE(reference.empty());
+  const std::vector<attack::AttackResult> rows = RunMatrix(vm::ExecConfig{});
+  ASSERT_EQ(rows.size(), reference.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    SCOPED_TRACE("row " + std::to_string(i) + ": " + rows[i].RowLabel());
+    EXPECT_EQ(rows[i].kind, reference[i].kind);
+    EXPECT_EQ(rows[i].shell, reference[i].shell);
+    EXPECT_EQ(rows[i].crash, reference[i].crash);
+    EXPECT_EQ(rows[i].exploit_available, reference[i].exploit_available);
+    EXPECT_EQ(rows[i].failure, reference[i].failure);
+    EXPECT_EQ(rows[i].detail, reference[i].detail);
+    EXPECT_EQ(rows[i].guest_steps, reference[i].guest_steps);
+    EXPECT_EQ(rows[i].payload_bytes, reference[i].payload_bytes);
+    EXPECT_EQ(rows[i].response_bytes, reference[i].response_bytes);
+  }
 }
 
 fuzz::FuzzConfig ReplayConfig(const vm::ExecConfig& exec, bool fast_reset) {
@@ -123,40 +98,29 @@ void ExpectSameOutcome(const ReplayOutcome& out, const ReplayOutcome& ref) {
   EXPECT_EQ(out.corpus_size, ref.corpus_size);
 }
 
-/// Fixed-seed 3,000-exec fuzz replay under each of `combos` (snapshot
-/// reboots on, so dirty-only restores actually engage) against the all-off
-/// reference, which also re-runs the loader instead of restoring. Coverage
-/// is recorded per retired instruction inside compiled blocks, so even the
+/// Fixed-seed 3,000-exec fuzz replay under `exec` (snapshot reboots on,
+/// so dirty-only restores actually engage) against the interpreter
+/// reference, which re-runs the loader instead of restoring. Coverage is
+/// recorded per retired instruction inside compiled blocks, so even the
 /// AFL edge stream must not move.
-void ExpectReplayMatchesReference(
-    std::initializer_list<vm::ExecConfig> combos) {
+void ExpectReplayMatchesReference(const vm::ExecConfig& exec) {
   const ReplayOutcome reference =
-      RunReplay(ReplayConfig(kAllOff, /*fast_reset=*/false));
-  for (const vm::ExecConfig& exec : combos) {
-    SCOPED_TRACE(Label(exec));
-    ExpectSameOutcome(RunReplay(ReplayConfig(exec, /*fast_reset=*/true)),
-                      reference);
-  }
+      RunReplay(ReplayConfig(kInterpreter, /*fast_reset=*/false));
+  ExpectSameOutcome(RunReplay(ReplayConfig(exec, /*fast_reset=*/true)),
+                    reference);
 }
 
 TEST(Differential, FuzzReplayIdenticalAcrossModes) {
-  ExpectReplayMatchesReference({vm::ExecConfig{}});  // every fast path on
+  ExpectReplayMatchesReference(vm::ExecConfig{});  // superblock tier on
 }
 
-// The interpreter with snapshot reboots, full-copy and dirty-only.
-TEST(Differential, FuzzReplayIdenticalAcrossPlanAndRestoreCombos) {
-  ExpectReplayMatchesReference({
-      kAllOff,  // snapshot reboots alone
-      {.superblocks = false, .dirty_restores = true},
-  });
+// Snapshot reboots alone: the same interpreter, restoring instead of
+// re-running the loader.
+TEST(Differential, FuzzReplayIdenticalOnInterpreterWithSnapshotReboots) {
+  ExpectReplayMatchesReference(kInterpreter);
 }
 
-// The superblock tier with full-copy restores.
-TEST(Differential, FuzzReplayIdenticalAcrossSuperblockCombos) {
-  ExpectReplayMatchesReference({{.superblocks = true, .dirty_restores = false}});
-}
-
-/// Multi-worker determinism with every fast path on: worker count must not
+/// Multi-worker determinism with the superblock tier on: worker count must not
 /// leak into the merged outcome, and two runs of the same config agree.
 TEST(Differential, MultiWorkerSharedPlanCampaignIsDeterministic) {
   fuzz::FuzzConfig config = ReplayConfig(vm::ExecConfig{}, true);
@@ -184,7 +148,7 @@ ReplayOutcome RunMultiWorkerReplay(const vm::ExecConfig& exec,
 
 /// The differential gate must keep holding once workers exchange corpus
 /// deltas mid-campaign: for a FIXED sync setting, the fast paths and the
-/// all-off reference land on the same merged outcome. Sync on and sync off
+/// interpreter reference land on the same merged outcome. Sync on and sync off
 /// are different (equally deterministic) campaigns — workers that absorb
 /// each other's finds mutate different parents — so the comparison is
 /// within each sync setting across VM modes, never across sync settings.
@@ -193,7 +157,7 @@ TEST(Differential, EpochSyncedReplayIdenticalAcrossVmModes) {
   for (const std::uint64_t sync : {400, 0}) {
     SCOPED_TRACE("sync_interval=" + std::to_string(sync));
     ExpectSameOutcome(RunMultiWorkerReplay(vm::ExecConfig{}, true, sync),
-                      RunMultiWorkerReplay(kAllOff, false, sync));
+                      RunMultiWorkerReplay(kInterpreter, false, sync));
   }
 }
 
@@ -236,10 +200,10 @@ std::uint64_t Counter(const obs::MetricsSnapshot& m, const std::string& name) {
 }
 
 /// One ExecConfig value reaches every boot a driver makes — the attacker's
-/// lab boot as well as the victim's, every fuzz reboot — so a switch turned
-/// off by the caller can never leak back on deep inside a driver. Each
-/// fast path's own counters stay at zero with its switch off, and move
-/// with the other switches on, so the zeros are not vacuous.
+/// lab boot as well as the victim's, every fuzz reboot — so a tier turned
+/// off by the caller can never leak back on deep inside a driver. The
+/// tier's own counters stay at zero with it off and move with it on, so
+/// the zeros are not vacuous.
 TEST(Differential, ExecConfigReachesEveryBoot) {
   {
     obs::Scope scope;
@@ -253,15 +217,8 @@ TEST(Differential, ExecConfigReachesEveryBoot) {
   }
   {
     obs::Scope scope;
-    ASSERT_FALSE(RunMatrix({.dirty_restores = false}).empty());
+    ASSERT_FALSE(RunMatrix(vm::ExecConfig{}).empty());
     EXPECT_GT(Counter(scope.Metrics(), "vm.superblock.hits"), 0u);
-  }
-  {
-    obs::Scope scope;
-    RunReplay(ReplayConfig({.dirty_restores = false}, /*fast_reset=*/true));
-    const obs::MetricsSnapshot m = scope.Metrics();
-    EXPECT_EQ(Counter(m, "loader.restore_segments_dirty"), 0u);
-    EXPECT_GT(Counter(m, "loader.restore_segments_full"), 0u);
   }
   {
     obs::Scope scope;

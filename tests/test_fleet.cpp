@@ -150,10 +150,10 @@ TEST(VictimPool, MemoAgreesWithFreshEvaluation) {
       {exploit::TechniqueFor(config.arch, config.base)});
   ASSERT_TRUE(battery.ok()) << battery.status().ToString();
 
-  const defense::PolicySpec none;
-  defense::PolicySpec cfi;
+  const defense::DefensePolicy none;
+  defense::DefensePolicy cfi;
   cfi.cfi = true;
-  for (const defense::PolicySpec& spec : {none, cfi}) {
+  for (const defense::DefensePolicy& spec : {none, cfi}) {
     auto first = pool.FireVolley(0, spec, 0, battery.value().query_wire,
                                  battery.value().volleys[0].response_wire);
     ASSERT_TRUE(first.ok());
@@ -179,7 +179,7 @@ TEST(VictimPool, MemoAgreesWithFreshEvaluation) {
 TEST(VictimPool, LanesAreSharedAcrossVictims) {
   FleetConfig config;
   defense::VictimPool pool({config.arch, config.base, /*seed0=*/55});
-  const defense::PolicySpec none;
+  const defense::DefensePolicy none;
   for (int victim = 0; victim < 10; ++victim) {
     ASSERT_TRUE(pool.BootVictim(0, none).ok());
   }
@@ -190,7 +190,7 @@ TEST(VictimPool, LanesAreSharedAcrossVictims) {
 TEST(VictimPool, ServiceVolleyMemoAgreesWithFreshEvaluation) {
   FleetConfig config;
   defense::VictimPool pool({config.arch, config.base, /*seed0=*/77});
-  const defense::PolicySpec none;
+  const defense::DefensePolicy none;
   const std::vector<util::Bytes> loop = {adapt::Resolvd::SelfPointerQuery(7)};
   auto first = pool.FireServiceVolley(
       0, none, 1, defense::VictimPool::ServiceKind::kResolvd, loop);

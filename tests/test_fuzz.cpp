@@ -893,6 +893,12 @@ TEST(CorpusPersistence, RejectsGarbage) {
       DeserializeCorpus("connlab-corpus v1\n"
                         "entry news=1 found_at=0 size=4\nzzzz\n")
           .ok());
+  // size * 2 wraps to 0, which would match the empty payload line.
+  EXPECT_FALSE(
+      DeserializeCorpus("connlab-corpus v1\n"
+                        "entry news=1 found_at=0 size=9223372036854775808\n"
+                        "\n")
+          .ok());
   EXPECT_FALSE(LoadCorpus("does_not_exist.corpus").ok());
 }
 
