@@ -257,9 +257,8 @@ int main(int argc, char** argv) {
   std::printf("minimized input:\n%s\n",
               util::HexDump(head.minimized, 0).c_str());
 
-  auto probe = fuzz::MakeTarget(config.target);
-  if (!probe.ok()) return Fail(probe.status());
-  if (probe.value()->stateful_across_execs()) {
+  const fuzz::TargetTraits& traits = fuzz::TraitsOf(config.target.kind);
+  if (traits.stateful_across_execs) {
     // The daemon keeps guest state across executions, so the crash is a
     // property of the request *sequence*, not of one input — the witness
     // need not reproduce on a freshly booted instance.
@@ -267,7 +266,7 @@ int main(int argc, char** argv) {
         "replay: skipped — %s keeps heap state across requests, so the\n"
         "crash is a sequence property; replay the whole campaign (same\n"
         "seed) to reproduce it.\n\n",
-        std::string(probe.value()->name()).c_str());
+        std::string(traits.name).c_str());
   } else {
     auto parsed = fuzz::ParseReproducer(repro_text);
     if (!parsed.ok()) return Fail(parsed.status());

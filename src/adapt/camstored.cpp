@@ -166,12 +166,8 @@ ServiceOutcome Camstored::HandlePut(const std::string& name,
   // by Content-Length — no cross-check. An oversized body runs off the
   // chunk and rewrites the next chunk's boundary tags in guest memory.
   if (!space.WriteBytes(dest, body).ok()) {
-    outcome.kind = ServiceOutcome::Kind::kCrash;
-    outcome.detail = "record copy ran off the heap mapping";
-    outcome.stop.reason = vm::StopReason::kFault;
-    outcome.stop.fault = space.last_fault();
-    space.ClearFault();
-    return outcome;
+    return ServiceOutcomeFromFault(space,
+                                   "record copy ran off the heap mapping");
   }
   records_[name] = dest;
 
@@ -221,12 +217,8 @@ ServiceOutcome Camstored::FreeRecord(mem::GuestAddr payload) {
     return outcome;
   }
   // The unlink write itself faulted (unmapped / read-only destination).
-  outcome.kind = ServiceOutcome::Kind::kCrash;
-  outcome.detail = "free faulted: " + freed.message();
-  outcome.stop.reason = vm::StopReason::kFault;
-  outcome.stop.fault = sys_.space.last_fault();
-  sys_.space.ClearFault();
-  return outcome;
+  return ServiceOutcomeFromFault(sys_.space,
+                                 "free faulted: " + freed.message());
 }
 
 ServiceOutcome Camstored::CallFlushHook() {

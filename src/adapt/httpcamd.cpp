@@ -74,12 +74,7 @@ ServiceOutcome HttpCamd::HandleRequest(util::ByteSpan request) {
 
   const util::ByteSpan body(request.data() + body_start, body_len);
   if (!space.WriteBytes(frame_base_, body).ok()) {
-    outcome.kind = ServiceOutcome::Kind::kCrash;
-    outcome.detail = "body copy ran off the stack";
-    outcome.stop.reason = vm::StopReason::kFault;
-    outcome.stop.fault = space.last_fault();
-    space.ClearFault();
-    return outcome;
+    return ServiceOutcomeFromFault(space, "body copy ran off the stack");
   }
 
   // Handler returns through the guest frame.

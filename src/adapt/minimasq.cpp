@@ -51,6 +51,17 @@ ServiceOutcome ServiceOutcomeFromStop(const vm::StopInfo& stop) {
   return outcome;
 }
 
+ServiceOutcome ServiceOutcomeFromFault(mem::AddressSpace& space,
+                                       std::string detail) {
+  ServiceOutcome outcome;
+  outcome.kind = ServiceOutcome::Kind::kCrash;
+  outcome.detail = std::move(detail);
+  outcome.stop.reason = vm::StopReason::kFault;
+  outcome.stop.fault = space.last_fault();
+  space.ClearFault();
+  return outcome;
+}
+
 connman::ProxyOutcome::Kind ToProxyOutcomeKind(
     ServiceOutcome::Kind kind) noexcept {
   using In = ServiceOutcome::Kind;
@@ -145,12 +156,7 @@ ServiceOutcome Minimasq::HandleReply(util::ByteSpan wire) {
       util::Bytes chunk(wire.begin() + static_cast<std::ptrdiff_t>(pos),
                         wire.begin() + static_cast<std::ptrdiff_t>(pos + 1 + len));
       if (!space.WriteBytes(frame_base_ + written, chunk).ok()) {
-        outcome.kind = ServiceOutcome::Kind::kCrash;
-        outcome.detail = "expansion ran off the stack";
-        outcome.stop.reason = vm::StopReason::kFault;
-        outcome.stop.fault = space.last_fault();
-        space.ClearFault();
-        return outcome;
+        return ServiceOutcomeFromFault(space, "expansion ran off the stack");
       }
       written += 1 + len;
       pos += 1 + len;

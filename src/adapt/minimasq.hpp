@@ -44,6 +44,12 @@ std::string_view ServiceOutcomeKindName(ServiceOutcome::Kind kind);
 /// service uses after running the guest.
 ServiceOutcome ServiceOutcomeFromStop(const vm::StopInfo& stop);
 
+/// A crash the service's host-side code hit in guest memory (a copy that
+/// ran off a mapping, a read past the packet): the address space's fault
+/// record becomes the stop, and is cleared.
+ServiceOutcome ServiceOutcomeFromFault(mem::AddressSpace& space,
+                                       std::string detail);
+
 /// The zoo-service outcome in the connman::ProxyOutcome vocabulary the
 /// attack-matrix tables and the victim pool's memo speak.
 connman::ProxyOutcome::Kind ToProxyOutcomeKind(

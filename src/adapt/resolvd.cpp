@@ -89,13 +89,9 @@ ServiceOutcome Resolvd::HandleQuery(util::ByteSpan wire) {
   while (last_hops_ < kHostHopCeiling) {
     auto len = space.ReadU8(rx + pos);
     if (!len.ok()) {
-      outcome.kind = ServiceOutcome::Kind::kCrash;
-      outcome.detail = "compression pointer read out of bounds at offset " +
-                       std::to_string(pos);
-      outcome.stop.reason = vm::StopReason::kFault;
-      outcome.stop.fault = space.last_fault();
-      space.ClearFault();
-      return outcome;
+      return ServiceOutcomeFromFault(
+          space, "compression pointer read out of bounds at offset " +
+                     std::to_string(pos));
     }
     if (len.value() == 0) break;
 
@@ -103,25 +99,16 @@ ServiceOutcome Resolvd::HandleQuery(util::ByteSpan wire) {
     // the stack-exhaustion write fault the pointer loop drives.
     sp -= kFrameBytes;
     if (!space.WriteBytes(sp, frame).ok() || !space.WriteU32(sp, pos).ok()) {
-      outcome.kind = ServiceOutcome::Kind::kCrash;
-      outcome.detail = "recursive expansion exhausted the stack after " +
-                       std::to_string(last_hops_) + " frames";
-      outcome.stop.reason = vm::StopReason::kFault;
-      outcome.stop.fault = space.last_fault();
-      space.ClearFault();
-      return outcome;
+      return ServiceOutcomeFromFault(
+          space, "recursive expansion exhausted the stack after " +
+                     std::to_string(last_hops_) + " frames");
     }
     ++last_hops_;
 
     if ((len.value() & dns::kCompressionFlags) == dns::kCompressionFlags) {
       auto lo = space.ReadU8(rx + pos + 1);
       if (!lo.ok()) {
-        outcome.kind = ServiceOutcome::Kind::kCrash;
-        outcome.detail = "truncated compression pointer";
-        outcome.stop.reason = vm::StopReason::kFault;
-        outcome.stop.fault = space.last_fault();
-        space.ClearFault();
-        return outcome;
+        return ServiceOutcomeFromFault(space, "truncated compression pointer");
       }
       // The bug: no visited-set, no hop budget — follow unconditionally.
       pos = (static_cast<std::uint32_t>(len.value() & 0x3F) << 8) |

@@ -62,13 +62,6 @@ namespace {
 
 constexpr std::string_view kCorpusMagic = "connlab-corpus v1";
 
-int HexNibble(char c) noexcept {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
 }  // namespace
 
 std::string SerializeCorpus(const Corpus& corpus) {
@@ -80,11 +73,7 @@ std::string SerializeCorpus(const Corpus& corpus) {
                   e.news, static_cast<unsigned long long>(e.found_at),
                   e.data.size());
     out += line;
-    static constexpr char kHex[] = "0123456789abcdef";
-    for (const std::uint8_t b : e.data) {
-      out += kHex[b >> 4];
-      out += kHex[b & 0xF];
-    }
+    out += util::ToHex(e.data);
     out += '\n';
   }
   return out;
@@ -113,16 +102,11 @@ util::Result<Corpus> DeserializeCorpus(const std::string& text) {
         hex.size() / 2 != size) {
       return util::InvalidArgument("corpus file: truncated entry payload");
     }
-    util::Bytes data(size);
-    for (std::size_t i = 0; i < size; ++i) {
-      const int hi = HexNibble(hex[2 * i]);
-      const int lo = HexNibble(hex[2 * i + 1]);
-      if (hi < 0 || lo < 0) {
-        return util::InvalidArgument("corpus file: bad hex payload");
-      }
-      data[i] = static_cast<std::uint8_t>(hi << 4 | lo);
+    util::Result<util::Bytes> data = util::FromHex(hex);
+    if (!data.ok()) {
+      return util::InvalidArgument("corpus file: bad hex payload");
     }
-    corpus.Add(std::move(data), news, found_at);
+    corpus.Add(std::move(data).value(), news, found_at);
   }
   return corpus;
 }

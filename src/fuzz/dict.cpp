@@ -7,13 +7,6 @@ namespace connlab::fuzz {
 
 namespace {
 
-int HexNibble(char c) noexcept {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
 /// Decodes the quoted section of a dictionary line; `line` must hold the
 /// opening quote at `begin`.
 util::Result<util::Bytes> DecodeQuoted(const std::string& line,
@@ -31,12 +24,12 @@ util::Result<util::Bytes> DecodeQuoted(const std::string& line,
         if (i + 3 >= line.size()) {
           return util::InvalidArgument("dictionary: short \\x escape: " + line);
         }
-        const int hi = HexNibble(line[i + 2]);
-        const int lo = HexNibble(line[i + 3]);
-        if (hi < 0 || lo < 0) {
+        const util::Result<util::Bytes> byte =
+            util::FromHex(std::string_view(line).substr(i + 2, 2));
+        if (!byte.ok()) {
           return util::InvalidArgument("dictionary: bad \\x escape: " + line);
         }
-        token.push_back(static_cast<std::uint8_t>(hi << 4 | lo));
+        token.push_back(byte.value()[0]);
         i += 4;
         continue;
       }

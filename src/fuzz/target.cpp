@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
 
 #include "src/adapt/camstored.hpp"
 #include "src/adapt/httpcamd.hpp"
@@ -11,8 +12,6 @@
 #include "src/dns/craft.hpp"
 #include "src/dns/message.hpp"
 #include "src/dns/name.hpp"
-#include <optional>
-
 #include "src/loader/boot.hpp"
 #include "src/loader/snapshot.hpp"
 #include "src/vm/events.hpp"
@@ -26,6 +25,45 @@ constexpr std::uint32_t kOutcomeSalt = 0x0070c0deu;
 constexpr std::uint32_t kSizeSalt = 0x00517e00u;
 constexpr std::uint32_t kOverflowSalt = 0x0f10c0deu;
 constexpr std::uint32_t kClaimSalt = 0x00c1a100u;
+constexpr std::uint32_t kDepthSalt = 0x00d3e970u;
+constexpr std::uint32_t kRecordSalt = 0x00ca54edu;
+constexpr std::uint32_t kHeapSalt = 0x0077ea90u;
+
+constexpr std::string_view kDnsproxyQName = "fuzz.example.com";
+constexpr std::string_view kMinimasqQName = "cam.firmware.lan";
+
+/// Header plus one question for `qname`: the bytes a reply must echo. A
+/// dotted name encodes as its characters plus a leading length byte and the
+/// root label; qtype and qclass add four.
+constexpr std::size_t EchoedQuestion(std::string_view qname) {
+  return dns::kHeaderSize + qname.size() + 2 + 4;
+}
+
+constexpr TargetTraits kTraits[] = {
+    {TargetKind::kDnsproxy, "dnsproxy", "connman::dnsproxy",
+     EchoedQuestion(kDnsproxyQName), true, false},
+    // dnsmasq-style checks: only the id + QR flag matter (bytes 0-2), but
+    // keeping the whole header + question keeps the question-skip walker
+    // happy more often.
+    {TargetKind::kMinimasq, "minimasq", "adapt::minimasq",
+     EchoedQuestion(kMinimasqQName), true, false},
+    {TargetKind::kHttpcamd, "httpcamd", "adapt::httpcamd", 0, false, false},
+    // Only the header survives untouched: the question *name* is the whole
+    // attack surface, so the label/pointer mutators must reach it.
+    {TargetKind::kResolvd, "resolvd", "adapt::resolvd", dns::kHeaderSize,
+     true, false},
+    // The daemon keeps heap state across requests (until a corrupting run
+    // reboots it), so the fuzzer composes multi-request heap shapes.
+    {TargetKind::kCamstored, "camstored", "adapt::camstored", 0, false, true},
+};
+
+constexpr bool TraitsInKindOrder() {
+  for (std::size_t i = 0; i < std::size(kTraits); ++i) {
+    if (kTraits[i].kind != static_cast<TargetKind>(i)) return false;
+  }
+  return true;
+}
+static_assert(TraitsInKindOrder(), "kTraits is indexed by TargetKind");
 
 std::uint32_t SizeBucket(std::uint32_t bytes) noexcept {
   std::uint32_t bucket = 0;
@@ -34,17 +72,6 @@ std::uint32_t SizeBucket(std::uint32_t bytes) noexcept {
     ++bucket;
   }
   return bucket;  // floor(log2)+1; 0 for 0
-}
-
-void FoldFeatures(CoverageMap& map, std::uint32_t outcome_kind,
-                  std::uint32_t bytes_expanded, bool overflow,
-                  const std::vector<vm::Event>& events) {
-  map.AddFeature(vm::CoverageLocation(kOutcomeSalt ^ outcome_kind));
-  map.AddFeature(vm::CoverageLocation(kSizeSalt ^ SizeBucket(bytes_expanded)));
-  if (overflow) map.AddFeature(vm::CoverageLocation(kOverflowSalt));
-  for (const vm::Event& event : events) {
-    map.AddFeature(vm::EventFeature(event.kind));
-  }
 }
 
 /// Return-address-looking words near the stop sp: the triage frame context.
@@ -68,39 +95,46 @@ std::vector<mem::GuestAddr> StackContext(const loader::System& sys) {
   return frames;
 }
 
-void FillFromServiceOutcome(const adapt::ServiceOutcome& outcome,
-                            ExecResult* result, CoverageMap& map,
-                            const std::vector<vm::Event>& events,
-                            std::uint32_t bytes_expanded, bool overflow) {
-  using Kind = adapt::ServiceOutcome::Kind;
-  result->stop_reason = outcome.stop.reason;
-  result->pc = outcome.stop.pc;
-  result->detail = outcome.detail;
-  result->bytes_expanded = bytes_expanded;
-  result->overflow = overflow;
-  result->write_fault = outcome.stop.fault.has_value() &&
-                        outcome.stop.fault->kind == mem::AccessKind::kWrite;
-  switch (outcome.kind) {
-    case Kind::kOk:
-    case Kind::kRejected:
-      result->kind = ExecResult::Kind::kBenign;
-      break;
-    case Kind::kCrash:
-      result->kind = ExecResult::Kind::kCrash;
-      break;
-    case Kind::kShell:
-    case Kind::kExec:
-      result->kind = ExecResult::Kind::kHijack;
-      break;
+/// How the fuzz loop sees an outcome: parsed, served and rejected inputs
+/// are benign; anything else is a finding.
+ExecResult::Kind ExecKindOf(connman::ProxyOutcome::Kind kind) noexcept {
+  using Kind = connman::ProxyOutcome::Kind;
+  switch (kind) {
+    case Kind::kDroppedInvalid:
+    case Kind::kParseError:
+    case Kind::kParsedOk: return ExecResult::Kind::kBenign;
+    case Kind::kCrash: return ExecResult::Kind::kCrash;
     case Kind::kAbort:
-      result->kind = ExecResult::Kind::kAbort;
-      break;
-    case Kind::kOther:
-      result->kind = ExecResult::Kind::kOther;
-      break;
+    case Kind::kCfiViolation: return ExecResult::Kind::kAbort;
+    case Kind::kShell:
+    case Kind::kExec: return ExecResult::Kind::kHijack;
+    case Kind::kOther: break;
   }
-  FoldFeatures(map, static_cast<std::uint32_t>(outcome.kind), bytes_expanded,
-               overflow, events);
+  return ExecResult::Kind::kOther;
+}
+
+ExecResult::Kind ExecKindOf(adapt::ServiceOutcome::Kind kind) noexcept {
+  return ExecKindOf(adapt::ToProxyOutcomeKind(kind));
+}
+
+/// A service outcome (connman::ProxyOutcome or adapt::ServiceOutcome) with
+/// its size signal, in the skeleton's terms.
+template <typename Outcome>
+FuzzTarget::Delivery Delivered(Outcome outcome, std::uint32_t size,
+                               bool overflow) {
+  FuzzTarget::Delivery delivery;
+  delivery.kind = ExecKindOf(outcome.kind);
+  delivery.outcome = static_cast<std::uint32_t>(outcome.kind);
+  delivery.stop = std::move(outcome.stop);
+  delivery.detail = std::move(outcome.detail);
+  delivery.size = size;
+  delivery.overflow = overflow;
+  return delivery;
+}
+
+void AddSizeFeature(FuzzTarget::Delivery& delivery, std::uint32_t salt,
+                    std::uint32_t value) noexcept {
+  delivery.features[delivery.feature_count++] = salt ^ SizeBucket(value);
 }
 
 /// Host-side mirror of Minimasq's expansion loop: how many bytes the first
@@ -162,468 +196,6 @@ HttpBodyView HttpcamdBodyView(util::ByteSpan request) {
   return view;
 }
 
-/// Shared boot + overflow-site symbol plumbing for all three services.
-class BootedTarget : public FuzzTarget {
- public:
-  explicit BootedTarget(const TargetConfig& config) : config_(config) {}
-
-  [[nodiscard]] TargetKind kind() const noexcept override {
-    return config_.kind;
-  }
-  [[nodiscard]] std::uint64_t reboots() const noexcept override {
-    return reboots_;
-  }
-
-  [[nodiscard]] mem::GuestAddr NormalizePc(mem::GuestAddr pc) const override {
-    if (AtOverflowSite(pc)) return copy_entry_;
-    return sys_->space.FindSegment(pc) != nullptr ? pc : kWildPc;
-  }
-
-  [[nodiscard]] bool AtOverflowSite(mem::GuestAddr pc) const override {
-    return (pc >= copy_entry_ && pc <= copy_done_) || pc == get_name_;
-  }
-
- protected:
-  /// Full boot path: loader + symbols + service. Implemented per target.
-  virtual util::Status Init() = 0;
-  /// Recreates the host-side service object against the (restored) System:
-  /// every service constructor is a pure computation over the layout (plus,
-  /// for DnsProxy, an idempotent host-fn registration), so reconstruction
-  /// clears host caches/pending tables exactly as a fresh boot would.
-  virtual void ReattachService() = 0;
-
-  util::Status BootSystem() {
-    CONNLAB_ASSIGN_OR_RETURN(
-        sys_, loader::Boot(config_.arch, loader::ProtectionConfig::None(),
-                           config_.boot_seed, config_.exec));
-    CONNLAB_ASSIGN_OR_RETURN(get_name_, sys_->Sym("connman.get_name"));
-    CONNLAB_ASSIGN_OR_RETURN(copy_entry_, sys_->Sym("connman.copy_label"));
-    CONNLAB_ASSIGN_OR_RETURN(copy_done_, sys_->Sym("connman.copy_done"));
-    return util::OkStatus();
-  }
-
-  /// Called at the end of each target's Init(): freezes the post-boot image
-  /// so later reboots are restores instead of loader runs.
-  void CaptureSnapshot() {
-    if (config_.fast_reset) snapshot_ = loader::TakeSnapshot(*sys_);
-  }
-
-  /// Fresh process image after a corrupting execution. Fast path: rewind
-  /// guest memory + CPU to the post-boot snapshot and recreate the service;
-  /// identical to a full re-Boot because the boot seed is fixed and host
-  /// functions are stateless. Falls back to Init() when fast_reset is off
-  /// or the restore is refused.
-  util::Status Reboot() {
-    if (config_.fast_reset && snapshot_.has_value()) {
-      if (loader::RestoreSnapshot(*sys_, *snapshot_).ok()) {
-        ReattachService();
-        return util::OkStatus();
-      }
-    }
-    return Init();
-  }
-
-  TargetConfig config_;
-  std::unique_ptr<loader::System> sys_;
-  std::optional<loader::Snapshot> snapshot_;
-  mem::GuestAddr get_name_ = 0;
-  mem::GuestAddr copy_entry_ = 0;
-  mem::GuestAddr copy_done_ = 0;
-  std::uint64_t reboots_ = 0;
-};
-
-// ----------------------------------------------------------------- dnsproxy --
-
-class DnsproxyTarget : public BootedTarget {
- public:
-  static util::Result<std::unique_ptr<FuzzTarget>> Make(
-      const TargetConfig& config) {
-    auto target = std::make_unique<DnsproxyTarget>(config);
-    CONNLAB_RETURN_IF_ERROR(target->Init());
-    return std::unique_ptr<FuzzTarget>(std::move(target));
-  }
-
-  explicit DnsproxyTarget(const TargetConfig& config) : BootedTarget(config) {}
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "connman::dnsproxy";
-  }
-  [[nodiscard]] std::size_t fixed_prefix() const noexcept override {
-    return dns::kHeaderSize + question_wire_len_;
-  }
-  [[nodiscard]] bool dns_shaped() const noexcept override { return true; }
-
-  [[nodiscard]] std::vector<util::Bytes> SeedCorpus() const override {
-    std::vector<util::Bytes> seeds;
-    // One A answer, one AAAA answer, two answers, and a compressed-name
-    // answer (pointer back to the question at offset 12) — the benign
-    // shapes a real upstream server produces.
-    {
-      dns::Message r = dns::Message::ResponseFor(query_);
-      r.answers.push_back(dns::MakeA(kQName, "93.184.216.34", 300));
-      seeds.push_back(dns::Encode(r).value());
-    }
-    {
-      dns::Message r = dns::Message::ResponseFor(query_);
-      r.answers.push_back(dns::MakeAAAA(kQName, 60));
-      seeds.push_back(dns::Encode(r).value());
-    }
-    {
-      dns::Message r = dns::Message::ResponseFor(query_);
-      r.answers.push_back(dns::MakeA(kQName, "10.0.0.1", 60));
-      r.answers.push_back(dns::MakeA(kQName, "10.0.0.2", 60));
-      seeds.push_back(dns::Encode(r).value());
-    }
-    {
-      util::ByteWriter w;
-      w.WriteBytes(util::ByteSpan(seeds[0].data(), fixed_prefix()));
-      w.WriteU8(0xC0);  // answer owner name: pointer to the question name
-      w.WriteU8(12);
-      w.WriteU16BE(1);   // type A
-      w.WriteU16BE(1);   // class IN
-      w.WriteU32BE(60);  // ttl
-      w.WriteU16BE(4);   // rdlength
-      w.WriteBytes(util::Bytes{9, 9, 9, 9});
-      seeds.push_back(std::move(w).Take());
-    }
-    return seeds;
-  }
-
-  ExecResult Execute(util::ByteSpan input, CoverageMap& map) override {
-    using Kind = connman::ProxyOutcome::Kind;
-    ExecResult result;
-    // Re-register the pending query: HandleServerResponse consumes it on
-    // the benign path, and a reboot forgets it.
-    if (!proxy_->AcceptClientQuery(query_wire_).ok()) {
-      result.kind = ExecResult::Kind::kOther;
-      result.detail = "harness: query registration failed";
-      return result;
-    }
-    auto& cpu = *sys_->cpu;
-    map.AttachTo(cpu);
-    cpu.ResetCoverageEdge();
-    const connman::ProxyOutcome outcome = proxy_->HandleServerResponse(input);
-    cpu.DetachCoverage();
-
-    result.stop_reason = outcome.stop.reason;
-    result.pc = outcome.stop.pc;
-    result.bytes_expanded = outcome.name_bytes_written;
-    result.overflow = outcome.overflowed;
-    result.detail = outcome.detail;
-    result.write_fault = outcome.stop.fault.has_value() &&
-                         outcome.stop.fault->kind == mem::AccessKind::kWrite;
-    bool corrupted = false;
-    switch (outcome.kind) {
-      case Kind::kDroppedInvalid:
-      case Kind::kParseError:
-      case Kind::kParsedOk:
-        result.kind = ExecResult::Kind::kBenign;
-        // A deep non-crashing overflow still trashed the caller stack area.
-        corrupted = outcome.overflowed;
-        break;
-      case Kind::kCrash:
-        result.kind = ExecResult::Kind::kCrash;
-        corrupted = true;
-        break;
-      case Kind::kAbort:
-      case Kind::kCfiViolation:
-        result.kind = ExecResult::Kind::kAbort;
-        corrupted = true;
-        break;
-      case Kind::kShell:
-      case Kind::kExec:
-        result.kind = ExecResult::Kind::kHijack;
-        corrupted = true;
-        break;
-      case Kind::kOther:
-        result.kind = ExecResult::Kind::kOther;
-        corrupted = true;
-        break;
-    }
-    FoldFeatures(map, static_cast<std::uint32_t>(outcome.kind),
-                 result.bytes_expanded, result.overflow, cpu.events());
-    if (result.kind != ExecResult::Kind::kBenign) {
-      result.stack = StackContext(*sys_);
-    }
-    if (corrupted) {
-      // Fresh process image, identical layout (fixed boot seed, no ASLR).
-      if (Reboot().ok()) ++reboots_;
-    }
-    return result;
-  }
-
-  util::Status Init() override {
-    CONNLAB_RETURN_IF_ERROR(BootSystem());
-    ReattachService();
-    query_ = dns::Message::Query(kQueryId, kQName);
-    CONNLAB_ASSIGN_OR_RETURN(query_wire_, dns::Encode(query_));
-    util::ByteWriter w;
-    CONNLAB_RETURN_IF_ERROR(dns::EncodeName(w, kQName));
-    question_wire_len_ = w.size() + 4;  // + qtype + qclass
-    CaptureSnapshot();
-    return util::OkStatus();
-  }
-
-  void ReattachService() override {
-    proxy_ = std::make_unique<connman::DnsProxy>(
-        *sys_, config_.patched ? connman::Version::k135
-                               : connman::Version::k134);
-  }
-
- private:
-  static constexpr std::uint16_t kQueryId = 0x4655;  // "FU"
-  static constexpr const char* kQName = "fuzz.example.com";
-
-  std::unique_ptr<connman::DnsProxy> proxy_;
-  dns::Message query_;
-  util::Bytes query_wire_;
-  std::size_t question_wire_len_ = 0;
-};
-
-// ----------------------------------------------------------------- minimasq --
-
-class MinimasqTarget : public BootedTarget {
- public:
-  static util::Result<std::unique_ptr<FuzzTarget>> Make(
-      const TargetConfig& config) {
-    auto target = std::make_unique<MinimasqTarget>(config);
-    CONNLAB_RETURN_IF_ERROR(target->Init());
-    return std::unique_ptr<FuzzTarget>(std::move(target));
-  }
-
-  explicit MinimasqTarget(const TargetConfig& config) : BootedTarget(config) {}
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "adapt::minimasq";
-  }
-  [[nodiscard]] std::size_t fixed_prefix() const noexcept override {
-    // dnsmasq-style checks: only the id + QR flag matter (bytes 0-2), but
-    // keeping the whole header + question keeps the question-skip walker
-    // happy more often.
-    return dns::kHeaderSize + question_wire_len_;
-  }
-  [[nodiscard]] bool dns_shaped() const noexcept override { return true; }
-
-  [[nodiscard]] std::vector<util::Bytes> SeedCorpus() const override {
-    std::vector<util::Bytes> seeds;
-    dns::Message r = dns::Message::ResponseFor(query_);
-    r.answers.push_back(dns::MakeA(kQName, "172.16.0.9", 120));
-    seeds.push_back(dns::Encode(r).value());
-    dns::Message r2 = dns::Message::ResponseFor(query_);
-    r2.answers.push_back(dns::MakeTXT(kQName, "v=spf1 -all", 60));
-    seeds.push_back(dns::Encode(r2).value());
-    return seeds;
-  }
-
-  ExecResult Execute(util::ByteSpan input, CoverageMap& map) override {
-    ExecResult result;
-    if (!service_->ForwardQuery(query_wire_).ok()) {
-      result.kind = ExecResult::Kind::kOther;
-      result.detail = "harness: forward registration failed";
-      return result;
-    }
-    auto& cpu = *sys_->cpu;
-    map.AttachTo(cpu);
-    cpu.ResetCoverageEdge();
-    const adapt::ServiceOutcome outcome = service_->HandleReply(input);
-    cpu.DetachCoverage();
-    const std::uint32_t expanded = MinimasqExpansion(input);
-    FillFromServiceOutcome(outcome, &result, map, cpu.events(), expanded,
-                           expanded > adapt::Minimasq::kBufSize);
-    if (result.kind != ExecResult::Kind::kBenign) {
-      result.stack = StackContext(*sys_);
-      if (Reboot().ok()) ++reboots_;
-    }
-    return result;
-  }
-
-  util::Status Init() override {
-    CONNLAB_RETURN_IF_ERROR(BootSystem());
-    ReattachService();
-    query_ = dns::Message::Query(0x6d71, kQName);
-    CONNLAB_ASSIGN_OR_RETURN(query_wire_, dns::Encode(query_));
-    util::ByteWriter w;
-    CONNLAB_RETURN_IF_ERROR(dns::EncodeName(w, kQName));
-    question_wire_len_ = w.size() + 4;
-    CaptureSnapshot();
-    return util::OkStatus();
-  }
-
-  void ReattachService() override {
-    service_ = std::make_unique<adapt::Minimasq>(*sys_);
-  }
-
- private:
-  static constexpr const char* kQName = "cam.firmware.lan";
-
-  std::unique_ptr<adapt::Minimasq> service_;
-  dns::Message query_;
-  util::Bytes query_wire_;
-  std::size_t question_wire_len_ = 0;
-};
-
-// ----------------------------------------------------------------- httpcamd --
-
-class HttpcamdTarget : public BootedTarget {
- public:
-  static util::Result<std::unique_ptr<FuzzTarget>> Make(
-      const TargetConfig& config) {
-    auto target = std::make_unique<HttpcamdTarget>(config);
-    CONNLAB_RETURN_IF_ERROR(target->Init());
-    return std::unique_ptr<FuzzTarget>(std::move(target));
-  }
-
-  explicit HttpcamdTarget(const TargetConfig& config) : BootedTarget(config) {}
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "adapt::httpcamd";
-  }
-  [[nodiscard]] std::size_t fixed_prefix() const noexcept override { return 0; }
-  [[nodiscard]] bool dns_shaped() const noexcept override { return false; }
-
-  [[nodiscard]] std::vector<util::Bytes> SeedCorpus() const override {
-    std::vector<util::Bytes> seeds;
-    seeds.push_back(util::BytesOf("GET /status HTTP/1.0\r\n\r\n"));
-    const util::Bytes body = util::BytesOf("{\"res\":\"720p\"}");
-    seeds.push_back(adapt::HttpCamd::WrapInRequest(body));
-    // A config upload near (but under) the 256-byte buffer: realistic for
-    // a camera firmware blob, and it parks the corpus next to the cliff.
-    util::Bytes config(200, '=');
-    const util::Bytes header = util::BytesOf("{\"firmware\":\"");
-    config.insert(config.begin(), header.begin(), header.end());
-    seeds.push_back(adapt::HttpCamd::WrapInRequest(config));
-    return seeds;
-  }
-
-  ExecResult Execute(util::ByteSpan input, CoverageMap& map) override {
-    ExecResult result;
-    auto& cpu = *sys_->cpu;
-    map.AttachTo(cpu);
-    cpu.ResetCoverageEdge();
-    const adapt::ServiceOutcome outcome = service_->HandleRequest(input);
-    cpu.DetachCoverage();
-    const HttpBodyView view = HttpcamdBodyView(input);
-    FillFromServiceOutcome(outcome, &result, map, cpu.events(), view.body_len,
-                           view.body_len > adapt::HttpCamd::kBufSize);
-    map.AddFeature(vm::CoverageLocation(kClaimSalt ^ SizeBucket(view.claimed)));
-    if (result.kind != ExecResult::Kind::kBenign) {
-      result.stack = StackContext(*sys_);
-      if (Reboot().ok()) ++reboots_;
-    }
-    return result;
-  }
-
-  util::Status Init() override {
-    CONNLAB_RETURN_IF_ERROR(BootSystem());
-    ReattachService();
-    CaptureSnapshot();
-    return util::OkStatus();
-  }
-
-  void ReattachService() override {
-    service_ = std::make_unique<adapt::HttpCamd>(*sys_);
-  }
-
- private:
-  std::unique_ptr<adapt::HttpCamd> service_;
-};
-
-// ------------------------------------------------------------------ resolvd --
-
-class ResolvdTarget : public BootedTarget {
- public:
-  static util::Result<std::unique_ptr<FuzzTarget>> Make(
-      const TargetConfig& config) {
-    auto target = std::make_unique<ResolvdTarget>(config);
-    CONNLAB_RETURN_IF_ERROR(target->Init());
-    return std::unique_ptr<FuzzTarget>(std::move(target));
-  }
-
-  explicit ResolvdTarget(const TargetConfig& config) : BootedTarget(config) {}
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "adapt::resolvd";
-  }
-  [[nodiscard]] std::size_t fixed_prefix() const noexcept override {
-    // Only the header survives untouched: the question *name* is the whole
-    // attack surface, so the label/pointer mutators must reach it.
-    return dns::kHeaderSize;
-  }
-  [[nodiscard]] bool dns_shaped() const noexcept override { return true; }
-
-  [[nodiscard]] std::vector<util::Bytes> SeedCorpus() const override {
-    std::vector<util::Bytes> seeds;
-    seeds.push_back(dns::Encode(dns::Message::Query(0x7264, kQName)).value());
-    seeds.push_back(
-        dns::Encode(dns::Message::Query(0x7265, "a.deeply.nested.label.chain.lan"))
-            .value());
-    // A benign *compressed* query: name ends in a pointer to a second name
-    // stored after the question — legal, loop-free, and one byte flip away
-    // from pointing at itself.
-    {
-      util::ByteWriter w;
-      w.WriteU16BE(0x7266);
-      w.WriteU16BE(0x0100);
-      w.WriteU16BE(1);
-      w.WriteU16BE(0);
-      w.WriteU16BE(0);
-      w.WriteU16BE(0);
-      w.WriteU8(3);
-      w.WriteString("cam");
-      w.WriteU8(0xC0);  // pointer to the tail name at offset 22
-      w.WriteU8(22);
-      w.WriteU16BE(1);
-      w.WriteU16BE(1);
-      w.WriteU8(3);
-      w.WriteString("lan");
-      w.WriteU8(0);
-      seeds.push_back(std::move(w).Take());
-    }
-    return seeds;
-  }
-
-  ExecResult Execute(util::ByteSpan input, CoverageMap& map) override {
-    ExecResult result;
-    auto& cpu = *sys_->cpu;
-    cpu.ClearEvents();
-    map.AttachTo(cpu);
-    cpu.ResetCoverageEdge();
-    const adapt::ServiceOutcome outcome = service_->HandleQuery(input);
-    cpu.DetachCoverage();
-    FillFromServiceOutcome(outcome, &result, map, cpu.events(),
-                           service_->last_expanded(),
-                           /*overflow=*/false);
-    // The recursion-depth gradient: deeper expansions are new coverage, so
-    // the corpus walks toward (and finally off) the stack cliff.
-    map.AddFeature(vm::CoverageLocation(kDepthSalt ^
-                                        SizeBucket(service_->last_hops())));
-    if (result.kind != ExecResult::Kind::kBenign) {
-      result.stack = StackContext(*sys_);
-      if (Reboot().ok()) ++reboots_;
-    }
-    return result;
-  }
-
-  util::Status Init() override {
-    CONNLAB_RETURN_IF_ERROR(BootSystem());
-    ReattachService();
-    CaptureSnapshot();
-    return util::OkStatus();
-  }
-
-  void ReattachService() override {
-    service_ = std::make_unique<adapt::Resolvd>(*sys_);
-  }
-
- private:
-  static constexpr std::uint32_t kDepthSalt = 0x00d3e970u;
-  static constexpr const char* kQName = "printer.office.lan";
-
-  std::unique_ptr<adapt::Resolvd> service_;
-};
-
-// ---------------------------------------------------------------- camstored --
-
 /// Host-side mirror of Camstored's size handling: the claimed
 /// Content-Length vs X-Record-Size mismatch is the bug's precondition, so
 /// it gets its own coverage feature (the fuzzer can hold a "sizes
@@ -656,31 +228,227 @@ CacheSizeView CamstoredSizeView(util::ByteSpan request) {
   return view;
 }
 
-class CamstoredTarget : public BootedTarget {
+// ----------------------------------------------------------------- dnsproxy --
+
+class DnsproxyTarget final : public FuzzTarget {
  public:
-  static util::Result<std::unique_ptr<FuzzTarget>> Make(
-      const TargetConfig& config) {
-    auto target = std::make_unique<CamstoredTarget>(config);
-    CONNLAB_RETURN_IF_ERROR(target->Init());
-    return std::unique_ptr<FuzzTarget>(std::move(target));
+  explicit DnsproxyTarget(const TargetConfig& config)
+      : FuzzTarget(config, Seeds()),
+        version_(config.patched ? connman::Version::k135
+                                : connman::Version::k134),
+        query_wire_(dns::Encode(Query()).value()) {}
+
+ private:
+  static constexpr std::uint16_t kQueryId = 0x4655;  // "FU"
+
+  static dns::Message Query() {
+    return dns::Message::Query(kQueryId, std::string(kDnsproxyQName));
   }
 
-  explicit CamstoredTarget(const TargetConfig& config) : BootedTarget(config) {}
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "adapt::camstored";
+  static std::vector<util::Bytes> Seeds() {
+    const std::string qname(kDnsproxyQName);
+    const dns::Message query = Query();
+    std::vector<util::Bytes> seeds;
+    // One A answer, one AAAA answer, two answers, and a compressed-name
+    // answer (pointer back to the question at offset 12) — the benign
+    // shapes a real upstream server produces.
+    {
+      dns::Message r = dns::Message::ResponseFor(query);
+      r.answers.push_back(dns::MakeA(qname, "93.184.216.34", 300));
+      seeds.push_back(dns::Encode(r).value());
+    }
+    {
+      dns::Message r = dns::Message::ResponseFor(query);
+      r.answers.push_back(dns::MakeAAAA(qname, 60));
+      seeds.push_back(dns::Encode(r).value());
+    }
+    {
+      dns::Message r = dns::Message::ResponseFor(query);
+      r.answers.push_back(dns::MakeA(qname, "10.0.0.1", 60));
+      r.answers.push_back(dns::MakeA(qname, "10.0.0.2", 60));
+      seeds.push_back(dns::Encode(r).value());
+    }
+    {
+      util::ByteWriter w;
+      w.WriteBytes(util::ByteSpan(seeds[0].data(),
+                                  EchoedQuestion(kDnsproxyQName)));
+      w.WriteU8(0xC0);  // answer owner name: pointer to the question name
+      w.WriteU8(12);
+      w.WriteU16BE(1);   // type A
+      w.WriteU16BE(1);   // class IN
+      w.WriteU32BE(60);  // ttl
+      w.WriteU16BE(4);   // rdlength
+      w.WriteBytes(util::Bytes{9, 9, 9, 9});
+      seeds.push_back(std::move(w).Take());
+    }
+    return seeds;
   }
-  [[nodiscard]] std::size_t fixed_prefix() const noexcept override { return 0; }
-  [[nodiscard]] bool dns_shaped() const noexcept override { return false; }
-  [[nodiscard]] bool stateful_across_execs() const noexcept override {
-    return true;
+
+  void Attach(loader::System& sys) override { proxy_.emplace(sys, version_); }
+
+  util::Result<Delivery> Deliver(util::ByteSpan input) override {
+    // Re-register the pending query: HandleServerResponse consumes it on
+    // the benign path, and a reboot forgets it.
+    if (!proxy_->AcceptClientQuery(query_wire_).ok()) {
+      return util::Internal("query registration failed");
+    }
+    connman::ProxyOutcome outcome = proxy_->HandleServerResponse(input);
+    const std::uint32_t written = outcome.name_bytes_written;
+    const bool overflowed = outcome.overflowed;
+    Delivery delivery = Delivered(std::move(outcome), written, overflowed);
+    // A deep non-crashing overflow still trashed the caller stack area.
+    delivery.corrupted = overflowed;
+    return delivery;
   }
 
-  [[nodiscard]] std::vector<util::Bytes> SeedCorpus() const override {
+  connman::Version version_;
+  util::Bytes query_wire_;
+  std::optional<connman::DnsProxy> proxy_;
+};
+
+// ----------------------------------------------------------------- minimasq --
+
+class MinimasqTarget final : public FuzzTarget {
+ public:
+  explicit MinimasqTarget(const TargetConfig& config)
+      : FuzzTarget(config, Seeds()),
+        query_wire_(dns::Encode(Query()).value()) {}
+
+ private:
+  static dns::Message Query() {
+    return dns::Message::Query(0x6d71, std::string(kMinimasqQName));
+  }
+
+  static std::vector<util::Bytes> Seeds() {
+    const std::string qname(kMinimasqQName);
+    std::vector<util::Bytes> seeds;
+    dns::Message r = dns::Message::ResponseFor(Query());
+    r.answers.push_back(dns::MakeA(qname, "172.16.0.9", 120));
+    seeds.push_back(dns::Encode(r).value());
+    dns::Message r2 = dns::Message::ResponseFor(Query());
+    r2.answers.push_back(dns::MakeTXT(qname, "v=spf1 -all", 60));
+    seeds.push_back(dns::Encode(r2).value());
+    return seeds;
+  }
+
+  void Attach(loader::System& sys) override { service_.emplace(sys); }
+
+  util::Result<Delivery> Deliver(util::ByteSpan input) override {
+    if (!service_->ForwardQuery(query_wire_).ok()) {
+      return util::Internal("forward registration failed");
+    }
+    const std::uint32_t expanded = MinimasqExpansion(input);
+    return Delivered(service_->HandleReply(input), expanded,
+                     expanded > adapt::Minimasq::kBufSize);
+  }
+
+  util::Bytes query_wire_;
+  std::optional<adapt::Minimasq> service_;
+};
+
+// ----------------------------------------------------------------- httpcamd --
+
+class HttpcamdTarget final : public FuzzTarget {
+ public:
+  explicit HttpcamdTarget(const TargetConfig& config)
+      : FuzzTarget(config, Seeds()) {}
+
+ private:
+  static std::vector<util::Bytes> Seeds() {
+    std::vector<util::Bytes> seeds;
+    seeds.push_back(util::BytesOf("GET /status HTTP/1.0\r\n\r\n"));
+    const util::Bytes body = util::BytesOf("{\"res\":\"720p\"}");
+    seeds.push_back(adapt::HttpCamd::WrapInRequest(body));
+    // A config upload near (but under) the 256-byte buffer: realistic for
+    // a camera firmware blob, and it parks the corpus next to the cliff.
+    util::Bytes config(200, '=');
+    const util::Bytes header = util::BytesOf("{\"firmware\":\"");
+    config.insert(config.begin(), header.begin(), header.end());
+    seeds.push_back(adapt::HttpCamd::WrapInRequest(config));
+    return seeds;
+  }
+
+  void Attach(loader::System& sys) override { service_.emplace(sys); }
+
+  util::Result<Delivery> Deliver(util::ByteSpan input) override {
+    const HttpBodyView view = HttpcamdBodyView(input);
+    Delivery delivery =
+        Delivered(service_->HandleRequest(input), view.body_len,
+                  view.body_len > adapt::HttpCamd::kBufSize);
+    AddSizeFeature(delivery, kClaimSalt, view.claimed);
+    return delivery;
+  }
+
+  std::optional<adapt::HttpCamd> service_;
+};
+
+// ------------------------------------------------------------------ resolvd --
+
+class ResolvdTarget final : public FuzzTarget {
+ public:
+  explicit ResolvdTarget(const TargetConfig& config)
+      : FuzzTarget(config, Seeds()) {}
+
+ private:
+  static std::vector<util::Bytes> Seeds() {
+    std::vector<util::Bytes> seeds;
+    seeds.push_back(
+        dns::Encode(dns::Message::Query(0x7264, "printer.office.lan")).value());
+    seeds.push_back(
+        dns::Encode(dns::Message::Query(0x7265, "a.deeply.nested.label.chain.lan"))
+            .value());
+    // A benign *compressed* query: name ends in a pointer to a second name
+    // stored after the question — legal, loop-free, and one byte flip away
+    // from pointing at itself.
+    {
+      util::ByteWriter w;
+      w.WriteU16BE(0x7266);
+      w.WriteU16BE(0x0100);
+      w.WriteU16BE(1);
+      w.WriteU16BE(0);
+      w.WriteU16BE(0);
+      w.WriteU16BE(0);
+      w.WriteU8(3);
+      w.WriteString("cam");
+      w.WriteU8(0xC0);  // pointer to the tail name at offset 22
+      w.WriteU8(22);
+      w.WriteU16BE(1);
+      w.WriteU16BE(1);
+      w.WriteU8(3);
+      w.WriteString("lan");
+      w.WriteU8(0);
+      seeds.push_back(std::move(w).Take());
+    }
+    return seeds;
+  }
+
+  void Attach(loader::System& sys) override { service_.emplace(sys); }
+
+  util::Result<Delivery> Deliver(util::ByteSpan input) override {
+    adapt::ServiceOutcome outcome = service_->HandleQuery(input);
+    Delivery delivery = Delivered(std::move(outcome),
+                                  service_->last_expanded(),
+                                  /*overflow=*/false);
+    // The recursion-depth gradient: deeper expansions are new coverage, so
+    // the corpus walks toward (and finally off) the stack cliff.
+    AddSizeFeature(delivery, kDepthSalt, service_->last_hops());
+    return delivery;
+  }
+
+  std::optional<adapt::Resolvd> service_;
+};
+
+// ---------------------------------------------------------------- camstored --
+
+class CamstoredTarget final : public FuzzTarget {
+ public:
+  explicit CamstoredTarget(const TargetConfig& config)
+      : FuzzTarget(config, Seeds()) {}
+
+ private:
+  static std::vector<util::Bytes> Seeds() {
     // The benign protocol: store two adjacent records, read, delete one.
-    // The daemon keeps heap state *across* executions (until a corrupting
-    // run reboots it), so the fuzzer composes multi-request heap shapes
-    // for free; the seeds park it next to the size-mismatch cliff.
+    // The seeds park the daemon next to the size-mismatch cliff.
     std::vector<util::Bytes> seeds;
     seeds.push_back(
         adapt::Camstored::WrapInPut(util::Bytes(56, 'a'), "snap", 64));
@@ -691,81 +459,153 @@ class CamstoredTarget : public BootedTarget {
     return seeds;
   }
 
-  ExecResult Execute(util::ByteSpan input, CoverageMap& map) override {
-    ExecResult result;
-    auto& cpu = *sys_->cpu;
-    cpu.ClearEvents();
-    map.AttachTo(cpu);
-    cpu.ResetCoverageEdge();
-    const adapt::ServiceOutcome outcome = service_->HandleRequest(input);
-    cpu.DetachCoverage();
+  void Attach(loader::System& sys) override { service_.emplace(sys); }
+
+  util::Result<Delivery> Deliver(util::ByteSpan input) override {
     const CacheSizeView view = CamstoredSizeView(input);
-    FillFromServiceOutcome(outcome, &result, map, cpu.events(),
-                           view.content_length, view.mismatch);
-    map.AddFeature(
-        vm::CoverageLocation(kRecordSalt ^ SizeBucket(view.record_size)));
+    Delivery delivery = Delivered(service_->HandleRequest(input),
+                                  view.content_length, view.mismatch);
+    AddSizeFeature(delivery, kRecordSalt, view.record_size);
     // Allocator-shape features: split/coalesce counts change only when an
     // input exercised a new heap path.
-    const heap::GuestHeap::Stats& stats = service_->heap().stats();
-    map.AddFeature(vm::CoverageLocation(
-        kHeapSalt ^ SizeBucket(static_cast<std::uint32_t>(stats.coalesces))));
-    if (result.kind != ExecResult::Kind::kBenign) {
-      result.stack = StackContext(*sys_);
-      if (Reboot().ok()) ++reboots_;
-    }
-    return result;
+    AddSizeFeature(delivery, kHeapSalt,
+                   static_cast<std::uint32_t>(
+                       service_->heap().stats().coalesces));
+    return delivery;
   }
 
-  util::Status Init() override {
-    CONNLAB_RETURN_IF_ERROR(BootSystem());
-    ReattachService();
-    CaptureSnapshot();
-    return util::OkStatus();
-  }
-
-  void ReattachService() override {
-    service_ = std::make_unique<adapt::Camstored>(*sys_);
-  }
-
- private:
-  static constexpr std::uint32_t kRecordSalt = 0x00ca54edu;
-  static constexpr std::uint32_t kHeapSalt = 0x0077ea90u;
-
-  std::unique_ptr<adapt::Camstored> service_;
+  std::optional<adapt::Camstored> service_;
 };
 
 }  // namespace
 
+const TargetTraits& TraitsOf(TargetKind kind) noexcept {
+  return kTraits[static_cast<std::size_t>(kind)];
+}
+
 std::string_view TargetKindName(TargetKind kind) noexcept {
-  switch (kind) {
-    case TargetKind::kDnsproxy: return "dnsproxy";
-    case TargetKind::kMinimasq: return "minimasq";
-    case TargetKind::kHttpcamd: return "httpcamd";
-    case TargetKind::kResolvd: return "resolvd";
-    case TargetKind::kCamstored: return "camstored";
-  }
-  return "?";
+  return TraitsOf(kind).id;
 }
 
 util::Result<TargetKind> ParseTargetKind(std::string_view name) {
-  if (name == "dnsproxy") return TargetKind::kDnsproxy;
-  if (name == "minimasq") return TargetKind::kMinimasq;
-  if (name == "httpcamd") return TargetKind::kHttpcamd;
-  if (name == "resolvd") return TargetKind::kResolvd;
-  if (name == "camstored") return TargetKind::kCamstored;
+  for (const TargetTraits& traits : kTraits) {
+    if (traits.id == name) return traits.kind;
+  }
   return util::InvalidArgument("unknown fuzz target: " + std::string(name));
+}
+
+FuzzTarget::FuzzTarget(const TargetConfig& config,
+                       std::vector<util::Bytes> seeds)
+    : config_(config), seeds_(std::move(seeds)) {}
+
+FuzzTarget::~FuzzTarget() = default;
+
+util::Status FuzzTarget::Boot() {
+  CONNLAB_ASSIGN_OR_RETURN(
+      sys_, loader::Boot(config_.arch, loader::ProtectionConfig::None(),
+                         config_.boot_seed, config_.exec));
+  CONNLAB_ASSIGN_OR_RETURN(get_name_, sys_->Sym("connman.get_name"));
+  CONNLAB_ASSIGN_OR_RETURN(copy_entry_, sys_->Sym("connman.copy_label"));
+  CONNLAB_ASSIGN_OR_RETURN(copy_done_, sys_->Sym("connman.copy_done"));
+  Attach(*sys_);
+  if (config_.fast_reset) {
+    snapshot_ = std::make_unique<loader::Snapshot>(loader::TakeSnapshot(*sys_));
+  }
+  return util::OkStatus();
+}
+
+/// Fresh process image after a corrupting execution. Fast path: rewind
+/// guest memory + CPU to the post-boot snapshot and recreate the service;
+/// identical to a full re-Boot because the boot seed is fixed and host
+/// functions are stateless. Falls back to Boot() when fast_reset is off or
+/// the restore is refused.
+util::Status FuzzTarget::Reboot() {
+  if (snapshot_ != nullptr && loader::RestoreSnapshot(*sys_, *snapshot_).ok()) {
+    Attach(*sys_);
+    return util::OkStatus();
+  }
+  return Boot();
+}
+
+ExecResult FuzzTarget::Execute(util::ByteSpan input, CoverageMap& map) {
+  vm::Cpu& cpu = *sys_->cpu;
+  // The event log is per execution: an input the service rejects before
+  // the guest runs must not fold in the previous execution's events.
+  cpu.ClearEvents();
+  map.AttachTo(cpu);
+  cpu.ResetCoverageEdge();
+  util::Result<Delivery> delivered = Deliver(input);
+  cpu.DetachCoverage();
+
+  ExecResult result;
+  if (!delivered.ok()) {
+    result.kind = ExecResult::Kind::kOther;
+    result.detail = "harness: " + delivered.status().message();
+    return result;
+  }
+  Delivery& delivery = delivered.value();
+  result.kind = delivery.kind;
+  result.stop_reason = delivery.stop.reason;
+  result.pc = delivery.stop.pc;
+  result.write_fault = delivery.stop.fault.has_value() &&
+                       delivery.stop.fault->kind == mem::AccessKind::kWrite;
+  result.bytes_expanded = delivery.size;
+  result.overflow = delivery.overflow;
+  result.detail = std::move(delivery.detail);
+
+  map.AddFeature(vm::CoverageLocation(kOutcomeSalt ^ delivery.outcome));
+  map.AddFeature(vm::CoverageLocation(kSizeSalt ^ SizeBucket(delivery.size)));
+  if (delivery.overflow) map.AddFeature(vm::CoverageLocation(kOverflowSalt));
+  for (const vm::Event& event : cpu.events()) {
+    map.AddFeature(vm::EventFeature(event.kind));
+  }
+  for (std::size_t i = 0; i < delivery.feature_count; ++i) {
+    map.AddFeature(vm::CoverageLocation(delivery.features[i]));
+  }
+
+  const bool benign = result.kind == ExecResult::Kind::kBenign;
+  if (!benign) result.stack = StackContext(*sys_);
+  if (!benign || delivery.corrupted) {
+    // Fresh process image, identical layout (fixed boot seed, no ASLR).
+    if (Reboot().ok()) ++reboots_;
+  }
+  return result;
+}
+
+mem::GuestAddr FuzzTarget::NormalizePc(mem::GuestAddr pc) const {
+  if (AtOverflowSite(pc)) return copy_entry_;
+  return sys_->space.FindSegment(pc) != nullptr ? pc : kWildPc;
+}
+
+bool FuzzTarget::AtOverflowSite(mem::GuestAddr pc) const {
+  return (pc >= copy_entry_ && pc <= copy_done_) || pc == get_name_;
 }
 
 util::Result<std::unique_ptr<FuzzTarget>> MakeTarget(
     const TargetConfig& config) {
+  std::unique_ptr<FuzzTarget> target;
   switch (config.kind) {
-    case TargetKind::kDnsproxy: return DnsproxyTarget::Make(config);
-    case TargetKind::kMinimasq: return MinimasqTarget::Make(config);
-    case TargetKind::kHttpcamd: return HttpcamdTarget::Make(config);
-    case TargetKind::kResolvd: return ResolvdTarget::Make(config);
-    case TargetKind::kCamstored: return CamstoredTarget::Make(config);
+    case TargetKind::kDnsproxy:
+      target = std::make_unique<DnsproxyTarget>(config);
+      break;
+    case TargetKind::kMinimasq:
+      target = std::make_unique<MinimasqTarget>(config);
+      break;
+    case TargetKind::kHttpcamd:
+      target = std::make_unique<HttpcamdTarget>(config);
+      break;
+    case TargetKind::kResolvd:
+      target = std::make_unique<ResolvdTarget>(config);
+      break;
+    case TargetKind::kCamstored:
+      target = std::make_unique<CamstoredTarget>(config);
+      break;
   }
-  return util::InvalidArgument("unknown fuzz target kind");
+  if (target == nullptr) {
+    return util::InvalidArgument("unknown fuzz target kind");
+  }
+  CONNLAB_RETURN_IF_ERROR(target->Boot());
+  return target;
 }
 
 }  // namespace connlab::fuzz

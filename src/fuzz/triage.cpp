@@ -162,36 +162,6 @@ namespace {
 
 constexpr std::string_view kMagic = "connlab-repro v1";
 
-std::string HexEncode(util::ByteSpan data) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(data.size() * 2);
-  for (const std::uint8_t b : data) {
-    out.push_back(kHex[b >> 4]);
-    out.push_back(kHex[b & 0xF]);
-  }
-  return out;
-}
-
-util::Result<util::Bytes> HexDecode(std::string_view hex) {
-  if (hex.size() % 2 != 0) return util::Malformed("odd hex length");
-  const auto nibble = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-    return -1;
-  };
-  util::Bytes out;
-  out.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    const int hi = nibble(hex[i]);
-    const int lo = nibble(hex[i + 1]);
-    if (hi < 0 || lo < 0) return util::Malformed("bad hex digit");
-    out.push_back(static_cast<std::uint8_t>((hi << 4) | lo));
-  }
-  return out;
-}
-
 /// Returns the value part of "key: value", or empty when the key differs.
 std::string_view ValueFor(std::string_view line, std::string_view key) {
   if (line.substr(0, key.size()) != key) return {};
@@ -225,7 +195,7 @@ std::string SerializeReproducer(const TargetConfig& config,
                 static_cast<unsigned long long>(bucket.key.stack_hash));
   out += buf;
   out += "input: ";
-  out += HexEncode(input);
+  out += util::ToHex(input);
   out += '\n';
   return out;
 }
@@ -273,7 +243,7 @@ util::Result<Reproducer> ParseReproducer(std::string_view text) {
     } else if (auto h = ValueFor(line, "stack_hash"); !h.empty()) {
       repro.key.stack_hash = as_u64(h);
     } else if (auto i = ValueFor(line, "input"); !i.empty()) {
-      CONNLAB_ASSIGN_OR_RETURN(repro.input, HexDecode(i));
+      CONNLAB_ASSIGN_OR_RETURN(repro.input, util::FromHex(i));
       have_input = true;
     }
   }

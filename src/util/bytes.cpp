@@ -17,6 +17,25 @@ std::string ToHex(ByteSpan data) {
   return out;
 }
 
+Result<Bytes> FromHex(std::string_view hex) {
+  if (hex.size() % 2 != 0) return Malformed("odd hex length");
+  const auto nibble = [](char c) -> int {
+    if (c >= '0' && c <= '9') return c - '0';
+    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+    return -1;
+  };
+  Bytes out;
+  out.reserve(hex.size() / 2);
+  for (std::size_t i = 0; i < hex.size(); i += 2) {
+    const int hi = nibble(hex[i]);
+    const int lo = nibble(hex[i + 1]);
+    if (hi < 0 || lo < 0) return Malformed("bad hex digit");
+    out.push_back(static_cast<std::uint8_t>((hi << 4) | lo));
+  }
+  return out;
+}
+
 Status ByteReader::Seek(std::size_t offset) {
   if (offset > data_.size()) {
     return OutOfRange("seek past end of buffer");

@@ -25,6 +25,10 @@ Bytes BytesOf(std::string_view text);
 /// Renders bytes as lowercase hex, e.g. "dead beef" -> "646561642062656566".
 std::string ToHex(ByteSpan data);
 
+/// Parses hex digits of either case back into bytes. Malformed on an odd
+/// length ("odd hex length") or a non-hex character ("bad hex digit").
+Result<Bytes> FromHex(std::string_view hex);
+
 /// Bounds-checked big-endian/little-endian reader over a non-owned span.
 class ByteReader {
  public:

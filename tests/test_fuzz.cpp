@@ -534,6 +534,25 @@ TEST(Reproducer, SerializeParseRoundTrip) {
   EXPECT_EQ(repro.input, bucket.minimized);
 
   EXPECT_FALSE(ParseReproducer("not a reproducer").ok());
+  // Hostile files: each reject names what is wrong with the line.
+  const std::string head = text.substr(0, text.find("input: "));
+  const auto rejects = [](const std::string& bad, util::StatusCode code,
+                          const std::string& message) {
+    auto got = ParseReproducer(bad);
+    ASSERT_FALSE(got.ok()) << bad;
+    EXPECT_EQ(got.status().code(), code) << bad;
+    EXPECT_EQ(got.status().message(), message) << bad;
+  };
+  rejects(head + "input: c00\n", util::StatusCode::kMalformed,
+          "odd hex length");
+  rejects(head + "input: c0zz\n", util::StatusCode::kMalformed,
+          "bad hex digit");
+  std::string unknown = text;
+  const std::string target_line = "target: minimasq";
+  unknown.replace(unknown.find(target_line), target_line.size(),
+                  "target: floppyd");
+  rejects(unknown, util::StatusCode::kInvalidArgument,
+          "unknown fuzz target: floppyd");
 }
 
 // -------------------------------------------------------------- targets ----
@@ -564,6 +583,50 @@ TEST(Target, SeedCorporaAreBenign) {
           << TargetKindName(kind) << ": " << result.detail;
     }
     EXPECT_GT(map.CountNonZero(), 0u) << TargetKindName(kind);
+  }
+}
+
+/// The lit cells of `map` as (index, count) pairs in index order.
+std::vector<std::pair<std::uint16_t, std::uint8_t>> LitCells(
+    const CoverageMap& map) {
+  std::vector<std::pair<std::uint16_t, std::uint8_t>> cells;
+  for (const std::uint16_t i : map.touched()) {
+    cells.emplace_back(i, map.data()[i]);
+  }
+  std::sort(cells.begin(), cells.end());
+  return cells;
+}
+
+// Coverage is a function of the input alone: an input the service rejects
+// before it runs the guest must light the same cells whether the target is
+// fresh or has just served its benign seeds (whose guest runs left events
+// behind in the CPU's log).
+TEST(Target, RejectedInputCoverageIgnoresThePreviousExec) {
+  const Bytes rejected = util::BytesOf("xyz");
+  for (const TargetKind kind :
+       {TargetKind::kDnsproxy, TargetKind::kMinimasq, TargetKind::kHttpcamd,
+        TargetKind::kResolvd}) {
+    TargetConfig config;
+    config.kind = kind;
+    auto fresh = MakeTarget(config);
+    auto warm = MakeTarget(config);
+    ASSERT_TRUE(fresh.ok() && warm.ok()) << TargetKindName(kind);
+
+    CoverageMap fresh_map;
+    const ExecResult fresh_result = fresh.value()->Execute(rejected, fresh_map);
+    EXPECT_EQ(fresh_result.kind, ExecResult::Kind::kBenign)
+        << TargetKindName(kind);
+
+    CoverageMap warm_map;
+    for (const Bytes& seed : warm.value()->SeedCorpus()) {
+      ASSERT_EQ(warm.value()->Execute(seed, warm_map).kind,
+                ExecResult::Kind::kBenign)
+          << TargetKindName(kind);
+    }
+    warm_map.Clear();
+    warm.value()->Execute(rejected, warm_map);
+
+    EXPECT_EQ(LitCells(warm_map), LitCells(fresh_map)) << TargetKindName(kind);
   }
 }
 
@@ -825,6 +888,42 @@ TEST(Fuzzer, RediscoversCamstoredHeapCorruption) {
       << bucket.first_result.detail;
 }
 
+// Pinned single-worker outcomes for the four zoo targets (seed 42, 20000
+// execs; `fuzz_campaign 42 20000 1 <target>` prints the same numbers). Like
+// the dnsproxy pins above: an intentional behaviour change re-pins them in
+// the same commit and says so.
+TEST(Fuzzer, ZooCampaignsMatchReferenceDigests) {
+  struct Pin {
+    TargetKind kind;
+    std::uint64_t coverage_digest;
+    std::uint32_t cells;
+    std::size_t buckets;
+  };
+  constexpr Pin kPins[] = {
+      {TargetKind::kMinimasq, 0xeaddaffac2f1561fULL, 16, 2},
+      {TargetKind::kHttpcamd, 0xcef5298690d6be05ULL, 31, 3},
+      {TargetKind::kResolvd, 0xfd69fafca65c60f1ULL, 25, 2},
+      {TargetKind::kCamstored, 0x3a7a3dd9b85885efULL, 34, 1},
+  };
+  for (const Pin& pin : kPins) {
+    FuzzConfig config;
+    config.target.kind = pin.kind;
+    config.seed = 42;
+    config.max_execs = 20000;
+    config.workers = 1;
+    config.minimize = false;  // minimization moves no digest or bucket
+    auto report = Fuzzer(config).Run();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report.value().stats.coverage_digest, pin.coverage_digest)
+        << TargetKindName(pin.kind) << ": " << std::hex
+        << report.value().stats.coverage_digest;
+    EXPECT_EQ(report.value().stats.coverage_cells, pin.cells)
+        << TargetKindName(pin.kind);
+    EXPECT_EQ(report.value().triage.buckets().size(), pin.buckets)
+        << TargetKindName(pin.kind);
+  }
+}
+
 TEST(Fuzzer, RejectsDegenerateConfigs) {
   FuzzConfig config;
   config.workers = 0;
@@ -889,6 +988,11 @@ TEST(CorpusPersistence, SaveLoadFileRoundTrip) {
 TEST(CorpusPersistence, RejectsGarbage) {
   EXPECT_FALSE(DeserializeCorpus("not a corpus").ok());
   EXPECT_FALSE(DeserializeCorpus("connlab-corpus v1\nentry nope\n").ok());
+  auto bad_hex = DeserializeCorpus(
+      "connlab-corpus v1\nentry news=1 found_at=0 size=2\nzzzz\n");
+  ASSERT_FALSE(bad_hex.ok());
+  EXPECT_EQ(bad_hex.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad_hex.status().message(), "corpus file: bad hex payload");
   EXPECT_FALSE(
       DeserializeCorpus("connlab-corpus v1\n"
                         "entry news=1 found_at=0 size=4\nzzzz\n")
@@ -1028,6 +1132,11 @@ TEST(Dictionary, RejectsMalformedLines) {
   EXPECT_FALSE(ParseDictionary("x=\"unterminated\n").ok());
   EXPECT_FALSE(ParseDictionary("x=\"bad\\q\"\n").ok());
   EXPECT_FALSE(ParseDictionary("x=\"\\x4\"\n").ok());
+  auto bad_escape = ParseDictionary("x=\"\\xg1\"");
+  ASSERT_FALSE(bad_escape.ok());
+  EXPECT_EQ(bad_escape.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad_escape.status().message(),
+            "dictionary: bad \\x escape: x=\"\\xg1\"");
   EXPECT_FALSE(ParseDictionary("x=\"\"\n").ok());
   EXPECT_FALSE(LoadDictionaryFile("does_not_exist.dict").ok());
 }

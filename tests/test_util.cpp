@@ -76,6 +76,25 @@ TEST(Bytes, BytesOfAndToHex) {
   EXPECT_EQ(b[0], 'A');
   EXPECT_EQ(ToHex(b), "4142");
   EXPECT_EQ(ToHex(Bytes{}), "");
+
+  // FromHex inverts ToHex and reads either case.
+  const Bytes all = [] {
+    Bytes out;
+    for (int i = 0; i < 256; ++i) out.push_back(static_cast<std::uint8_t>(i));
+    return out;
+  }();
+  auto round = FromHex(ToHex(all));
+  ASSERT_TRUE(round.ok()) << round.status().ToString();
+  EXPECT_EQ(round.value(), all);
+  EXPECT_EQ(FromHex("DeadBEEF").value(), (Bytes{0xde, 0xad, 0xbe, 0xef}));
+  EXPECT_TRUE(FromHex("").value().empty());
+  for (const char* bad : {"abc", "0g", "g0", " 0", "0x12"}) {
+    auto got = FromHex(bad);
+    ASSERT_FALSE(got.ok()) << bad;
+    EXPECT_EQ(got.status().code(), StatusCode::kMalformed) << bad;
+  }
+  EXPECT_EQ(FromHex("abc").status().message(), "odd hex length");
+  EXPECT_EQ(FromHex("0g").status().message(), "bad hex digit");
 }
 
 TEST(ByteReader, ReadsScalarsBigEndian) {
