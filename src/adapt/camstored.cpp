@@ -1,22 +1,20 @@
 #include "src/adapt/camstored.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace connlab::adapt {
 
-namespace {
-
-/// Header value as unsigned long, 0 if absent.
-std::size_t HeaderValue(const std::string& text, const std::string& key,
-                        std::size_t headers_end, bool* present = nullptr) {
+std::size_t HeaderValue(const std::string& text, std::string_view key,
+                        std::size_t headers_end, bool* present) {
   const std::size_t pos = text.find(key);
-  if (present != nullptr) *present = pos != std::string::npos && pos < headers_end;
+  if (present != nullptr) {
+    *present = pos != std::string::npos && pos < headers_end;
+  }
   if (pos == std::string::npos || pos > headers_end) return 0;
   return static_cast<std::size_t>(
       std::strtoul(text.c_str() + pos + key.size(), nullptr, 10));
 }
-
-}  // namespace
 
 Camstored::Camstored(loader::System& sys)
     : sys_(sys),
@@ -59,77 +57,80 @@ util::Bytes Camstored::WrapInDelete(const std::string& name) {
 }
 
 ServiceOutcome Camstored::HandleRequest(util::ByteSpan request) {
-  ServiceOutcome outcome;
   last_response_.clear();
   const std::string text(request.begin(), request.end());
   const std::size_t headers_end = text.find("\r\n\r\n");
   if (headers_end == std::string::npos) {
     last_response_ = "HTTP/1.0 400 Bad Request\r\n\r\n";
-    outcome.kind = ServiceOutcome::Kind::kRejected;
-    outcome.detail = "malformed request";
-    return outcome;
+    return Rejected("malformed request");
   }
   if (text.compare(0, 4, "GET ") == 0) {
     last_response_ = "HTTP/1.0 200 OK\r\n\r\ncamstored: " +
                      std::to_string(records_.size()) + " records";
+    ServiceOutcome outcome;
     outcome.kind = ServiceOutcome::Kind::kOk;
     outcome.detail = "GET served";
     return outcome;
   }
 
+  // The size headers of a PUT, as sent: the record is allocated by
+  // X-Record-Size and filled by Content-Length, so their disagreement is the
+  // bug's precondition. Every outcome from here on reports them.
+  bool has_clen = false;
+  bool has_size = false;
+  std::size_t content_length = 0;
+  std::size_t record_size = 0;
+  if (text.compare(0, 4, "PUT ") == 0) {
+    content_length =
+        HeaderValue(text, "Content-Length:", headers_end, &has_clen);
+    record_size = HeaderValue(text, "X-Record-Size:", headers_end, &has_size);
+  }
+  const auto sent_length = static_cast<std::uint32_t>(content_length);
+  const auto sent_size = static_cast<std::uint32_t>(record_size);
+  const auto measured = [sent_length, sent_size](ServiceOutcome outcome) {
+    outcome.bytes_written = sent_length;
+    outcome.overflowed = sent_size != 0 && sent_length > sent_size;
+    outcome.gradient = sent_size;
+    return outcome;
+  };
+
   const bool is_put = text.compare(0, 11, "PUT /cache/") == 0;
   const bool is_delete = text.compare(0, 14, "DELETE /cache/") == 0;
   if (!is_put && !is_delete) {
     last_response_ = "HTTP/1.0 405 Method Not Allowed\r\n\r\n";
-    outcome.kind = ServiceOutcome::Kind::kRejected;
-    outcome.detail = "unsupported verb";
-    return outcome;
+    return measured(Rejected("unsupported verb"));
   }
   const std::size_t name_start = is_put ? 11 : 14;
   const std::size_t name_end = text.find(' ', name_start);
   if (name_end == std::string::npos || name_end == name_start ||
       name_end - name_start > 64) {
     last_response_ = "HTTP/1.0 400 Bad Request\r\n\r\n";
-    outcome.kind = ServiceOutcome::Kind::kRejected;
-    outcome.detail = "bad record name";
-    return outcome;
+    return measured(Rejected("bad record name"));
   }
   const std::string name = text.substr(name_start, name_end - name_start);
 
   if (is_delete) return HandleDelete(name);
 
-  bool has_clen = false;
-  const std::size_t content_length =
-      HeaderValue(text, "Content-Length:", headers_end, &has_clen);
   if (!has_clen) {
     last_response_ = "HTTP/1.0 411 Length Required\r\n\r\n";
-    outcome.kind = ServiceOutcome::Kind::kRejected;
-    outcome.detail = "no content-length";
-    return outcome;
+    return measured(Rejected("no content-length"));
   }
-  bool has_size = false;
-  std::size_t record_size =
-      HeaderValue(text, "X-Record-Size:", headers_end, &has_size);
-  if (!has_size) record_size = content_length;  // benign default
-  if (record_size == 0 || record_size > 0x10000) {
+  // Without X-Record-Size the record is sized by its body.
+  const std::size_t alloc_size = has_size ? record_size : content_length;
+  if (alloc_size == 0 || alloc_size > 0x10000) {
     last_response_ = "HTTP/1.0 400 Bad Request\r\n\r\n";
-    outcome.kind = ServiceOutcome::Kind::kRejected;
-    outcome.detail = "implausible record size";
-    return outcome;
+    return measured(Rejected("implausible record size"));
   }
   const std::size_t body_start = headers_end + 4;
-  const std::size_t body_avail = request.size() - body_start;
   const std::size_t body_len =
-      content_length < body_avail ? content_length : body_avail;
-  return HandlePut(name,
-                   util::ByteSpan(request.data() + body_start, body_len),
-                   static_cast<std::uint32_t>(record_size));
+      std::min(content_length, request.size() - body_start);
+  return measured(HandlePut(name, request.subspan(body_start, body_len),
+                            static_cast<std::uint32_t>(alloc_size)));
 }
 
 ServiceOutcome Camstored::HandlePut(const std::string& name,
                                     util::ByteSpan body,
                                     std::uint32_t record_size) {
-  ServiceOutcome outcome;
   auto& space = sys_.space;
 
   mem::GuestAddr dest = 0;
@@ -147,17 +148,13 @@ ServiceOutcome Camstored::HandlePut(const std::string& name,
     }
   } else if (records_.size() >= kMaxRecords) {
     last_response_ = "HTTP/1.0 507 Insufficient Storage\r\n\r\n";
-    outcome.kind = ServiceOutcome::Kind::kRejected;
-    outcome.detail = "record table full";
-    return outcome;
+    return Rejected("record table full");
   }
   if (dest == 0) {
     auto alloc = heap_.Alloc(record_size);
     if (!alloc.ok()) {
       last_response_ = "HTTP/1.0 507 Insufficient Storage\r\n\r\n";
-      outcome.kind = ServiceOutcome::Kind::kRejected;
-      outcome.detail = "heap exhausted: " + alloc.status().ToString();
-      return outcome;
+      return Rejected("heap exhausted: " + alloc.status().ToString());
     }
     dest = alloc.value();
   }
@@ -181,13 +178,10 @@ ServiceOutcome Camstored::HandlePut(const std::string& name,
 }
 
 ServiceOutcome Camstored::HandleDelete(const std::string& name) {
-  ServiceOutcome outcome;
   const auto it = records_.find(name);
   if (it == records_.end()) {
     last_response_ = "HTTP/1.0 404 Not Found\r\n\r\n";
-    outcome.kind = ServiceOutcome::Kind::kRejected;
-    outcome.detail = "no such record";
-    return outcome;
+    return Rejected("no such record");
   }
   const mem::GuestAddr payload = it->second;
   records_.erase(it);
@@ -237,7 +231,7 @@ ServiceOutcome Camstored::CallFlushHook() {
   cpu.ClearEvents();
   cpu.set_sp(sys_.layout.initial_sp());
   cpu.set_pc(hook.value());
-  outcome = ServiceOutcomeFromStop(cpu.Run(budget_));
+  outcome = ServiceOutcomeFromStop(cpu.Run(kServiceStepBudget));
   if (outcome.kind == ServiceOutcome::Kind::kOk) {
     last_response_ = "HTTP/1.0 200 OK\r\n\r\nrecord stored";
     outcome.detail = "record stored";

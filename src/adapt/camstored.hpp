@@ -13,6 +13,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "src/adapt/minimasq.hpp"
 #include "src/exploit/profile.hpp"
@@ -20,6 +21,13 @@
 #include "src/loader/boot.hpp"
 
 namespace connlab::adapt {
+
+/// The zoo's one HTTP header reader: the decimal value after the first
+/// `key` in `text` (strtoul: leading spaces skipped, digits until the first
+/// non-digit, ULONG_MAX on overflow). 0, and `present` false, when `key`
+/// does not occur before `headers_end`.
+std::size_t HeaderValue(const std::string& text, std::string_view key,
+                        std::size_t headers_end, bool* present = nullptr);
 
 class Camstored {
  public:
@@ -35,6 +43,10 @@ class Camstored {
 
   /// Handles one request. Verbs: "GET /..." (status), "PUT /cache/<name>"
   /// with X-Record-Size + Content-Length headers, "DELETE /cache/<name>".
+  /// Size signal, for every request with a header end that starts "PUT ",
+  /// whatever becomes of it: Content-Length as sent, cast to 32 bits;
+  /// overflowed when X-Record-Size is nonzero and smaller (the bug's
+  /// precondition); gradient: X-Record-Size as sent, 0 when absent.
   ServiceOutcome HandleRequest(util::ByteSpan request);
 
   /// Profile for the heap-metadata exploit builder: arch/prot plus the
@@ -77,7 +89,6 @@ class Camstored {
   heap::GuestHeap heap_;
   std::map<std::string, mem::GuestAddr> records_;  // name -> payload addr
   std::string last_response_;
-  std::uint64_t budget_ = 200000;
 };
 
 }  // namespace connlab::adapt

@@ -23,12 +23,19 @@ class HttpCamd {
   static constexpr std::uint32_t kBufSize = 256;
   static constexpr std::uint32_t kLocals = 8;
 
-  explicit HttpCamd(loader::System& sys);
+  explicit HttpCamd(loader::System& sys)
+      : sys_(sys), frame_(sys, kBufSize, kLocals) {}
 
-  [[nodiscard]] std::uint32_t ret_offset() const noexcept;
+  [[nodiscard]] std::uint32_t ret_offset() const noexcept {
+    return frame_.ret_offset();
+  }
 
   /// Parses and "handles" one HTTP/1.0 request. A benign request gets a
-  /// 200; an oversized body smashes the handler's frame.
+  /// 200; an oversized body smashes the handler's frame. Size signal: the
+  /// body bytes copied, min(Content-Length, body present), overflowed past
+  /// kBufSize (0 for GET, malformed or length-less requests); gradient:
+  /// the claimed Content-Length, clamped to 32 bits. The copy saturates in
+  /// both halves, so the claim needs its own signal.
   ServiceOutcome HandleRequest(util::ByteSpan request);
 
   /// TargetProfile for this service (the §V "changed variables").
@@ -44,10 +51,8 @@ class HttpCamd {
 
  private:
   loader::System& sys_;
-  mem::GuestAddr frame_base_;
-  util::Result<mem::GuestAddr> resume_;  // resolved once, at attach
+  HandlerFrame frame_;
   std::string last_response_;
-  std::uint64_t budget_ = 200000;
 };
 
 }  // namespace connlab::adapt

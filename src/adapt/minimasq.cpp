@@ -17,6 +17,13 @@ std::string_view ServiceOutcomeKindName(ServiceOutcome::Kind kind) {
   return "?";
 }
 
+ServiceOutcome Rejected(std::string detail) {
+  ServiceOutcome outcome;
+  outcome.kind = ServiceOutcome::Kind::kRejected;
+  outcome.detail = std::move(detail);
+  return outcome;
+}
+
 ServiceOutcome ServiceOutcomeFromStop(const vm::StopInfo& stop) {
   ServiceOutcome outcome;
   outcome.stop = stop;
@@ -78,15 +85,48 @@ connman::ProxyOutcome::Kind ToProxyOutcomeKind(
   return Out::kOther;
 }
 
-Minimasq::Minimasq(loader::System& sys)
-    : sys_(sys), resume_(sys.Sym("connman.resume_ok")) {
-  frame_base_ = sys_.layout.initial_sp() - (ret_offset() + 4);
+HandlerFrame::HandlerFrame(loader::System& sys, std::uint32_t buf_size,
+                           std::uint32_t locals)
+    : sys_(sys),
+      resume_(sys.Sym("connman.resume_ok")),
+      saved_offset_(buf_size + locals),
+      // Saved registers like the main target: 16 bytes on VX86, r4-r11 on
+      // VARM.
+      ret_offset_(saved_offset_ + (sys.arch == isa::Arch::kVX86 ? 16u : 32u)),
+      base_(sys.layout.initial_sp() - (ret_offset_ + 4)) {}
+
+util::Status HandlerFrame::Stage() {
+  auto& space = sys_.space;
+  const std::uint32_t region = sys_.layout.stack_top - base_;
+  if (!space.WriteBytes(base_, util::Bytes(region, 0)).ok()) {
+    return util::Internal("failed to stage frame");
+  }
+  if (!resume_.ok() ||
+      !space.WriteU32(base_ + ret_offset_, resume_.value()).ok()) {
+    return util::Internal("failed to plant return");
+  }
+  return util::OkStatus();
 }
 
-std::uint32_t Minimasq::ret_offset() const noexcept {
-  const std::uint32_t saved =
-      sys_.arch == isa::Arch::kVX86 ? 16u : 32u;  // like the main target
-  return kBufSize + kLocals + saved;
+ServiceOutcome HandlerFrame::Return() {
+  auto& space = sys_.space;
+  auto& cpu = *sys_.cpu;
+  cpu.ClearEvents();
+  if (sys_.arch == isa::Arch::kVARM) {
+    for (std::uint32_t i = 0; i < 8; ++i) {
+      cpu.set_reg(static_cast<std::uint8_t>(isa::kR4 + i),
+                  space.ReadU32(base_ + saved_offset_ + 4 * i).value_or(0));
+    }
+  }
+  auto ret = space.ReadU32(base_ + ret_offset_);
+  if (!ret.ok()) {
+    ServiceOutcome outcome;
+    outcome.detail = "return slot unreadable";
+    return outcome;
+  }
+  cpu.set_sp(base_ + ret_offset_ + 4);
+  cpu.set_pc(ret.value());
+  return ServiceOutcomeFromStop(cpu.Run(kServiceStepBudget));
 }
 
 util::Status Minimasq::ForwardQuery(util::ByteSpan wire) {
@@ -97,18 +137,11 @@ util::Status Minimasq::ForwardQuery(util::ByteSpan wire) {
 }
 
 ServiceOutcome Minimasq::HandleReply(util::ByteSpan wire) {
-  ServiceOutcome outcome;
-  if (wire.size() < dns::kHeaderSize) {
-    outcome.kind = ServiceOutcome::Kind::kRejected;
-    outcome.detail = "short packet";
-    return outcome;
-  }
+  if (wire.size() < dns::kHeaderSize) return Rejected("short packet");
   const std::uint16_t id =
       static_cast<std::uint16_t>((wire[0] << 8) | wire[1]);
   if (!pending_.contains(id) || (wire[2] & 0x80) == 0) {
-    outcome.kind = ServiceOutcome::Kind::kRejected;
-    outcome.detail = "id/flag mismatch";
-    return outcome;
+    return Rejected("id/flag mismatch");
   }
   const std::uint16_t qdcount =
       static_cast<std::uint16_t>((wire[4] << 8) | wire[5]);
@@ -116,15 +149,9 @@ ServiceOutcome Minimasq::HandleReply(util::ByteSpan wire) {
       static_cast<std::uint16_t>((wire[6] << 8) | wire[7]);
 
   // Stage a fresh frame: zeroed region, benign saved regs, sentinel return.
-  auto& space = sys_.space;
-  const std::uint32_t region = sys_.layout.stack_top - frame_base_;
-  if (!space.WriteBytes(frame_base_, util::Bytes(region, 0)).ok()) {
-    outcome.detail = "failed to stage frame";
-    return outcome;
-  }
-  if (!resume_.ok() ||
-      !space.WriteU32(frame_base_ + ret_offset(), resume_.value()).ok()) {
-    outcome.detail = "failed to plant return";
+  if (util::Status staged = frame_.Stage(); !staged.ok()) {
+    ServiceOutcome outcome;
+    outcome.detail = staged.message();
     return outcome;
   }
 
@@ -132,31 +159,31 @@ ServiceOutcome Minimasq::HandleReply(util::ByteSpan wire) {
   std::size_t pos = dns::kHeaderSize;
   for (int q = 0; q < qdcount; ++q) {
     auto name = dns::DecodeName(wire, pos);
-    if (!name.ok()) {
-      outcome.kind = ServiceOutcome::Kind::kRejected;
-      outcome.detail = "bad question";
-      return outcome;
-    }
+    if (!name.ok()) return Rejected("bad question");
     pos += name.value().wire_len + 4;
   }
 
   // The vulnerable expansion of the first answer's name: no bound check on
-  // the 512-byte buffer.
+  // the 512-byte buffer. Every outcome from here on reports what it wrote.
+  std::uint32_t written = 0;
+  const auto measured = [&written](ServiceOutcome outcome) {
+    outcome.bytes_written = written;
+    outcome.overflowed = written > kBufSize;
+    return outcome;
+  };
+  auto& space = sys_.space;
   if (ancount > 0) {
-    std::uint32_t written = 0;
     while (pos < wire.size()) {
       const std::uint8_t len = wire[pos];
       if (len == 0) break;
       if ((len & dns::kCompressionFlags) != 0) {
-        outcome.kind = ServiceOutcome::Kind::kRejected;
-        outcome.detail = "pointer in reply name (unsupported)";
-        return outcome;
+        return measured(Rejected("pointer in reply name (unsupported)"));
       }
       if (pos + 1 + len > wire.size()) break;
-      util::Bytes chunk(wire.begin() + static_cast<std::ptrdiff_t>(pos),
-                        wire.begin() + static_cast<std::ptrdiff_t>(pos + 1 + len));
-      if (!space.WriteBytes(frame_base_ + written, chunk).ok()) {
-        return ServiceOutcomeFromFault(space, "expansion ran off the stack");
+      const util::ByteSpan label = wire.subspan(pos, 1 + len);
+      if (!space.WriteBytes(frame_.base() + written, label).ok()) {
+        return measured(
+            ServiceOutcomeFromFault(space, "expansion ran off the stack"));
       }
       written += 1 + len;
       pos += 1 + len;
@@ -164,32 +191,15 @@ ServiceOutcome Minimasq::HandleReply(util::ByteSpan wire) {
   }
 
   // Epilogue through the guest frame.
-  auto& cpu = *sys_.cpu;
-  cpu.ClearEvents();
-  if (sys_.arch == isa::Arch::kVARM) {
-    for (int i = 0; i < 8; ++i) {
-      cpu.set_reg(static_cast<std::uint8_t>(isa::kR4 + i),
-                  space.ReadU32(frame_base_ + kBufSize + kLocals +
-                                4 * static_cast<std::uint32_t>(i))
-                      .value_or(0));
-    }
-  }
-  auto ret = space.ReadU32(frame_base_ + ret_offset());
-  if (!ret.ok()) {
-    outcome.detail = "return slot unreadable";
-    return outcome;
-  }
-  cpu.set_sp(frame_base_ + ret_offset() + 4);
-  cpu.set_pc(ret.value());
-  ServiceOutcome result = ServiceOutcomeFromStop(cpu.Run(budget_));
-  if (result.kind == ServiceOutcome::Kind::kOk) pending_.erase(id);
-  return result;
+  ServiceOutcome outcome = measured(frame_.Return());
+  if (outcome.kind == ServiceOutcome::Kind::kOk) pending_.erase(id);
+  return outcome;
 }
 
 util::Result<exploit::TargetProfile> Minimasq::ProfileFor() const {
   exploit::TargetProfile profile;
   profile.ret_offset = ret_offset();  // the "changed variable"
-  profile.buffer_addr = frame_base_;
+  profile.buffer_addr = frame_.base();
   CONNLAB_RETURN_IF_ERROR(exploit::FillImageAddresses(sys_, profile));
   // No parse_rr quirks and no cleanup slots in this service: the fixup
   // maps stay empty — the payloads simply have fewer constraints.

@@ -46,35 +46,19 @@ util::Bytes Resolvd::WildPointerQuery(std::uint16_t id) {
 }
 
 ServiceOutcome Resolvd::HandleQuery(util::ByteSpan wire) {
-  ServiceOutcome outcome;
-  last_hops_ = 0;
-  last_expanded_ = 0;
-  if (wire.size() < dns::kHeaderSize) {
-    outcome.kind = ServiceOutcome::Kind::kRejected;
-    outcome.detail = "short packet";
-    return outcome;
-  }
-  if ((wire[2] & 0x80) != 0) {
-    outcome.kind = ServiceOutcome::Kind::kRejected;
-    outcome.detail = "not a query";
-    return outcome;
-  }
+  if (wire.size() < dns::kHeaderSize) return Rejected("short packet");
+  if ((wire[2] & 0x80) != 0) return Rejected("not a query");
   const std::uint16_t qdcount =
       static_cast<std::uint16_t>((wire[4] << 8) | wire[5]);
-  if (qdcount == 0) {
-    outcome.kind = ServiceOutcome::Kind::kRejected;
-    outcome.detail = "no question";
-    return outcome;
-  }
+  if (qdcount == 0) return Rejected("no question");
 
   auto& space = sys_.space;
   const mem::GuestAddr rx = sys_.layout.scratch_base;
   if (wire.size() > sys_.layout.scratch_size) {
-    outcome.kind = ServiceOutcome::Kind::kRejected;
-    outcome.detail = "packet larger than receive buffer";
-    return outcome;
+    return Rejected("packet larger than receive buffer");
   }
   if (!space.WriteBytes(rx, wire).ok()) {
+    ServiceOutcome outcome;
     outcome.detail = "failed to stage packet";
     return outcome;
   }
@@ -82,16 +66,24 @@ ServiceOutcome Resolvd::HandleQuery(util::ByteSpan wire) {
   // The recursive expansion. Every label and every pointer hop "recurses":
   // a kFrameBytes frame lands on the guest stack, and the packet offset is
   // re-read through guest memory — exactly the two resources the missing
-  // guards are supposed to protect (stack depth, packet bounds).
+  // guards are supposed to protect (stack depth, packet bounds). Every
+  // outcome from here on reports the bytes expanded and the frames pushed.
+  std::uint32_t hops = 0;
+  std::uint32_t expanded = 0;
+  const auto measured = [&hops, &expanded](ServiceOutcome outcome) {
+    outcome.bytes_written = expanded;
+    outcome.gradient = hops;
+    return outcome;
+  };
   std::uint32_t pos = dns::kHeaderSize;
   mem::GuestAddr sp = sys_.layout.initial_sp();
   const util::Bytes frame(kFrameBytes, 0);
-  while (last_hops_ < kHostHopCeiling) {
+  while (hops < kHostHopCeiling) {
     auto len = space.ReadU8(rx + pos);
     if (!len.ok()) {
-      return ServiceOutcomeFromFault(
+      return measured(ServiceOutcomeFromFault(
           space, "compression pointer read out of bounds at offset " +
-                     std::to_string(pos));
+                     std::to_string(pos)));
     }
     if (len.value() == 0) break;
 
@@ -99,40 +91,43 @@ ServiceOutcome Resolvd::HandleQuery(util::ByteSpan wire) {
     // the stack-exhaustion write fault the pointer loop drives.
     sp -= kFrameBytes;
     if (!space.WriteBytes(sp, frame).ok() || !space.WriteU32(sp, pos).ok()) {
-      return ServiceOutcomeFromFault(
+      return measured(ServiceOutcomeFromFault(
           space, "recursive expansion exhausted the stack after " +
-                     std::to_string(last_hops_) + " frames");
+                     std::to_string(hops) + " frames"));
     }
-    ++last_hops_;
+    ++hops;
 
     if ((len.value() & dns::kCompressionFlags) == dns::kCompressionFlags) {
       auto lo = space.ReadU8(rx + pos + 1);
       if (!lo.ok()) {
-        return ServiceOutcomeFromFault(space, "truncated compression pointer");
+        return measured(
+            ServiceOutcomeFromFault(space, "truncated compression pointer"));
       }
       // The bug: no visited-set, no hop budget — follow unconditionally.
       pos = (static_cast<std::uint32_t>(len.value() & 0x3F) << 8) |
             lo.value();
       continue;
     }
-    last_expanded_ += len.value() + 1u;
+    expanded += len.value() + 1u;
     pos += 1u + len.value();
   }
 
   // Benign completion: hand the expanded name to the guest resume path so
   // the run produces real guest coverage.
   if (!resume_.ok()) {
+    ServiceOutcome outcome;
     outcome.detail = "resume symbol missing";
-    return outcome;
+    return measured(std::move(outcome));
   }
   auto& cpu = *sys_.cpu;
   cpu.ClearEvents();
   cpu.set_sp(sys_.layout.initial_sp());
   cpu.set_pc(resume_.value());
-  outcome = ServiceOutcomeFromStop(cpu.Run(budget_));
+  ServiceOutcome outcome =
+      measured(ServiceOutcomeFromStop(cpu.Run(kServiceStepBudget)));
   if (outcome.kind == ServiceOutcome::Kind::kOk) {
-    outcome.detail = "name expanded: " + std::to_string(last_expanded_) +
-                     " bytes in " + std::to_string(last_hops_) + " steps";
+    outcome.detail = "name expanded: " + std::to_string(expanded) +
+                     " bytes in " + std::to_string(hops) + " steps";
   }
   return outcome;
 }

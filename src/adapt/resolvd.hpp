@@ -29,18 +29,13 @@ class Resolvd {
   /// The vulnerable path: expands the question name of `wire`, following
   /// compression pointers recursively with no visited-set and no hop
   /// budget. Each step writes a real kFrameBytes frame to the guest stack.
+  /// Size signal: the expanded name bytes, never overflowed; gradient: the
+  /// frames pushed (labels and pointer hops), the recursion depth.
   ServiceOutcome HandleQuery(util::ByteSpan wire);
 
   /// Retargeting stub: the bug class needs no addresses at all (the DoS
   /// packet is pure wire bytes), so only arch/prot carry information.
   [[nodiscard]] util::Result<exploit::TargetProfile> ProfileFor() const;
-
-  /// Recursion depth of the last HandleQuery (frames actually pushed).
-  [[nodiscard]] std::uint32_t last_hops() const noexcept { return last_hops_; }
-  /// Expanded-name bytes of the last HandleQuery.
-  [[nodiscard]] std::uint32_t last_expanded() const noexcept {
-    return last_expanded_;
-  }
 
   [[nodiscard]] loader::System& system() noexcept { return sys_; }
 
@@ -55,9 +50,6 @@ class Resolvd {
  private:
   loader::System& sys_;
   util::Result<mem::GuestAddr> resume_;  // resolved once, at attach
-  std::uint32_t last_hops_ = 0;
-  std::uint32_t last_expanded_ = 0;
-  std::uint64_t budget_ = 200000;
 };
 
 }  // namespace connlab::adapt

@@ -83,8 +83,6 @@ class DnsProxy {
   [[nodiscard]] loader::System& system() noexcept { return sys_; }
   [[nodiscard]] Version version() const noexcept { return version_; }
 
-  void set_step_budget(std::uint64_t budget) noexcept { budget_ = budget; }
-
   /// When true (default), each label's unchecked copy runs as interpreted
   /// guest code (the connman.copy_label routine) instead of a host-side
   /// write — the overflow and any resulting fault execute instruction by
@@ -92,7 +90,6 @@ class DnsProxy {
   /// guest routine against.
   void set_guest_copy(bool enabled) noexcept { guest_copy_ = enabled; }
   [[nodiscard]] bool guest_copy() const noexcept { return guest_copy_; }
-  void set_now(std::uint64_t now) noexcept { now_ = now; }
   [[nodiscard]] std::uint64_t now() const noexcept { return now_; }
 
   struct Stats {

@@ -8,9 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "src/exploit/generator.hpp"
 #include "src/isa/isa.hpp"
 #include "src/loader/boot.hpp"
 #include "src/util/status.hpp"
@@ -40,15 +38,5 @@ struct DiversityTrialStats {
 util::Result<DiversityTrialStats> MeasureDiversityResistance(
     isa::Arch arch, loader::ProtectionConfig base, int trials,
     std::uint64_t seed0);
-
-/// Multi-technique census over the same diversified boots: each trial boots
-/// ONE re-randomised victim, snapshots it post-boot, and fires every
-/// technique's volley against a snapshot-restored copy of that boot — so
-/// techniques are compared against identical layouts, and the lab pays
-/// `trials` loader runs instead of `techniques x trials`. Returns one stats
-/// row per technique, in input order.
-util::Result<std::vector<DiversityTrialStats>> MeasureDiversityResistanceMatrix(
-    isa::Arch arch, loader::ProtectionConfig base, int trials,
-    std::uint64_t seed0, const std::vector<exploit::Technique>& techniques);
 
 }  // namespace connlab::defense

@@ -215,6 +215,10 @@ Fuzzer::WorkerOutput Fuzzer::RunWorker(const FuzzConfig& config,
     }
   }
 
+  // The campaign's own reboots: like fuzz.execs, they leave out the
+  // minimizer's.
+  out.reboots = target->reboots();
+
   // Minimization shrinks a witness by re-executing candidates and checking
   // they still land in the same bucket — a single-input property. Stateful
   // targets crash on request *sequences*, so shrinking one input against a
@@ -226,7 +230,6 @@ Fuzzer::WorkerOutput Fuzzer::RunWorker(const FuzzConfig& config,
     }
   }
 
-  out.reboots = target->reboots();
   out.corpus_entries = corpus.entries();
   OBS_COUNT_N("fuzz.reboots", out.reboots);
 #ifndef CONNLAB_OBS_DISABLED

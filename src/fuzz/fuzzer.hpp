@@ -76,7 +76,7 @@ struct FuzzConfig {
 struct FuzzStats {
   std::uint64_t execs = 0;           // total inputs run (all workers)
   std::uint64_t crashing_execs = 0;  // non-benign results, pre-dedup
-  std::uint64_t reboots = 0;
+  std::uint64_t reboots = 0;         // the campaign's, not the minimizer's
   std::size_t corpus_size = 0;       // merged deduplicated corpus entries
   std::uint32_t coverage_cells = 0;  // non-zero cells in the merged map
   std::uint64_t coverage_digest = 0; // order-independent merged-map digest

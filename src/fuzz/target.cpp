@@ -1,7 +1,5 @@
 #include "src/fuzz/target.hpp"
 
-#include <algorithm>
-#include <cstdlib>
 #include <optional>
 
 #include "src/adapt/camstored.hpp"
@@ -11,7 +9,6 @@
 #include "src/connman/dnsproxy.hpp"
 #include "src/dns/craft.hpp"
 #include "src/dns/message.hpp"
-#include "src/dns/name.hpp"
 #include "src/loader/boot.hpp"
 #include "src/loader/snapshot.hpp"
 #include "src/vm/events.hpp"
@@ -137,95 +134,17 @@ void AddSizeFeature(FuzzTarget::Delivery& delivery, std::uint32_t salt,
   delivery.features[delivery.feature_count++] = salt ^ SizeBucket(value);
 }
 
-/// Host-side mirror of Minimasq's expansion loop: how many bytes the first
-/// answer's name would write into its 512-byte buffer. The adapt services
-/// parse host-side (only the epilogue runs on the guest CPU), so this is
-/// the size signal the edge map can't provide.
-std::uint32_t MinimasqExpansion(util::ByteSpan wire) {
-  if (wire.size() < dns::kHeaderSize) return 0;
-  const std::uint16_t qdcount =
-      static_cast<std::uint16_t>((wire[4] << 8) | wire[5]);
-  const std::uint16_t ancount =
-      static_cast<std::uint16_t>((wire[6] << 8) | wire[7]);
-  std::size_t pos = dns::kHeaderSize;
-  for (int q = 0; q < qdcount; ++q) {
-    auto name = dns::DecodeName(wire, pos);
-    if (!name.ok()) return 0;
-    pos += name.value().wire_len + 4;
-  }
-  std::uint32_t written = 0;
-  if (ancount > 0) {
-    while (pos < wire.size()) {
-      const std::uint8_t len = wire[pos];
-      if (len == 0 || (len & dns::kCompressionFlags) != 0) break;
-      if (pos + 1 + len > wire.size()) break;
-      written += 1 + len;
-      pos += 1 + len;
-    }
-  }
-  return written;
-}
-
-/// Host-side mirror of HttpCamd's body-length computation: how many body
-/// bytes would be memcpy'd into the 256-byte buffer. The claimed
-/// Content-Length comes back too — body_len = min(claimed, available)
-/// saturates in both directions, so each needs its own coverage feature or
-/// the fuzzer can't hold onto "bigger claim" / "bigger body" mutants while
-/// it works on the other half.
-struct HttpBodyView {
-  std::uint32_t body_len = 0;
-  std::uint32_t claimed = 0;
-};
-
-HttpBodyView HttpcamdBodyView(util::ByteSpan request) {
-  HttpBodyView view;
-  const std::string text(request.begin(), request.end());
-  const std::size_t headers_end = text.find("\r\n\r\n");
-  if (headers_end == std::string::npos || text.compare(0, 5, "POST ") != 0) {
-    return view;
-  }
-  const std::size_t clen_pos = text.find("Content-Length:");
-  if (clen_pos == std::string::npos || clen_pos > headers_end) return view;
-  const std::size_t content_length = static_cast<std::size_t>(
-      std::strtoul(text.c_str() + clen_pos + 15, nullptr, 10));
-  const std::size_t body_avail = request.size() - (headers_end + 4);
-  view.body_len =
-      static_cast<std::uint32_t>(std::min(content_length, body_avail));
-  view.claimed = static_cast<std::uint32_t>(
-      std::min<std::size_t>(content_length, 0xFFFFFFFFu));
-  return view;
-}
-
-/// Host-side mirror of Camstored's size handling: the claimed
-/// Content-Length vs X-Record-Size mismatch is the bug's precondition, so
-/// it gets its own coverage feature (the fuzzer can hold a "sizes
-/// disagree" mutant while it works on making the body long enough).
-struct CacheSizeView {
-  std::uint32_t record_size = 0;
-  std::uint32_t content_length = 0;
-  bool mismatch = false;
-};
-
-CacheSizeView CamstoredSizeView(util::ByteSpan request) {
-  CacheSizeView view;
-  const std::string text(request.begin(), request.end());
-  const std::size_t headers_end = text.find("\r\n\r\n");
-  if (headers_end == std::string::npos || text.compare(0, 4, "PUT ") != 0) {
-    return view;
-  }
-  const std::size_t clen = text.find("Content-Length:");
-  const std::size_t rsize = text.find("X-Record-Size:");
-  if (clen != std::string::npos && clen < headers_end) {
-    view.content_length = static_cast<std::uint32_t>(
-        std::strtoul(text.c_str() + clen + 15, nullptr, 10));
-  }
-  if (rsize != std::string::npos && rsize < headers_end) {
-    view.record_size = static_cast<std::uint32_t>(
-        std::strtoul(text.c_str() + rsize + 14, nullptr, 10));
-  }
-  view.mismatch = view.record_size != 0 &&
-                  view.content_length > view.record_size;
-  return view;
+/// A zoo service's outcome, which carries the size signal the service's
+/// own parser measured. The service's gradient becomes a feature in the
+/// `gradient_salt` family; minimasq has none.
+FuzzTarget::Delivery ZooDelivered(adapt::ServiceOutcome outcome,
+                                  std::optional<std::uint32_t> gradient_salt) {
+  const std::uint32_t gradient = outcome.gradient;
+  const std::uint32_t size = outcome.bytes_written;
+  const bool overflow = outcome.overflowed;
+  FuzzTarget::Delivery delivery = Delivered(std::move(outcome), size, overflow);
+  if (gradient_salt) AddSizeFeature(delivery, *gradient_salt, gradient);
+  return delivery;
 }
 
 // ----------------------------------------------------------------- dnsproxy --
@@ -337,9 +256,7 @@ class MinimasqTarget final : public FuzzTarget {
     if (!service_->ForwardQuery(query_wire_).ok()) {
       return util::Internal("forward registration failed");
     }
-    const std::uint32_t expanded = MinimasqExpansion(input);
-    return Delivered(service_->HandleReply(input), expanded,
-                     expanded > adapt::Minimasq::kBufSize);
+    return ZooDelivered(service_->HandleReply(input), std::nullopt);
   }
 
   util::Bytes query_wire_;
@@ -371,12 +288,9 @@ class HttpcamdTarget final : public FuzzTarget {
   void Attach(loader::System& sys) override { service_.emplace(sys); }
 
   util::Result<Delivery> Deliver(util::ByteSpan input) override {
-    const HttpBodyView view = HttpcamdBodyView(input);
-    Delivery delivery =
-        Delivered(service_->HandleRequest(input), view.body_len,
-                  view.body_len > adapt::HttpCamd::kBufSize);
-    AddSizeFeature(delivery, kClaimSalt, view.claimed);
-    return delivery;
+    // The claimed Content-Length: the copy saturates in both halves, so
+    // the fuzzer holds "bigger claim" mutants while it grows the body.
+    return ZooDelivered(service_->HandleRequest(input), kClaimSalt);
   }
 
   std::optional<adapt::HttpCamd> service_;
@@ -425,14 +339,9 @@ class ResolvdTarget final : public FuzzTarget {
   void Attach(loader::System& sys) override { service_.emplace(sys); }
 
   util::Result<Delivery> Deliver(util::ByteSpan input) override {
-    adapt::ServiceOutcome outcome = service_->HandleQuery(input);
-    Delivery delivery = Delivered(std::move(outcome),
-                                  service_->last_expanded(),
-                                  /*overflow=*/false);
     // The recursion-depth gradient: deeper expansions are new coverage, so
     // the corpus walks toward (and finally off) the stack cliff.
-    AddSizeFeature(delivery, kDepthSalt, service_->last_hops());
-    return delivery;
+    return ZooDelivered(service_->HandleQuery(input), kDepthSalt);
   }
 
   std::optional<adapt::Resolvd> service_;
@@ -462,10 +371,10 @@ class CamstoredTarget final : public FuzzTarget {
   void Attach(loader::System& sys) override { service_.emplace(sys); }
 
   util::Result<Delivery> Deliver(util::ByteSpan input) override {
-    const CacheSizeView view = CamstoredSizeView(input);
-    Delivery delivery = Delivered(service_->HandleRequest(input),
-                                  view.content_length, view.mismatch);
-    AddSizeFeature(delivery, kRecordSalt, view.record_size);
+    // The claimed record size: the fuzzer holds a "sizes disagree" mutant
+    // while it works on making the body long enough.
+    Delivery delivery =
+        ZooDelivered(service_->HandleRequest(input), kRecordSalt);
     // Allocator-shape features: split/coalesce counts change only when an
     // input exercised a new heap path.
     AddSizeFeature(delivery, kHeapSalt,

@@ -29,7 +29,7 @@
 // bump mirroring AddressSpace::Protect so stale blocks die with it.
 //
 // Used by src/fuzz (per-exec reboot after a corrupted run) and the defense
-// diversity lab (one boot + many volleys per diversified victim).
+// victim pool (one boot per diversified variant, restored per victim).
 #pragma once
 
 #include <cstdint>

@@ -924,6 +924,24 @@ TEST(Fuzzer, ZooCampaignsMatchReferenceDigests) {
   }
 }
 
+// The minimizer's re-executions are not campaign execs, so its reboots are
+// not campaign reboots either: every minimasq crash reboots the target
+// once, with minimization on or off.
+TEST(Fuzzer, RebootsLeaveOutTheMinimizer) {
+  for (const bool minimize : {false, true}) {
+    FuzzConfig config;
+    config.target.kind = TargetKind::kMinimasq;
+    config.seed = 42;
+    config.max_execs = 20000;
+    config.workers = 1;
+    config.minimize = minimize;
+    auto report = Fuzzer(config).Run();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report.value().stats.crashing_execs, 420u);
+    EXPECT_EQ(report.value().stats.reboots, 420u) << "minimize=" << minimize;
+  }
+}
+
 TEST(Fuzzer, RejectsDegenerateConfigs) {
   FuzzConfig config;
   config.workers = 0;
