@@ -1,19 +1,38 @@
 #include "src/adapt/camstored.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <climits>
 
 namespace connlab::adapt {
 
-std::size_t HeaderValue(const std::string& text, std::string_view key,
+std::size_t HeaderValue(std::string_view text, std::string_view key,
                         std::size_t headers_end, bool* present) {
   const std::size_t pos = text.find(key);
   if (present != nullptr) {
-    *present = pos != std::string::npos && pos < headers_end;
+    *present = pos != std::string_view::npos && pos < headers_end;
   }
-  if (pos == std::string::npos || pos > headers_end) return 0;
-  return static_cast<std::size_t>(
-      std::strtoul(text.c_str() + pos + key.size(), nullptr, 10));
+  if (pos == std::string_view::npos || pos > headers_end) return 0;
+  // strtoul(..., 10) over a view with no NUL to stop at.
+  const std::string_view digits = text.substr(pos + key.size());
+  std::size_t i = 0;
+  while (i < digits.size() &&
+         (digits[i] == ' ' || (digits[i] >= '\t' && digits[i] <= '\r'))) {
+    ++i;
+  }
+  const bool negative = i < digits.size() && digits[i] == '-';
+  if (i < digits.size() && (digits[i] == '+' || digits[i] == '-')) ++i;
+  unsigned long value = 0;
+  bool overflow = false;
+  for (; i < digits.size() && digits[i] >= '0' && digits[i] <= '9'; ++i) {
+    const auto digit = static_cast<unsigned long>(digits[i] - '0');
+    if (value > (ULONG_MAX - digit) / 10) {
+      overflow = true;
+    } else {
+      value = value * 10 + digit;
+    }
+  }
+  if (overflow) return ULONG_MAX;
+  return negative ? 0ul - value : value;
 }
 
 Camstored::Camstored(loader::System& sys)
@@ -58,13 +77,13 @@ util::Bytes Camstored::WrapInDelete(const std::string& name) {
 
 ServiceOutcome Camstored::HandleRequest(util::ByteSpan request) {
   last_response_.clear();
-  const std::string text(request.begin(), request.end());
+  const std::string_view text = RequestText(request);
   const std::size_t headers_end = text.find("\r\n\r\n");
-  if (headers_end == std::string::npos) {
+  if (headers_end == std::string_view::npos) {
     last_response_ = "HTTP/1.0 400 Bad Request\r\n\r\n";
     return Rejected("malformed request");
   }
-  if (text.compare(0, 4, "GET ") == 0) {
+  if (text.starts_with("GET ")) {
     last_response_ = "HTTP/1.0 200 OK\r\n\r\ncamstored: " +
                      std::to_string(records_.size()) + " records";
     ServiceOutcome outcome;
@@ -80,7 +99,7 @@ ServiceOutcome Camstored::HandleRequest(util::ByteSpan request) {
   bool has_size = false;
   std::size_t content_length = 0;
   std::size_t record_size = 0;
-  if (text.compare(0, 4, "PUT ") == 0) {
+  if (text.starts_with("PUT ")) {
     content_length =
         HeaderValue(text, "Content-Length:", headers_end, &has_clen);
     record_size = HeaderValue(text, "X-Record-Size:", headers_end, &has_size);
@@ -94,20 +113,20 @@ ServiceOutcome Camstored::HandleRequest(util::ByteSpan request) {
     return outcome;
   };
 
-  const bool is_put = text.compare(0, 11, "PUT /cache/") == 0;
-  const bool is_delete = text.compare(0, 14, "DELETE /cache/") == 0;
+  const bool is_put = text.starts_with("PUT /cache/");
+  const bool is_delete = text.starts_with("DELETE /cache/");
   if (!is_put && !is_delete) {
     last_response_ = "HTTP/1.0 405 Method Not Allowed\r\n\r\n";
     return measured(Rejected("unsupported verb"));
   }
   const std::size_t name_start = is_put ? 11 : 14;
   const std::size_t name_end = text.find(' ', name_start);
-  if (name_end == std::string::npos || name_end == name_start ||
+  if (name_end == std::string_view::npos || name_end == name_start ||
       name_end - name_start > 64) {
     last_response_ = "HTTP/1.0 400 Bad Request\r\n\r\n";
     return measured(Rejected("bad record name"));
   }
-  const std::string name = text.substr(name_start, name_end - name_start);
+  const std::string name(text.substr(name_start, name_end - name_start));
 
   if (is_delete) return HandleDelete(name);
 

@@ -23,11 +23,17 @@
 namespace connlab::adapt {
 
 /// The zoo's one HTTP header reader: the decimal value after the first
-/// `key` in `text` (strtoul: leading spaces skipped, digits until the first
-/// non-digit, ULONG_MAX on overflow). 0, and `present` false, when `key`
-/// does not occur before `headers_end`.
-std::size_t HeaderValue(const std::string& text, std::string_view key,
+/// `key` in `text`, read as strtoul would (leading whitespace and one sign
+/// skipped, digits until the first non-digit or the end of `text`,
+/// ULONG_MAX on overflow, a '-' negating modulo 2^64). 0, and `present`
+/// false, when `key` does not occur before `headers_end`.
+std::size_t HeaderValue(std::string_view text, std::string_view key,
                         std::size_t headers_end, bool* present = nullptr);
+
+/// A request's bytes as text, without copying them.
+inline std::string_view RequestText(util::ByteSpan request) noexcept {
+  return {reinterpret_cast<const char*>(request.data()), request.size()};
+}
 
 class Camstored {
  public:

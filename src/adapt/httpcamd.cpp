@@ -19,12 +19,12 @@ util::Bytes HttpCamd::WrapInRequest(util::ByteSpan payload,
 
 ServiceOutcome HttpCamd::HandleRequest(util::ByteSpan request) {
   last_response_.clear();
-  const std::string text(request.begin(), request.end());
+  const std::string_view text = RequestText(request);
 
   // Request line + headers end at the first blank line.
   const std::size_t headers_end = text.find("\r\n\r\n");
-  if (headers_end == std::string::npos || text.compare(0, 5, "POST ") != 0) {
-    if (text.compare(0, 4, "GET ") == 0) {
+  if (headers_end == std::string_view::npos || !text.starts_with("POST ")) {
+    if (text.starts_with("GET ")) {
       last_response_ = "HTTP/1.0 200 OK\r\n\r\ncamd ready";
       ServiceOutcome outcome;
       outcome.kind = ServiceOutcome::Kind::kOk;

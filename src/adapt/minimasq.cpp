@@ -98,7 +98,7 @@ HandlerFrame::HandlerFrame(loader::System& sys, std::uint32_t buf_size,
 util::Status HandlerFrame::Stage() {
   auto& space = sys_.space;
   const std::uint32_t region = sys_.layout.stack_top - base_;
-  if (!space.WriteBytes(base_, util::Bytes(region, 0)).ok()) {
+  if (!space.Fill(base_, region, 0).ok()) {
     return util::Internal("failed to stage frame");
   }
   if (!resume_.ok() ||
@@ -130,9 +130,10 @@ ServiceOutcome HandlerFrame::Return() {
 }
 
 util::Status Minimasq::ForwardQuery(util::ByteSpan wire) {
-  CONNLAB_ASSIGN_OR_RETURN(dns::Message query, dns::Decode(wire));
-  if (query.header.qr) return util::InvalidArgument("not a query");
-  pending_[query.header.id] = true;
+  // The reply check needs only the id, so only the header is read.
+  if (wire.size() < dns::kHeaderSize) return util::Malformed("short query");
+  if ((wire[2] & 0x80) != 0) return util::InvalidArgument("not a query");
+  pending_[static_cast<std::uint16_t>((wire[0] << 8) | wire[1])] = true;
   return util::OkStatus();
 }
 

@@ -66,20 +66,18 @@ DnsProxy::DnsProxy(loader::System& sys, Version version)
 }
 
 util::Result<util::Bytes> DnsProxy::AcceptClientQuery(util::ByteSpan wire) {
-  CONNLAB_ASSIGN_OR_RETURN(dns::Message query, dns::Decode(wire));
-  if (query.header.qr) return util::InvalidArgument("not a query");
-  if (query.questions.size() != 1) {
+  if (wire.size() < dns::kHeaderSize) return util::Malformed("short query");
+  if ((wire[2] & 0x80) != 0) return util::InvalidArgument("not a query");
+  if (wire[4] != 0 || wire[5] != 1) {
     return util::InvalidArgument("dnsproxy forwards single-question queries");
   }
-  Pending pending;
-  pending.query = query;
-  // Pre-encode the question section for the byte-exact echo check.
-  util::ByteWriter w;
-  CONNLAB_RETURN_IF_ERROR(dns::EncodeName(w, query.questions[0].name));
-  w.WriteU16BE(static_cast<std::uint16_t>(query.questions[0].type));
-  w.WriteU16BE(static_cast<std::uint16_t>(query.questions[0].klass));
-  pending.question_wire = std::move(w).Take();
-  pending_[query.header.id] = std::move(pending);
+  CONNLAB_ASSIGN_OR_RETURN(const std::size_t name_len,
+                           dns::FlatNameLength(wire, dns::kHeaderSize));
+  const std::size_t question_end = dns::kHeaderSize + name_len + 4;
+  if (question_end > wire.size()) return util::Malformed("truncated question");
+  const auto id = static_cast<std::uint16_t>((wire[0] << 8) | wire[1]);
+  pending_[id].assign(wire.begin() + dns::kHeaderSize,
+                      wire.begin() + static_cast<std::ptrdiff_t>(question_end));
   ++stats_.queries;
   return util::Bytes(wire.begin(), wire.end());
 }
@@ -92,14 +90,22 @@ DnsProxy::GetNameStatus DnsProxy::GuestCopy(mem::GuestAddr dst,
   const mem::GuestAddr done = copy_done_.value();
 
   // Callee frames live below parse_response's buffer, like real ones.
-  cpu.set_sp(frame_base_ - 0x40);
+  const mem::GuestAddr sp = frame_base_ - 0x40;
   if (sys_.arch == isa::Arch::kVX86) {
-    // cdecl: push args right-to-left, then the return address.
-    if (!cpu.Push(len).ok() || !cpu.Push(src).ok() || !cpu.Push(dst).ok() ||
-        !cpu.Push(done).ok()) {
+    // cdecl, staged in one checked write: the return address at the new
+    // sp, the arguments above it left to right — what pushing the args
+    // right-to-left and then the return address leaves.
+    const std::uint32_t words[4] = {done, dst, src, len};
+    std::uint8_t frame[16];
+    for (std::size_t i = 0; i < 16; ++i) {
+      frame[i] = static_cast<std::uint8_t>(words[i / 4] >> (8 * (i % 4)));
+    }
+    if (!sys_.space.WriteBytes(sp - 16, frame).ok()) {
       return GetNameStatus::kGuestFault;
     }
+    cpu.set_sp(sp - 16);
   } else {
+    cpu.set_sp(sp);
     cpu.set_reg(isa::kR0, dst);
     cpu.set_reg(isa::kR1, src);
     cpu.set_reg(isa::kR2, len);
@@ -198,10 +204,8 @@ util::Status DnsProxy::PrepareFrame() {
   const auto& layout = sys_.layout;
   // Zero the frame and the caller area above it (the region a fresh call
   // chain would occupy).
-  const std::uint32_t region =
-      layout.stack_top - frame_base_;
   CONNLAB_RETURN_IF_ERROR(
-      space.WriteBytes(frame_base_, util::Bytes(region, 0)));
+      space.Fill(frame_base_, layout.stack_top - frame_base_, 0));
 
   if (frame_.canary) {
     CONNLAB_RETURN_IF_ERROR(space.WriteU32(
@@ -277,10 +281,10 @@ ProxyOutcome DnsProxy::HandleServerResponse(util::ByteSpan wire) {
     outcome.detail = "no matching query / not a response";
     return outcome;
   }
-  const Pending& pending = pending_it->second;
-  const std::size_t qlen = pending.question_wire.size();
+  const util::Bytes& question = pending_it->second;
+  const std::size_t qlen = question.size();
   if (wire.size() < dns::kHeaderSize + qlen ||
-      !std::equal(pending.question_wire.begin(), pending.question_wire.end(),
+      !std::equal(question.begin(), question.end(),
                   wire.begin() + dns::kHeaderSize)) {
     ++stats_.dropped;
     outcome.kind = Kind::kDroppedInvalid;
@@ -305,7 +309,7 @@ ProxyOutcome DnsProxy::HandleServerResponse(util::ByteSpan wire) {
 
   // --- parse_response over the answer section ----------------------------
   std::size_t pos = dns::kHeaderSize + qlen;
-  const std::string& qname = pending.query.questions[0].name;
+  std::string qname;  // decoded from the question when an answer is cached
   bool parse_error = false;
   std::string parse_detail;
 
@@ -364,6 +368,10 @@ ProxyOutcome DnsProxy::HandleServerResponse(util::ByteSpan wire) {
     const auto type_a = static_cast<std::uint16_t>(dns::Type::kA);
     const auto type_aaaa = static_cast<std::uint16_t>(dns::Type::kAAAA);
     if ((type == type_a && rdlen == 4) || (type == type_aaaa && rdlen == 16)) {
+      if (qname.empty()) {
+        auto name = dns::DecodeName(question, 0);
+        if (name.ok()) qname = std::move(name.value().dotted);
+      }
       CacheEntry entry;
       entry.hostname = qname;
       entry.ipv6 = type == type_aaaa;

@@ -72,7 +72,9 @@ class DnsProxy {
   DnsProxy& operator=(const DnsProxy&) = delete;
 
   /// A query arriving from a local client. Registers it as pending and
-  /// returns the bytes to forward to the configured upstream server.
+  /// returns the bytes to forward to the configured upstream server. Only
+  /// the header and the one question are read: the question's own bytes
+  /// (an uncompressed name, type, class) are what a response must echo.
   util::Result<util::Bytes> AcceptClientQuery(util::ByteSpan wire);
 
   /// A response arriving from the upstream server: the vulnerable path.
@@ -103,11 +105,6 @@ class DnsProxy {
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
  private:
-  struct Pending {
-    dns::Message query;
-    util::Bytes question_wire;  // encoded question section, for echo check
-  };
-
   enum class GetNameStatus : std::uint8_t {
     kOk,
     kWireError,    // ran off the packet / bad pointer
@@ -140,7 +137,9 @@ class DnsProxy {
   mem::GuestAddr get_name_pc_;
   mem::GuestAddr parse_rr_pc_;
   Cache cache_;
-  std::map<std::uint16_t, Pending> pending_;
+  /// Pending queries by id: each one's question bytes, for the echo check
+  /// and, decoded, the hostname its cached answers go under.
+  std::map<std::uint16_t, util::Bytes> pending_;
   std::uint64_t now_ = 1000;
   std::uint64_t budget_ = 200000;
   bool guest_copy_ = true;

@@ -45,12 +45,16 @@ struct Header {
   std::uint16_t ancount = 0;
   std::uint16_t nscount = 0;
   std::uint16_t arcount = 0;
+
+  bool operator==(const Header&) const = default;
 };
 
 struct Question {
   std::string name;
   Type type = Type::kA;
   Class klass = Class::kIN;
+
+  bool operator==(const Question&) const = default;
 };
 
 struct Message {
@@ -64,6 +68,9 @@ struct Message {
   static Message Query(std::uint16_t id, std::string name, Type type = Type::kA);
   /// A response skeleton echoing `query`'s id and question.
   static Message ResponseFor(const Message& query);
+
+  /// Decode(Encode(m)) == m for every message Decode accepts.
+  bool operator==(const Message&) const = default;
 };
 
 /// Serialises `msg`; section counts are computed from the vectors.

@@ -4,25 +4,51 @@
 
 namespace connlab::dns {
 
+namespace {
+
+bool IsDigit(char c) noexcept { return c >= '0' && c <= '9'; }
+
+}  // namespace
+
 util::Result<LabelSeq> ParseDotted(std::string_view dotted) {
   LabelSeq labels;
   if (dotted.empty() || dotted == ".") return labels;  // root
-  if (dotted.back() == '.') dotted.remove_suffix(1);
 
   std::size_t total = 1;  // terminating root byte
-  std::size_t start = 0;
-  while (start <= dotted.size()) {
-    std::size_t dot = dotted.find('.', start);
-    if (dot == std::string_view::npos) dot = dotted.size();
-    const std::size_t len = dot - start;
-    if (len == 0) return util::InvalidArgument("empty label in name");
-    if (len > kMaxLabelLen) return util::InvalidArgument("label exceeds 63 bytes");
-    labels.emplace_back(dotted.begin() + static_cast<std::ptrdiff_t>(start),
-                        dotted.begin() + static_cast<std::ptrdiff_t>(dot));
-    total += len + 1;
-    if (total > kMaxNameLen) return util::InvalidArgument("name exceeds 255 bytes");
-    if (dot == dotted.size()) break;
-    start = dot + 1;
+  util::Bytes label;
+  for (std::size_t i = 0; i <= dotted.size(); ++i) {
+    if (i == dotted.size() || dotted[i] == '.') {
+      if (label.empty()) return util::InvalidArgument("empty label in name");
+      if (label.size() > kMaxLabelLen) {
+        return util::InvalidArgument("label exceeds 63 bytes");
+      }
+      total += label.size() + 1;
+      if (total > kMaxNameLen) {
+        return util::InvalidArgument("name exceeds 255 bytes");
+      }
+      labels.push_back(std::move(label));
+      label.clear();
+      if (i + 1 == dotted.size()) break;  // a trailing dot is the root's
+      continue;
+    }
+    if (dotted[i] != '\\') {
+      label.push_back(static_cast<std::uint8_t>(dotted[i]));
+      continue;
+    }
+    const std::string_view rest = dotted.substr(i + 1);
+    if (!rest.empty() && (rest[0] == '.' || rest[0] == '\\')) {
+      label.push_back(static_cast<std::uint8_t>(rest[0]));
+      i += 1;
+    } else if (rest.size() >= 3 && IsDigit(rest[0]) && IsDigit(rest[1]) &&
+               IsDigit(rest[2])) {
+      const int value =
+          (rest[0] - '0') * 100 + (rest[1] - '0') * 10 + (rest[2] - '0');
+      if (value > 255) return util::InvalidArgument("escape exceeds \\255");
+      label.push_back(static_cast<std::uint8_t>(value));
+      i += 3;
+    } else {
+      return util::InvalidArgument("bad escape in name");
+    }
   }
   return labels;
 }
@@ -62,6 +88,27 @@ util::Status EncodeLabels(util::ByteWriter& w, const LabelSeq& labels,
   }
   if (terminate) w.WriteU8(0);
   return util::OkStatus();
+}
+
+util::Result<std::size_t> FlatNameLength(util::ByteSpan packet,
+                                         std::size_t offset) {
+  std::size_t pos = offset;
+  std::size_t total = 1;
+  while (true) {
+    if (pos >= packet.size()) return util::Malformed("name runs off packet");
+    const std::uint8_t len = packet[pos];
+    if ((len & kCompressionFlags) == kCompressionFlags) {
+      return util::Malformed("compressed name");
+    }
+    if ((len & kCompressionFlags) != 0) {
+      return util::Malformed("reserved label type");
+    }
+    if (len == 0) return pos + 1 - offset;
+    if (pos + 1 + len > packet.size()) return util::Malformed("label off packet");
+    total += len + 1;
+    if (total > kMaxNameLen) return util::Malformed("decoded name exceeds 255");
+    pos += 1 + len;
+  }
 }
 
 util::Result<DecodedName> DecodeName(util::ByteSpan packet, std::size_t offset,

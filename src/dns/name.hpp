@@ -32,10 +32,14 @@ using LabelSeq = std::vector<util::Bytes>;
 
 /// Splits "www.example.com" into labels. Rejects empty labels (consecutive
 /// dots), oversized labels and oversized names. "" and "." mean the root.
+/// Reads back every escape ToDotted writes — \DDD (decimal, at most 255),
+/// plus the \. and \\ shorthands — as the one byte it stands for; any
+/// other backslash is an error. Label and name limits count those bytes.
 util::Result<LabelSeq> ParseDotted(std::string_view dotted);
 
-/// Joins labels back into dotted form (non-printable bytes are escaped as
-/// \DDD, RFC 1035 master-file style).
+/// Joins labels back into dotted form (non-printable bytes, `.` and `\`
+/// are escaped as \DDD, RFC 1035 master-file style), so that
+/// ParseDotted(ToDotted(labels)) == labels.
 std::string ToDotted(const LabelSeq& labels);
 
 /// Encodes a well-formed dotted name (with terminating root label).
@@ -52,6 +56,13 @@ struct DecodedName {
   LabelSeq labels;          // raw labels
   std::size_t wire_len = 0; // bytes consumed at the original offset
 };
+
+/// The wire length of the uncompressed name at packet[offset], root label
+/// included, checked like DecodeName (label types, the 255-byte limit, the
+/// packet's end) without building it. A compression pointer is an error:
+/// the caller wants the name's own bytes.
+util::Result<std::size_t> FlatNameLength(util::ByteSpan packet,
+                                         std::size_t offset);
 
 /// Decodes the name starting at packet[offset], following compression
 /// pointers (bounded by `max_hops` to defuse pointer loops) and enforcing

@@ -41,6 +41,7 @@ struct ResourceRecord {
   util::Bytes rdata;
 
   [[nodiscard]] bool uses_raw_name() const noexcept { return !raw_name.empty(); }
+  bool operator==(const ResourceRecord&) const = default;
 };
 
 /// A-record helpers: 4-byte IPv4 rdata.

@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "src/isa/isa.hpp"
+#include "src/obs/obs.hpp"
 
 namespace connlab::fuzz {
 
@@ -102,6 +103,7 @@ util::Bytes MinimizeCrash(FuzzTarget& target, const CrashKey& key,
   const std::size_t prefix = target.fixed_prefix();
   std::size_t execs = 0;
   CoverageMap scratch;
+  const std::uint64_t reboots_before = target.reboots();
 
   const auto still_crashes = [&](util::ByteSpan candidate) {
     if (execs >= max_execs) return false;
@@ -145,6 +147,9 @@ util::Bytes MinimizeCrash(FuzzTarget& target, const CrashKey& key,
       }
     }
   }
+  // The minimizer's own work, which fuzz.execs and fuzz.reboots leave out.
+  OBS_COUNT_N("fuzz.minimize.execs", execs);
+  OBS_COUNT_N("fuzz.minimize.reboots", target.reboots() - reboots_before);
   return best;
 }
 

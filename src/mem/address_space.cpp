@@ -152,6 +152,22 @@ util::Status AddressSpace::WriteBytes(GuestAddr addr, util::ByteSpan data) {
   return util::OkStatus();
 }
 
+util::Status AddressSpace::Fill(GuestAddr addr, std::uint32_t len,
+                                std::uint8_t value) {
+  const Segment* seg = CheckAccess(addr, len, AccessKind::kWrite);
+  if (seg == nullptr) return FaultStatus();
+  const_cast<Segment*>(seg)->Fill(addr, len, value);
+  return util::OkStatus();
+}
+
+AddressSpace::Extent AddressSpace::Accessible(GuestAddr addr,
+                                              AccessKind kind) noexcept {
+  const Segment* seg = hot_[static_cast<std::size_t>(kind)];
+  if (seg == nullptr || !seg->Contains(addr)) seg = FindSegment(addr);
+  if (seg == nullptr || !Has(seg->perms(), NeededPerm(kind))) return {};
+  return {const_cast<Segment*>(seg), seg->size() - (addr - seg->base())};
+}
+
 util::Result<const Segment*> AddressSpace::FetchSegment(
     GuestAddr addr, std::uint32_t len) const {
   const Segment* seg = CheckAccess(addr, len, AccessKind::kFetch);

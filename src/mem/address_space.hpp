@@ -72,6 +72,19 @@ class AddressSpace {
   }
   util::Status WriteU32(GuestAddr addr, std::uint32_t value);
   util::Status WriteBytes(GuestAddr addr, util::ByteSpan data);
+  /// Writes `len` copies of `value`, checked like WriteBytes.
+  util::Status Fill(GuestAddr addr, std::uint32_t len, std::uint8_t value);
+
+  /// The segment holding `addr` and the bytes from `addr` to its end, when
+  /// a `kind` access is permitted there; {nullptr, 0} where an access at
+  /// `addr` would fault. A probe, not an access: it records no fault. The
+  /// caller reads or writes the range through the segment, and owns the
+  /// fault of the first byte past it.
+  struct Extent {
+    Segment* seg = nullptr;
+    std::uint32_t len = 0;
+  };
+  Extent Accessible(GuestAddr addr, AccessKind kind) noexcept;
 
   /// Fetch check used by the CPU: validates X permission at `addr` for `len`
   /// bytes and returns the backing segment without copying bytes out. A

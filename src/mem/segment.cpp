@@ -33,11 +33,31 @@ bool Segment::ContainsRange(GuestAddr addr, std::uint32_t len) const noexcept {
 void Segment::SetBytes(GuestAddr addr, util::ByteSpan bytes) noexcept {
   std::copy(bytes.begin(), bytes.end(), data_.begin() + (addr - base_));
   ++generation_;
-  if (bytes.empty()) return;
-  const std::uint32_t first = (addr - base_) >> kDirtyPageShift;
-  const std::uint32_t last =
-      (addr - base_ + static_cast<std::uint32_t>(bytes.size()) - 1u) >>
-      kDirtyPageShift;
+  if (!bytes.empty()) {
+    MarkDirty(addr - base_, static_cast<std::uint32_t>(bytes.size()));
+  }
+}
+
+void Segment::CopyForward(GuestAddr addr, const std::uint8_t* src,
+                          std::uint32_t len) noexcept {
+  std::uint8_t* out = data_.data() + (addr - base_);
+  // A plain byte loop, not memmove: when the destination starts inside
+  // the source the guest loop re-reads bytes it has just written.
+  for (std::uint32_t i = 0; i < len; ++i) out[i] = src[i];
+  ++generation_;
+  if (len != 0) MarkDirty(addr - base_, len);
+}
+
+void Segment::Fill(GuestAddr addr, std::uint32_t len,
+                   std::uint8_t value) noexcept {
+  std::fill_n(data_.begin() + (addr - base_), len, value);
+  ++generation_;
+  if (len != 0) MarkDirty(addr - base_, len);
+}
+
+void Segment::MarkDirty(std::uint32_t off, std::uint32_t len) noexcept {
+  const std::uint32_t first = off >> kDirtyPageShift;
+  const std::uint32_t last = (off + len - 1u) >> kDirtyPageShift;
   for (std::uint32_t page = first; page <= last; ++page) {
     dirty_[page >> 6u] |= 1ull << (page & 63u);
   }

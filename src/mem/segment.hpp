@@ -58,6 +58,16 @@ class Segment {
   }
   /// Bulk write without per-byte generation bumps (one bump per call).
   void SetBytes(GuestAddr addr, util::ByteSpan bytes) noexcept;
+  /// Copies `len` bytes from `src` to [addr, addr+len) one byte at a time,
+  /// lowest address first. `src` may point into this segment and overlap
+  /// the range: each byte is read after every earlier one was written,
+  /// exactly as a guest byte loop would. One generation bump; every page
+  /// the range touches is marked dirty.
+  void CopyForward(GuestAddr addr, const std::uint8_t* src,
+                   std::uint32_t len) noexcept;
+  /// Sets [addr, addr+len) to `value`: one generation bump, every touched
+  /// page marked dirty.
+  void Fill(GuestAddr addr, std::uint32_t len, std::uint8_t value) noexcept;
   [[nodiscard]] util::ByteSpan SpanAt(GuestAddr addr, std::uint32_t len) const noexcept;
 
   [[nodiscard]] const util::Bytes& data() const noexcept { return data_; }
@@ -100,6 +110,9 @@ class Segment {
   std::uint32_t RestoreDirtyPagesFrom(util::ByteSpan reference) noexcept;
 
  private:
+  /// Sets the dirty bit of every page [off, off+len) touches (len > 0).
+  void MarkDirty(std::uint32_t off, std::uint32_t len) noexcept;
+
   std::string name_;
   GuestAddr base_;
   Perm perms_;

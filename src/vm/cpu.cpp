@@ -120,6 +120,10 @@ void Cpu::FlushObsBatch() noexcept {
       OBS_COUNT_N("vm.superblock.invalidations", sb_->invalidations);
       sb_->invalidations = 0;
     }
+    if (sb_->bulk_passes != 0) {
+      OBS_COUNT_N("vm.superblock.bulk_passes", sb_->bulk_passes);
+      sb_->bulk_passes = 0;
+    }
   }
 }
 #endif

@@ -263,6 +263,12 @@ class Cpu {
                                     const mem::Segment* seg,
                                     std::uint64_t entry_gen,
                                     std::uint64_t steps_cap);
+  /// Bulk passes of a byte-copy loop block (see vm/superblock.hpp), called
+  /// at its self-loop re-entry: retires as many whole passes as can run
+  /// without a fault, a loop exit, a store into `code` or leaving less than
+  /// one pass of budget under `steps_cap` — possibly none.
+  void RunCopyPasses(const Superblock& block, const mem::Segment* code,
+                     std::uint64_t steps_cap);
   void Fault(std::string detail);
   /// The one edge recorder both tiers share (Step and the superblock
   /// tier's per-op entry): bumps the edge cell into location `cur`, logging

@@ -9,6 +9,7 @@
 // the differential suite (tests/test_differential.cpp) is the referee.
 #include "src/vm/superblock.hpp"
 
+#include <algorithm>
 #include <memory>
 
 #include "src/isa/disasm.hpp"
@@ -26,6 +27,7 @@ namespace {
 /// the static_assert next to it).
 enum SbHandler : std::uint8_t {
   kHExit = 0,
+  kHCopyLoopBranch,  // closing branch of a byte-copy loop, either ISA
   // VX86
   kHXNop,
   kHXMovImm,
@@ -167,6 +169,41 @@ HandlerPick PickVARM(const isa::Instr& ins) noexcept {
   }
 }
 
+/// Ops per pass of a byte-copy loop block.
+constexpr std::uint32_t kCopyLoopOps = 8;
+
+/// True when `block` is the self-looping byte copy
+/// `cmp n,0; jz out; ldb t,[s+a]; stb t,[d+b]; add d,1; add s,1; sub n,1;
+/// jmp entry` with n, t, s and d four distinct registers (vm/superblock.hpp).
+bool IsByteCopyLoop(const Superblock& block, isa::Arch arch) noexcept {
+  using isa::Op;
+  if (block.count != kCopyLoopOps) return false;
+  const auto ins = [&block](int i) -> const isa::Instr& {
+    return block.ops[static_cast<std::size_t>(i)].instr;
+  };
+  // VARM's three-operand add/sub must step their own register.
+  const auto steps_by_one = [&](int i, Op op, std::uint8_t reg) {
+    return ins(i).op == op && ins(i).ra == reg && ins(i).imm == 1 &&
+           (arch == isa::Arch::kVX86 || ins(i).rb == reg);
+  };
+  const std::uint8_t n = ins(0).ra;
+  const std::uint8_t t = ins(2).ra;
+  const std::uint8_t s = ins(2).rb;
+  const std::uint8_t d = ins(3).rb;
+  const SbOp& back = block.ops[kCopyLoopOps - 1];
+  const mem::GuestAddr target =
+      arch == isa::Arch::kVX86
+          ? back.instr.imm
+          : back.pc_next + static_cast<std::int32_t>(back.instr.imm) * 4;
+  return ins(0).op == Op::kCmpImm && ins(0).imm == 0 &&
+         ins(1).op == Op::kJz && ins(2).op == Op::kLoadByte &&
+         ins(3).op == Op::kStoreByte && ins(3).ra == t &&
+         steps_by_one(4, Op::kAddImm, d) && steps_by_one(5, Op::kAddImm, s) &&
+         steps_by_one(6, Op::kSubImm, n) && back.instr.op == Op::kJmp &&
+         target == block.entry && n != t && n != s && n != d && t != s &&
+         t != d && s != d;
+}
+
 }  // namespace
 
 void Cpu::FlushSuperblocks() noexcept {
@@ -230,6 +267,9 @@ const Superblock* Cpu::SuperblockFor(const mem::Segment* seg,
       exit_op.pc = pc;
       exit_op.pc_next = pc;
       block.ops.push_back(exit_op);
+    }
+    if (IsByteCopyLoop(block, arch_)) {
+      block.ops.back().handler = labels[kHCopyLoopBranch];
     }
     ++sb_->compiles;
   }
@@ -338,24 +378,29 @@ bool Cpu::TrySuperblocks(std::uint64_t remaining) {
     regs_[isa::kPC] = cl_pc;       \
   } while (0)
 
+// Every per-entry precondition a self-loop re-entry must still meet: block
+// store still valid (generation unchanged), nothing stopped, no breakpoints
+// to honour, budget for a full pass of the block.
+#define CL_CAN_REENTER()                                             \
+  (seg->generation() == entry_gen &&                                \
+   stop_.reason == StopReason::kRunning && breakpoints_.empty() &&  \
+   steps_ + block->count <= steps_cap)
+
 // Direct-branch exit (terminators and taken side exits alike): a branch
 // back to this block's own entry (the tight-loop shape) re-enters threaded
-// code without returning through the dispatch loop whenever every
-// per-entry precondition still holds — block store still valid (generation
-// unchanged), nothing stopped, no breakpoints to honour, budget for a full
-// pass of the block. Anything else hands control back to TrySuperblocks.
-#define CL_BRANCH(target_val, SYNC_PC)                                  \
-  do {                                                                  \
-    const mem::GuestAddr cl_t = (target_val);                           \
-    SYNC_PC(cl_t);                                                      \
-    if (cl_t == block->entry && seg->generation() == entry_gen &&       \
-        stop_.reason == StopReason::kRunning && breakpoints_.empty() && \
-        steps_ + block->count <= steps_cap) {                           \
-      ++sb_->hits;                                                      \
-      op = block->ops.data();                                           \
-      goto* const_cast<void*>(op->handler);                             \
-    }                                                                   \
-    return nullptr;                                                     \
+// code without returning through the dispatch loop whenever
+// CL_CAN_REENTER() holds. Anything else hands control back to
+// TrySuperblocks.
+#define CL_BRANCH(target_val, SYNC_PC)                   \
+  do {                                                   \
+    const mem::GuestAddr cl_t = (target_val);            \
+    SYNC_PC(cl_t);                                       \
+    if (cl_t == block->entry && CL_CAN_REENTER()) {      \
+      ++sb_->hits;                                       \
+      op = block->ops.data();                            \
+      goto* const_cast<void*>(op->handler);              \
+    }                                                    \
+    return nullptr;                                      \
   } while (0)
 #define CL_SET_PC_X86(value) (pc_ = (value))
 
@@ -366,7 +411,7 @@ const void* const* Cpu::ExecSuperblock(const Superblock* block,
   // Label address table, indexed by SbHandler. Built once (function-local
   // static); query mode (block == nullptr) hands it to the block builder.
   static const void* const kLabels[] = {
-      &&h_exit,
+      &&h_exit, &&h_copy_loop_branch,
       // VX86
       &&x_nop, &&x_mov_imm, &&x_mov_reg, &&x_xor_reg, &&x_add_imm,
       &&x_sub_imm, &&x_add_reg, &&x_cmp_imm, &&x_load, &&x_store,
@@ -393,6 +438,21 @@ h_exit:
   // bailout): re-sync the architectural pc to the next unexecuted
   // instruction and hand control back to the Run() loop.
   set_pc(op->pc);
+  return nullptr;
+
+h_copy_loop_branch:
+  // The closing `jmp/b entry` of a byte-copy loop: CL_BRANCH's self-loop
+  // re-entry, with bulk passes retired first. The bulk never stores into
+  // `seg` and leaves a pass of budget, so CL_CAN_REENTER() still holds
+  // after it.
+  CL_ENTER();
+  set_pc(block->entry);
+  if (CL_CAN_REENTER()) {
+    RunCopyPasses(*block, seg, steps_cap);
+    ++sb_->hits;
+    op = block->ops.data();
+    goto* const_cast<void*>(op->handler);
+  }
   return nullptr;
 
 // --- VX86 handlers (mirror ExecVX86 case for case) ---------------------------
@@ -852,11 +912,57 @@ a_hlt:
   return nullptr;
 }
 
+void Cpu::RunCopyPasses(const Superblock& block, const mem::Segment* code,
+                        std::uint64_t steps_cap) {
+  const SbOp* ops = block.ops.data();
+  const isa::Instr& load = ops[2].instr;
+  const isa::Instr& store = ops[3].instr;
+  const std::uint8_t n = ops[0].instr.ra;
+  // Whole passes only while n != 0, with one pass of budget left over.
+  std::uint64_t k = std::min<std::uint64_t>(
+      regs_[n], (steps_cap - steps_ - kCopyLoopOps) / kCopyLoopOps);
+  if (k == 0) return;
+  const mem::GuestAddr src = regs_[load.rb] + load.imm;
+  const mem::GuestAddr dst = regs_[store.rb] + store.imm;
+  const mem::AddressSpace::Extent from =
+      space_->Accessible(src, mem::AccessKind::kRead);
+  const mem::AddressSpace::Extent to =
+      space_->Accessible(dst, mem::AccessKind::kWrite);
+  if (to.seg == code) return;  // stores into the block take the SMC exit
+  k = std::min<std::uint64_t>({k, from.len, to.len});
+  if (k == 0) return;
+  const auto len = static_cast<std::uint32_t>(k);
+  to.seg->CopyForward(dst, from.seg->SpanAt(src, len).data(), len);
+
+  regs_[load.rb] += len;
+  regs_[store.rb] += len;
+  regs_[n] -= len;
+  regs_[load.ra] = to.seg->At(dst + len - 1);  // the last byte copied
+  zf_ = false;                                 // every pass compared n != 0
+  steps_ += kCopyLoopOps * k;
+  sb_->hits += k;
+  sb_->bulk_passes += k;
+  if (cov_bitmap_ != nullptr) {
+    // Every pass records the same eight edges: a pass starts and ends with
+    // cov_prev_ at the closing branch's location.
+    std::uint32_t prev = cov_prev_;
+    for (std::uint32_t i = 0; i < kCopyLoopOps; ++i) {
+      const std::uint32_t index = (ops[i].cov_loc ^ prev) & cov_mask_;
+      std::uint8_t& cell = cov_bitmap_[index];
+      if (cell == 0) LogCoverageCell(index);
+      cell = static_cast<std::uint8_t>(
+          std::min<std::uint64_t>(0xFF, cell + k));
+      prev = ops[i].cov_loc >> 1;
+    }
+  }
+}
+
 #undef CL_ENTER
 #undef CL_NEXT
 #undef CL_SMC_NEXT
 #undef CL_SET_PC_ARM
 #undef CL_SET_PC_X86
+#undef CL_CAN_REENTER
 #undef CL_BRANCH
 
 }  // namespace connlab::vm

@@ -27,6 +27,31 @@
 // breakpoints). Every other block exit returns to the dispatch loop, whose
 // direct-mapped slot probe finds the next block.
 //
+// Bulk copy passes. Block formation recognises one block by the shape of its
+// ops, on both ISAs: the self-looping byte copy
+//   cmp n,0; jz/beq out; ldb/ldrb t,[s+a]; stb/strb t,[d+b];
+//   add d,1; add s,1; sub n,1; jmp/b entry
+// with n, t, s and d four distinct registers read from the ops
+// (connman.copy_label's loop is this shape; nothing keys on the symbol).
+// Its closing branch gets its own handler: at each self-loop re-entry it
+// retires k whole passes in one host loop before the ordinary handlers
+// take over again. k is the largest count that
+//   - n allows (every bulk pass sees n != 0, so its jz falls through);
+//   - the budget allows with one more pass to spare for the handlers;
+//   - the source segment can read and the destination segment can write
+//     from s+a and d+b (mem::AddressSpace::Accessible, which records no
+//     fault);
+// and k is 0 when the destination is the block's own code segment, whose
+// stores must take the mid-block SMC exit. k bulk passes leave exactly what
+// k ordinary passes leave: registers (t holds the last byte copied) and
+// zf; steps_ += 8k and hits += k; each pass's eight coverage cells raised
+// by k with 0xFF saturation, first touches logged in op order; a
+// byte-forward copy when source and destination overlap; dirty pages and a
+// generation change on the destination segment. The loop exit, the tail
+// and every fault run through the ordinary handlers, so stop and fault
+// records are the interpreter's. vm.superblock.bulk_passes counts the bulk
+// passes, a share of vm.superblock.hits.
+//
 // Each CPU compiles its own blocks straight from segment bytes; no block
 // store outlives its CPU or is shared between CPUs.
 //
@@ -148,11 +173,13 @@ class SuperblockCache {
   }
 
   // Tier counters, batched per-CPU like ObsBatch and flushed to the obs
-  // registry as vm.superblock.{compiles,hits,fallbacks,invalidations}.
+  // registry as vm.superblock.{compiles,hits,fallbacks,invalidations,
+  // bulk_passes}.
   std::uint64_t compiles = 0;       // usable blocks built
   std::uint64_t hits = 0;           // blocks dispatched
   std::uint64_t fallbacks = 0;      // entries that deferred to the interpreter
   std::uint64_t invalidations = 0;  // generation bumps that dropped blocks
+  std::uint64_t bulk_passes = 0;    // the share of `hits` retired in bulk
 
  private:
   std::vector<SegBlocks> segs_;  // a handful of segments per address space

@@ -288,6 +288,33 @@ std::uint64_t CounterOr0(const MetricsSnapshot& m, const char* name) {
   return it == m.counters.end() ? std::uint64_t{0} : it->second;
 }
 
+// The minimizer counts its own executions and reboots under
+// fuzz.minimize.*, and leaves fuzz.execs and fuzz.reboots exactly as the
+// same campaign without minimization reports them.
+TEST(ObsCampaign, MinimizerCountsItsOwnWork) {
+  const auto run = [](bool minimize) {
+    Scope scope;
+    fuzz::FuzzConfig config;
+    config.seed = 42;
+    config.max_execs = 20000;
+    config.workers = 1;
+    config.minimize = minimize;
+    config.target.kind = fuzz::TargetKind::kMinimasq;
+    auto report = fuzz::Fuzzer(config).Run();
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    return scope.Metrics();
+  };
+  const MetricsSnapshot on = run(true);
+  const MetricsSnapshot off = run(false);
+  EXPECT_GT(CounterOr0(on, "fuzz.minimize.execs"), 0u);
+  EXPECT_GT(CounterOr0(on, "fuzz.minimize.reboots"), 0u);
+  EXPECT_EQ(CounterOr0(off, "fuzz.minimize.execs"), 0u);
+  EXPECT_EQ(CounterOr0(off, "fuzz.minimize.reboots"), 0u);
+  EXPECT_EQ(on.counters.at("fuzz.execs"), off.counters.at("fuzz.execs"));
+  EXPECT_EQ(on.counters.at("fuzz.reboots"), off.counters.at("fuzz.reboots"));
+  EXPECT_EQ(off.counters.at("fuzz.reboots"), 420u);
+}
+
 // The superblock tier's counters ride the CPU's batched obs flush: a
 // campaign with the tier on (the default) exports compiles/hits/fallbacks
 // under vm.superblock.*, and every compiled block is executed at least

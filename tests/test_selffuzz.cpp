@@ -1,10 +1,12 @@
 // Self-fuzzing the lab's own host-side parsers of attacker bytes: the DNS
-// decoders, the campaign-file loaders and the four zoo request handlers
-// each take mutants of valid inputs from fuzz::Mutator at a fixed seed.
-// Every call must come back with a value or a non-OK status; under
-// ASan+UBSan (the sanitizer build runs this suite) a read past a buffer or
-// an undefined shift fails the run as well. The zoo handlers also keep
-// their size-signal contract on every mutant.
+// decoders, the campaign-file loaders, the dnsproxy's response parser and
+// the four zoo request handlers each take mutants of valid inputs from
+// fuzz::Mutator at a fixed seed. Every call must come back with a value or
+// a non-OK status; under ASan+UBSan (the sanitizer build runs this suite)
+// a read past a buffer or an undefined shift fails the run as well. The
+// DNS codec must round-trip every message it decodes, and the response
+// parser and the zoo handlers keep their size-signal contracts on every
+// mutant.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -16,6 +18,7 @@
 #include "src/adapt/httpcamd.hpp"
 #include "src/adapt/minimasq.hpp"
 #include "src/adapt/resolvd.hpp"
+#include "src/connman/dnsproxy.hpp"
 #include "src/dns/craft.hpp"
 #include "src/dns/message.hpp"
 #include "src/dns/name.hpp"
@@ -57,7 +60,8 @@ std::string AsText(util::ByteSpan bytes) {
   return std::string(bytes.begin(), bytes.end());
 }
 
-TEST(SelfFuzz, DnsDecodersRejectMutantsCleanly) {
+/// A query and one response per record type, all for cam.firmware.lan.
+std::vector<Bytes> DnsSeeds() {
   const dns::Message query = dns::Message::Query(0x5eed, "cam.firmware.lan");
   std::vector<Bytes> seeds = {dns::Encode(query).value()};
   std::vector<dns::ResourceRecord> answers = {
@@ -72,12 +76,19 @@ TEST(SelfFuzz, DnsDecodersRejectMutantsCleanly) {
     response.answers.push_back(std::move(answer));
     seeds.push_back(dns::Encode(response).value());
   }
+  return seeds;
+}
+
+fuzz::MutationHint DnsHint() {
   fuzz::MutationHint hint;
   hint.fixed_prefix = dns::kHeaderSize;
   hint.dns = true;
+  return hint;
+}
 
+TEST(SelfFuzz, DnsDecodersRejectMutantsCleanly) {
   int decoded = 0;
-  ForEachMutant(seeds, hint, 2000, [&](util::ByteSpan wire) {
+  ForEachMutant(DnsSeeds(), DnsHint(), 2000, [&](util::ByteSpan wire) {
     auto message = dns::Decode(wire);
     if (message.ok()) {
       ++decoded;
@@ -105,6 +116,112 @@ TEST(SelfFuzz, DnsDecodersRejectMutantsCleanly) {
   });
   // The mutants reach past the header checks into the record decoders.
   EXPECT_GT(decoded, 0);
+}
+
+/// A one-question query whose name is the single label `label`.
+Bytes QueryWithLabel(const Bytes& label) {
+  util::ByteWriter w;
+  for (const std::uint16_t word : {0x0f0d, 0x0100, 1, 0, 0, 0}) {
+    w.WriteU16BE(word);
+  }
+  EXPECT_TRUE(dns::EncodeLabels(w, {label}).ok());
+  w.WriteU16BE(1);  // type A
+  w.WriteU16BE(1);  // class IN
+  return std::move(w).Take();
+}
+
+/// Decode(Encode(m)) == m for every message Decode accepts. Decoded names
+/// escape `.`, `\` and unprintable bytes, so Encode must read each escape
+/// back as the byte it stands for. The first two inputs are the names an
+/// escape-blind ParseDotted mangled: a label holding a dot (re-encoded as
+/// the six bytes `a\046b`) and a 20-byte label of 0x01 bytes (80
+/// characters once escaped, so it failed to re-encode at all).
+TEST(SelfFuzz, DecodedMessagesRoundTrip) {
+  std::vector<Bytes> seeds = {QueryWithLabel(util::BytesOf("a.b")),
+                              QueryWithLabel(Bytes(20, 0x01))};
+  int decoded = 0;
+  const auto round_trips = [&decoded](util::ByteSpan wire) {
+    auto message = dns::Decode(wire);
+    if (!message.ok()) return;
+    ++decoded;
+    auto encoded = dns::Encode(message.value());
+    ASSERT_TRUE(encoded.ok()) << dns::Summary(message.value()) << ": "
+                              << encoded.status().ToString();
+    auto again = dns::Decode(encoded.value());
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_TRUE(again.value() == message.value())
+        << dns::Summary(message.value()) << " came back as "
+        << dns::Summary(again.value());
+  };
+  for (const Bytes& found : seeds) {
+    SCOPED_TRACE(util::ToHex(found));
+    round_trips(found);
+  }
+  EXPECT_EQ(decoded, 2);
+  const std::vector<Bytes> dns_seeds = DnsSeeds();
+  seeds.insert(seeds.end(), dns_seeds.begin(), dns_seeds.end());
+  ForEachMutant(seeds, DnsHint(), 2000, round_trips);
+  EXPECT_GT(decoded, 2);
+}
+
+/// DnsProxy::HandleServerResponse, the vulnerable build, on both arches:
+/// mutants of the dnsproxy fuzz seeds plus a response whose name runs past
+/// the 1024-byte buffer. The query is re-registered before every response
+/// (a benign one consumes it), and any outcome that is not benign reboots
+/// the system, as the fuzz harness does. `overflowed` must agree with the
+/// expanded name length, and each arch must both parse cleanly and crash.
+TEST(SelfFuzz, DnsProxyResponseParserHandlesMutants) {
+  fuzz::TargetConfig config;
+  config.kind = fuzz::TargetKind::kDnsproxy;
+  auto target = fuzz::MakeTarget(config);
+  ASSERT_TRUE(target.ok()) << target.status().ToString();
+  std::vector<Bytes> seeds = target.value()->SeedCorpus();
+  const dns::Message seed = dns::Decode(seeds[0]).value();
+  const dns::Message query =
+      dns::Message::Query(seed.header.id, seed.questions[0].name);
+  const Bytes query_wire = dns::Encode(query).value();
+  seeds.push_back(dns::Encode(dns::MaliciousAResponse(
+                                  query, dns::JunkLabels(1300).value()))
+                      .value());
+  // The harness's hint: the header and the echoed question stay intact, so
+  // the mutants get past the echo check into get_name and parse_rr.
+  fuzz::MutationHint hint = DnsHint();
+  hint.fixed_prefix = target.value()->fixed_prefix();
+
+  using ProxyKind = connman::ProxyOutcome::Kind;
+  for (const isa::Arch arch : {isa::Arch::kVX86, isa::Arch::kVARM}) {
+    SCOPED_TRACE(std::string(isa::ArchName(arch)));
+    std::unique_ptr<loader::System> sys;
+    std::optional<connman::DnsProxy> proxy;
+    const auto boot = [&] {
+      sys = loader::Boot(arch, loader::ProtectionConfig::None(), 1).value();
+      proxy.emplace(*sys, connman::Version::k134);
+    };
+    boot();
+    int parsed = 0;
+    int crashed = 0;
+    ForEachMutant(seeds, hint, 300, [&](util::ByteSpan wire) {
+      ASSERT_TRUE(proxy->AcceptClientQuery(query_wire).ok());
+      const connman::ProxyOutcome outcome = proxy->HandleServerResponse(wire);
+      ASSERT_NE(connman::OutcomeKindName(outcome.kind), "?");
+      // Per record, `overflowed` is a name whose expansion and terminator
+      // pass the buffer; with one record that is the whole volume.
+      const bool past_buffer =
+          outcome.name_bytes_written + 1 > connman::kNameBufSize;
+      EXPECT_TRUE(!outcome.overflowed || past_buffer);
+      if (wire.size() >= dns::kHeaderSize && wire[6] == 0 && wire[7] == 1) {
+        EXPECT_EQ(outcome.overflowed, past_buffer);
+      }
+      if (outcome.kind == ProxyKind::kParsedOk) ++parsed;
+      if (outcome.kind == ProxyKind::kCrash) ++crashed;
+      const bool benign = outcome.kind == ProxyKind::kParsedOk ||
+                          outcome.kind == ProxyKind::kParseError ||
+                          outcome.kind == ProxyKind::kDroppedInvalid;
+      if (!benign || outcome.overflowed) boot();
+    });
+    EXPECT_GT(parsed, 0);
+    EXPECT_GT(crashed, 0);
+  }
 }
 
 TEST(SelfFuzz, CampaignFileLoadersRejectMutantsCleanly) {

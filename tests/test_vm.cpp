@@ -11,6 +11,7 @@
 #include "src/isa/varm.hpp"
 #include "src/isa/vx86.hpp"
 #include "src/loader/boot.hpp"
+#include "src/loader/snapshot.hpp"
 #include "src/obs/obs.hpp"
 #include "src/vm/cpu.hpp"
 #include "src/vm/syscalls.hpp"
@@ -1075,6 +1076,7 @@ struct TierRun {
   std::vector<std::string> faults;  // "kind addr detail" per stop, or ""
   std::vector<std::string> events;
   std::vector<util::Bytes> memory;
+  std::vector<std::uint32_t> dirty_pages;  // per segment, since set-up
   std::vector<std::uint8_t> coverage;
   std::vector<std::uint16_t> touched;
 };
@@ -1088,6 +1090,7 @@ struct SideExitCase {
   mem::Perm stack_perm = mem::kPermRW;
   std::function<void(Machine&)> setup;
   std::vector<std::uint64_t> budgets = {100000};
+  bool coverage = true;
 };
 
 TierRun RunCase(const SideExitCase& c, bool superblocks) {
@@ -1095,8 +1098,9 @@ TierRun RunCase(const SideExitCase& c, bool superblocks) {
                        {.superblocks = superblocks});
   std::vector<std::uint8_t> bitmap(1u << 16, 0);
   std::vector<std::uint16_t> touched;
-  m.cpu->AttachCoverage(bitmap.data(), 0xFFFF, &touched);
+  if (c.coverage) m.cpu->AttachCoverage(bitmap.data(), 0xFFFF, &touched);
   if (c.setup) c.setup(m);
+  for (const auto& seg : m.space.segments()) seg->ResetDirty(1);
   TierRun r;
   for (const std::uint64_t budget : c.budgets) {
     const StopInfo stop = m.cpu->Run(budget);
@@ -1116,7 +1120,10 @@ TierRun RunCase(const SideExitCase& c, bool superblocks) {
   r.pc = m.cpu->pc();
   r.zf = m.cpu->zf();
   for (const Event& e : m.cpu->events()) r.events.push_back(e.ToString());
-  for (const auto& seg : m.space.segments()) r.memory.push_back(seg->data());
+  for (const auto& seg : m.space.segments()) {
+    r.memory.push_back(seg->data());
+    r.dirty_pages.push_back(seg->CountDirtyPages());
+  }
   r.coverage = bitmap;
   r.touched = touched;
   return r;
@@ -1137,6 +1144,7 @@ TierRun ExpectTiersAgree(const SideExitCase& c) {
   EXPECT_EQ(tier.faults, interp.faults);
   EXPECT_EQ(tier.events, interp.events);
   EXPECT_TRUE(tier.memory == interp.memory);
+  EXPECT_EQ(tier.dirty_pages, interp.dirty_pages);
   EXPECT_TRUE(tier.coverage == interp.coverage);
   EXPECT_EQ(tier.touched, interp.touched);
   return tier;
@@ -1160,8 +1168,8 @@ void SeedData(Machine& m) {
 
 /// The copy_label shape, `cmp; jz out; ldb; stb; add; add; sub; jmp head`:
 /// copies ecx/r2 bytes from esi/r1 to edi/r0.
-util::Bytes WhileCopyLoop(Arch arch) {
-  isa::Assembler a(arch, 0x1000);
+util::Bytes WhileCopyLoop(Arch arch, mem::GuestAddr origin = 0x1000) {
+  isa::Assembler a(arch, origin);
   a.Label("head");
   if (arch == Arch::kVX86) {
     x::EncCmpImm(a.w(), isa::kECX, 0);
@@ -1437,9 +1445,40 @@ TEST(CpuSuperblock, SideExitLoopUnderCfi) {
   }
 }
 
+/// Calls connman.copy_label(dst, src, len) on a booted system, returning
+/// through connman.copy_done, whose host function halts with "copied".
+/// The copy's frame sits 0x40 below `dst`.
+void CallCopyLabel(loader::System& sys, mem::GuestAddr dst,
+                   mem::GuestAddr src, std::uint32_t len) {
+  auto& cpu = *sys.cpu;
+  const mem::GuestAddr copy = sys.Sym("connman.copy_label").value();
+  const mem::GuestAddr done = sys.Sym("connman.copy_done").value();
+  const auto stop_at_done = [](Cpu& c) {
+    c.RequestStop(StopReason::kHalted, "copied");
+    return util::OkStatus();
+  };
+  ASSERT_TRUE(cpu.RegisterHostFn(done, "done", stop_at_done).ok());
+  cpu.set_sp(dst - 0x40);
+  if (sys.arch == Arch::kVX86) {
+    ASSERT_TRUE(cpu.Push(len).ok());
+    ASSERT_TRUE(cpu.Push(src).ok());
+    ASSERT_TRUE(cpu.Push(dst).ok());
+    ASSERT_TRUE(cpu.Push(done).ok());
+  } else {
+    cpu.set_reg(isa::kR0, dst);
+    cpu.set_reg(isa::kR1, src);
+    cpu.set_reg(isa::kR2, len);
+    cpu.set_reg(isa::kLR, done);
+  }
+  cpu.set_pc(copy);
+  const StopInfo stop = cpu.Run(64 + 8ull * len);
+  ASSERT_EQ(stop.reason, StopReason::kHalted) << stop.ToString();
+}
+
 /// connman.copy_label's loop is one self-looping block: a 200-byte copy
 /// dispatches about one block per byte, where splitting the loop at its
-/// jz (two blocks per byte) records twice that.
+/// jz (two blocks per byte) records twice that. Bulk passes count as
+/// dispatches too.
 TEST(CpuSuperblock, CopyLabelRunsOneBlockPassPerByte) {
   for (const Arch arch : kBothArchs) {
     SCOPED_TRACE(isa::ArchName(arch));
@@ -1448,36 +1487,212 @@ TEST(CpuSuperblock, CopyLabelRunsOneBlockPassPerByte) {
     {
       auto sys =
           loader::Boot(arch, loader::ProtectionConfig::None(), 11).value();
-      auto& cpu = *sys->cpu;
-      const mem::GuestAddr copy = sys->Sym("connman.copy_label").value();
-      const mem::GuestAddr done = sys->Sym("connman.copy_done").value();
-      const mem::GuestAddr dst = sys->layout.initial_sp() - 0x400;
-      const mem::GuestAddr src = sys->layout.heap_base;
-      const auto stop_at_done = [](Cpu& c) {
-        c.RequestStop(StopReason::kHalted, "copied");
-        return util::OkStatus();
-      };
-      ASSERT_TRUE(cpu.RegisterHostFn(done, "done", stop_at_done).ok());
-      cpu.set_sp(dst - 0x40);
-      if (arch == Arch::kVX86) {
-        ASSERT_TRUE(cpu.Push(kLen).ok());
-        ASSERT_TRUE(cpu.Push(src).ok());
-        ASSERT_TRUE(cpu.Push(dst).ok());
-        ASSERT_TRUE(cpu.Push(done).ok());
-      } else {
-        cpu.set_reg(isa::kR0, dst);
-        cpu.set_reg(isa::kR1, src);
-        cpu.set_reg(isa::kR2, kLen);
-        cpu.set_reg(isa::kLR, done);
-      }
-      cpu.set_pc(copy);
-      const StopInfo stop = cpu.Run(64 + 8ull * kLen);
-      ASSERT_EQ(stop.reason, StopReason::kHalted) << stop.ToString();
+      CallCopyLabel(*sys, sys->layout.initial_sp() - 0x400,
+                    sys->layout.heap_base, kLen);
     }  // ~Cpu flushes the batched counters
     const std::uint64_t hits =
         scope.Metrics().counters.at("vm.superblock.hits");
     EXPECT_GE(hits, kLen);
     EXPECT_LE(hits, kLen + 4);
+  }
+}
+
+// --- Bulk copy passes ---------------------------------------------------------
+//
+// A byte-copy loop's closing branch retires whole passes in bulk at each
+// self-loop re-entry (vm/superblock.hpp). Every case runs on both ISAs,
+// with coverage attached and detached, and must leave exactly what the
+// interpreter leaves; vm.superblock.bulk_passes shows how many passes the
+// bulk path took.
+
+/// ExpectTiersAgree, returning the superblock run's bulk passes.
+std::uint64_t ExpectTiersAgreeCountingBulk(const SideExitCase& c) {
+  obs::Scope scope;
+  ExpectTiersAgree(c);  // the interpreter run has no tier counters
+  const auto& counters = scope.Metrics().counters;
+  const auto it = counters.find("vm.superblock.bulk_passes");
+  return it == counters.end() ? 0 : it->second;
+}
+
+/// A copy loop case with coverage attached or not.
+SideExitCase CopyCase(Arch arch, bool coverage, mem::GuestAddr dst,
+                      mem::GuestAddr src, std::uint32_t count) {
+  SideExitCase c;
+  c.arch = arch;
+  c.coverage = coverage;
+  c.text = WhileCopyLoop(arch);
+  c.setup = CopyArgs(arch, dst, src, count);
+  return c;
+}
+
+/// Lengths 0-80 and 300. The first pass runs on the ordinary handlers and
+/// its re-entry retires every other copying pass in bulk, so a 300-byte
+/// copy also saturates the loop's coverage cells and dirties two pages.
+TEST(CpuBulkCopy, EveryLengthMatchesInterpreter) {
+  std::vector<std::uint32_t> lengths;
+  for (std::uint32_t n = 0; n <= 80; ++n) lengths.push_back(n);
+  lengths.push_back(300);
+  for (const Arch arch : kBothArchs) {
+    for (const bool coverage : {true, false}) {
+      for (const std::uint32_t n : lengths) {
+        SCOPED_TRACE(std::string(isa::ArchName(arch)) +
+                     (coverage ? " cov " : " no-cov ") + std::to_string(n));
+        const SideExitCase c = CopyCase(arch, coverage, 0x84F0, 0x4010, n);
+        EXPECT_EQ(ExpectTiersAgreeCountingBulk(c), n > 1 ? n - 1 : 0u);
+      }
+    }
+  }
+}
+
+/// The source or the destination ends `left` bytes into the copy: the bulk
+/// stops at the segment's last byte and the ordinary ldb/ldrb or stb/strb
+/// takes the fault, with the interpreter's pc, detail and fault record.
+TEST(CpuBulkCopy, FaultAtEachOffsetNearASegmentEnd) {
+  for (const Arch arch : kBothArchs) {
+    for (const bool coverage : {true, false}) {
+      for (const std::uint32_t left : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u,
+                                       17u, 39u}) {
+        SCOPED_TRACE(std::string(isa::ArchName(arch)) +
+                     (coverage ? " cov " : " no-cov ") + std::to_string(left));
+        // The source runs off the end of .data.
+        SideExitCase c = CopyCase(arch, coverage, 0x8400, 0x5000 - left, 40);
+        TierRun run = ExpectTiersAgree(c);
+        ASSERT_EQ(run.reasons, std::vector<StopReason>{StopReason::kFault});
+        EXPECT_EQ(run.details[0], "ldrb failed");
+        // The destination runs off the top of the stack.
+        c = CopyCase(arch, coverage, 0x9000 - left, 0x4010, 40);
+        run = ExpectTiersAgree(c);
+        ASSERT_EQ(run.reasons, std::vector<StopReason>{StopReason::kFault});
+        EXPECT_EQ(run.details[0], "strb failed");
+      }
+      // A read-only destination and an unmapped source fault on pass one.
+      SideExitCase c = CopyCase(arch, coverage, 0x1800, 0x4010, 40);
+      EXPECT_EQ(ExpectTiersAgree(c).details[0], "strb failed");
+      c = CopyCase(arch, coverage, 0x8400, 0x6000, 40);
+      EXPECT_EQ(ExpectTiersAgree(c).details[0], "ldrb failed");
+    }
+  }
+}
+
+/// Source and destination overlap inside .data in both directions: the
+/// copy is byte-forward, so a destination just above the source repeats
+/// the source's first bytes, as the guest loop does.
+TEST(CpuBulkCopy, OverlappingCopiesRunByteForward) {
+  for (const Arch arch : kBothArchs) {
+    for (const bool coverage : {true, false}) {
+      for (const int shift : {-64, -5, -1, 0, 1, 3, 64}) {
+        SCOPED_TRACE(std::string(isa::ArchName(arch)) +
+                     (coverage ? " cov " : " no-cov ") + std::to_string(shift));
+        const mem::GuestAddr src = 0x4100;
+        const SideExitCase c = CopyCase(
+            arch, coverage, src + static_cast<std::uint32_t>(shift), src, 100);
+        const TierRun run = ExpectTiersAgree(c);
+        if (shift != 3) continue;
+        const util::Bytes& data = run.memory[1];  // .data
+        for (std::uint32_t i = 0; i < 100; ++i) {
+          ASSERT_EQ(data[0x103 + i],
+                    static_cast<std::uint8_t>((0x100 + i % 3) * 7 + 3));
+        }
+      }
+    }
+  }
+}
+
+/// Every budget up to past the end of a 12-byte copy, resumed twice: the
+/// budget runs out at, before and after every pass boundary, and the bulk
+/// always leaves one pass of budget to the ordinary handlers.
+TEST(CpuBulkCopy, StepBudgetsAroundEveryPassBoundary) {
+  constexpr std::uint32_t kLen = 12;  // 8 * 12 + 3 steps to the hlt
+  for (const Arch arch : kBothArchs) {
+    for (const bool coverage : {true, false}) {
+      for (std::uint64_t budget = 1; budget <= 8 * kLen + 12; ++budget) {
+        SCOPED_TRACE(std::string(isa::ArchName(arch)) +
+                     (coverage ? " cov " : " no-cov ") +
+                     std::to_string(budget));
+        SideExitCase c = CopyCase(arch, coverage, 0x8400, 0x4010, kLen);
+        c.budgets = {budget, budget, 1000};
+        const TierRun run = ExpectTiersAgree(c);
+        EXPECT_EQ(run.reasons.back(), StopReason::kHalted);
+      }
+    }
+  }
+}
+
+/// The loop runs from an RWX stack and its destination climbs into that
+/// segment from a mapping right below it. The re-entry after the last byte
+/// below the boundary must not bulk into the block's own code: its next
+/// store takes the mid-block SMC exit, and the hlt bytes it copies over the
+/// loop end the run.
+TEST(CpuBulkCopy, NoBulkIntoTheBlocksOwnCodeSegment) {
+  for (const Arch arch : kBothArchs) {
+    util::ByteWriter hlt;
+    if (arch == Arch::kVX86) {
+      x::EncHlt(hlt);
+    } else {
+      v::EncHlt(hlt);
+    }
+    util::Bytes fill;
+    while (fill.size() < 64) {
+      fill.insert(fill.end(), hlt.bytes().begin(), hlt.bytes().end());
+    }
+    const util::Bytes code = WhileCopyLoop(arch, 0x8000);
+    for (const bool coverage : {true, false}) {
+      for (std::uint32_t below = 1; below <= 4; ++below) {
+        SCOPED_TRACE(std::string(isa::ArchName(arch)) +
+                     (coverage ? " cov " : " no-cov ") + std::to_string(below));
+        SideExitCase c;
+        c.arch = arch;
+        c.coverage = coverage;
+        c.stack_perm = mem::kPermRWX;
+        c.setup = [arch, code, fill, below](Machine& m) {
+          ASSERT_TRUE(m.space.Map("pad", 0x7000, 0x1000, mem::kPermRW).ok());
+          ASSERT_TRUE(m.space.DebugWrite(0x8000, code).ok());
+          CopyArgs(arch, 0x8000 - below, 0x4000, 32)(m);
+          ASSERT_TRUE(m.space.DebugWrite(0x4000, fill).ok());
+          m.cpu->set_pc(0x8000);
+        };
+        c.budgets = {1000};
+        EXPECT_EQ(ExpectTiersAgreeCountingBulk(c), below - 1);
+      }
+    }
+  }
+}
+
+/// A dirty-only snapshot restore after a bulk copy equals a full restore:
+/// the bulk marked every page it wrote, including the ones no ordinary
+/// pass touched.
+TEST(CpuBulkCopy, DirtyOnlyRestoreAfterBulkCopyEqualsFullRestore) {
+  for (const Arch arch : kBothArchs) {
+    SCOPED_TRACE(isa::ArchName(arch));
+    constexpr std::uint32_t kLen = 600;
+    obs::Scope scope;
+    {
+      auto sys =
+          loader::Boot(arch, loader::ProtectionConfig::None(), 11).value();
+      util::Bytes pattern(kLen);
+      for (std::uint32_t i = 0; i < kLen; ++i) {
+        pattern[i] = static_cast<std::uint8_t>(i * 13 + 1);
+      }
+      const mem::GuestAddr src = sys->layout.heap_base;
+      ASSERT_TRUE(sys->space.DebugWrite(src, pattern).ok());
+      const loader::Snapshot snap = loader::TakeSnapshot(*sys);
+
+      const mem::GuestAddr dst = sys->layout.initial_sp() - 0x3F0;
+      CallCopyLabel(*sys, dst, src, kLen);
+      ASSERT_EQ(sys->space.DebugRead(dst, kLen).value(), pattern);
+
+      ASSERT_TRUE(loader::RestoreSnapshot(*sys, snap,
+                                          loader::RestoreMode::kDirtyOnly)
+                      .ok());
+      for (const loader::Snapshot::SegmentImage& image : snap.segments) {
+        SCOPED_TRACE(image.name);
+        const mem::Segment* seg = sys->space.FindSegmentByName(image.name);
+        ASSERT_NE(seg, nullptr);
+        EXPECT_TRUE(seg->data() == image.data);  // what kFull copies back
+      }
+    }
+    EXPECT_GE(scope.Metrics().counters.at("vm.superblock.bulk_passes"),
+              kLen - 2);
   }
 }
 
