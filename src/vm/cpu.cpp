@@ -7,8 +7,8 @@
 #include "src/isa/vx86.hpp"
 #include "src/obs/obs.hpp"
 #include "src/util/log.hpp"
+#include "src/vm/ops.hpp"
 #include "src/vm/superblock.hpp"
-#include "src/vm/syscalls.hpp"
 
 namespace connlab::vm {
 
@@ -316,7 +316,12 @@ void Cpu::Step() {
     trace_.push_back({pc_, decoded.value().ToString(arch_)});
     if (trace_.size() > trace_limit_) trace_.pop_front();
   }
-  ExecuteInstr(decoded.value());
+  const isa::Instr& ins = decoded.value();
+  if (arch_ == isa::Arch::kVX86) {
+    ExecVX86(ins, pc_ + ins.length);
+  } else {
+    ExecVARM(ins, pc_ + ins.length);
+  }
 }
 
 Cpu::State Cpu::SaveState() const {
@@ -345,125 +350,34 @@ void Cpu::RestoreState(const State& state) {
   // by the generation tags; no flush needed.
 }
 
-void Cpu::ExecuteInstr(const isa::Instr& ins) {
-  const mem::GuestAddr pc_next = pc_ + ins.length;
-  if (arch_ == isa::Arch::kVX86) {
-    ExecVX86(ins, pc_next);
-  } else {
-    ExecVARM(ins, pc_next);
-  }
-}
-
 void Cpu::ExecVX86(const isa::Instr& ins, mem::GuestAddr pc_next) {
   using isa::Op;
-  set_pc(pc_next);  // default; control flow overrides below
+  using O = Ops<isa::Arch::kVX86>;
+  set_pc(pc_next);  // ops that branch move it
   switch (ins.op) {
-    case Op::kNop:
-      break;
-    case Op::kMovImm:
-      regs_[ins.ra] = ins.imm;
-      break;
-    case Op::kMovReg:
-      regs_[ins.ra] = regs_[ins.rb];
-      break;
-    case Op::kXorReg:
-      regs_[ins.ra] ^= regs_[ins.rb];
-      break;
-    case Op::kAddImm:
-      regs_[ins.ra] += ins.imm;
-      break;
-    case Op::kSubImm:
-      regs_[ins.ra] -= ins.imm;
-      break;
-    case Op::kAddReg:
-      regs_[ins.ra] = regs_[ins.rb] + regs_[ins.rc];
-      break;
-    case Op::kCmpImm:
-      zf_ = regs_[ins.ra] == ins.imm;
-      break;
-    case Op::kLoad: {
-      auto value = space_->ReadU32(regs_[ins.rb] + ins.imm);
-      if (!value.ok()) { Fault("load failed"); return; }
-      regs_[ins.ra] = value.value();
-      break;
-    }
-    case Op::kStore: {
-      auto status = space_->WriteU32(regs_[ins.rb] + ins.imm, regs_[ins.ra]);
-      if (!status.ok()) { Fault("store failed"); return; }
-      break;
-    }
-    case Op::kLoadByte: {
-      auto value = space_->ReadU8(regs_[ins.rb] + ins.imm);
-      if (!value.ok()) { Fault("ldrb failed"); return; }
-      regs_[ins.ra] = value.value();
-      break;
-    }
-    case Op::kStoreByte: {
-      auto status = space_->WriteU8(
-          regs_[ins.rb] + ins.imm,
-          static_cast<std::uint8_t>(regs_[ins.ra] & 0xFF));
-      if (!status.ok()) { Fault("strb failed"); return; }
-      break;
-    }
-    case Op::kPush: {
-      auto status = Push(regs_[ins.ra]);
-      if (!status.ok()) { Fault("push failed"); return; }
-      break;
-    }
-    case Op::kPushImm: {
-      auto status = Push(ins.imm);
-      if (!status.ok()) { Fault("push failed"); return; }
-      break;
-    }
-    case Op::kPop: {
-      auto value = Pop();
-      if (!value.ok()) { Fault("pop failed"); return; }
-      regs_[ins.ra] = value.value();
-      break;
-    }
-    case Op::kCall: {
-      auto status = Push(pc_next);
-      if (!status.ok()) { Fault("call push failed"); return; }
-      ShadowPush(pc_next);
-      set_pc(ins.imm);
-      break;
-    }
-    case Op::kRet: {
-      auto target = Pop();
-      if (!target.ok()) { Fault("ret pop failed"); return; }
-      if (!ShadowCheckReturn(target.value())) {
-        OBS_COUNT("defense.cfi_traps");
-        PushEvent(EventKind::kCfiViolation, "CFI: return address mismatch");
-        RequestStop(StopReason::kCfiViolation, "CFI violation on ret");
-        return;
-      }
-      set_pc(target.value());
-      break;
-    }
-    case Op::kJmp:
-      set_pc(ins.imm);
-      break;
-    case Op::kJz:
-      if (zf_) set_pc(ins.imm);
-      break;
-    case Op::kJnz:
-      if (!zf_) set_pc(ins.imm);
-      break;
-    case Op::kJmpInd: {
-      auto target = space_->ReadU32(ins.imm);
-      if (!target.ok()) { Fault("indirect jump load failed"); return; }
-      set_pc(target.value());
-      break;
-    }
-    case Op::kSyscall: {
-      util::Status status = DispatchSyscall(*this);
-      if (!status.ok() && !stopped()) { Fault(status.ToString()); return; }
-      break;
-    }
-    case Op::kHlt:
-      set_pc(pc_next - ins.length);  // halt leaves pc on the hlt itself
-      RequestStop(StopReason::kHalted, "hlt");
-      break;
+    case Op::kNop: break;
+    case Op::kMovImm: O::MovImm(*this, ins); break;
+    case Op::kMovReg: O::MovReg(*this, ins); break;
+    case Op::kXorReg: O::XorReg(*this, ins); break;
+    case Op::kAddImm: O::AddImm(*this, ins); break;
+    case Op::kSubImm: O::SubImm(*this, ins); break;
+    case Op::kAddReg: O::AddReg(*this, ins); break;
+    case Op::kCmpImm: O::CmpImm(*this, ins); break;
+    case Op::kLoad: O::Load(*this, ins); break;
+    case Op::kStore: O::Store(*this, ins); break;
+    case Op::kLoadByte: O::LoadByte(*this, ins); break;
+    case Op::kStoreByte: O::StoreByte(*this, ins); break;
+    case Op::kPush: O::PushReg(*this, ins); break;
+    case Op::kPushImm: O::PushImm(*this, ins); break;
+    case Op::kPop: O::Pop(*this, ins); break;
+    case Op::kCall: O::Call(*this, ins, pc_next); break;
+    case Op::kRet: O::Ret(*this); break;
+    case Op::kJmp: O::Jmp(*this, ins, pc_next); break;
+    case Op::kJz: O::Jz(*this, ins, pc_next); break;
+    case Op::kJnz: O::Jnz(*this, ins, pc_next); break;
+    case Op::kJmpInd: O::JmpInd(*this, ins); break;
+    case Op::kSyscall: O::Syscall(*this); break;
+    case Op::kHlt: O::Hlt(*this, ins, pc_next); break;
     default:
       Fault("vx86 cannot execute op " + std::string(isa::OpName(ins.op)));
       break;
@@ -472,154 +386,38 @@ void Cpu::ExecVX86(const isa::Instr& ins, mem::GuestAddr pc_next) {
 
 void Cpu::ExecVARM(const isa::Instr& ins, mem::GuestAddr pc_next) {
   using isa::Op;
-  set_pc(pc_next);
+  using O = Ops<isa::Arch::kVARM>;
+  set_pc(pc_next);  // ops that branch move it, and r15 with it
   switch (ins.op) {
-    case Op::kMovReg:
-      set_reg(ins.ra, regs_[ins.rb]);
-      break;
-    case Op::kMovImm:
-      set_reg(ins.ra, ins.imm & 0xFFFF);
-      break;
-    case Op::kMovT:
-      set_reg(ins.ra, (regs_[ins.ra] & 0xFFFF) | (ins.imm << 16));
-      break;
-    case Op::kMvn:
-      set_reg(ins.ra, ~regs_[ins.rb]);
-      break;
-    case Op::kAddImm:
-      set_reg(ins.ra, regs_[ins.rb] + ins.imm);
-      break;
-    case Op::kSubImm:
-      set_reg(ins.ra, regs_[ins.rb] - ins.imm);
-      break;
-    case Op::kAddReg:
-      set_reg(ins.ra, regs_[ins.rb] + regs_[ins.rc]);
-      break;
-    case Op::kCmpImm:
-      zf_ = regs_[ins.ra] == ins.imm;
-      break;
-    case Op::kLoad: {
-      auto value = space_->ReadU32(regs_[ins.rb] + ins.imm);
-      if (!value.ok()) { Fault("ldr failed"); return; }
-      set_reg(ins.ra, value.value());
-      break;
-    }
-    case Op::kStore: {
-      auto status = space_->WriteU32(regs_[ins.rb] + ins.imm, regs_[ins.ra]);
-      if (!status.ok()) { Fault("str failed"); return; }
-      break;
-    }
-    case Op::kLoadByte: {
-      auto value = space_->ReadU8(regs_[ins.rb] + ins.imm);
-      if (!value.ok()) { Fault("ldrb failed"); return; }
-      set_reg(ins.ra, value.value());
-      break;
-    }
-    case Op::kStoreByte: {
-      auto status = space_->WriteU8(
-          regs_[ins.rb] + ins.imm,
-          static_cast<std::uint8_t>(regs_[ins.ra] & 0xFF));
-      if (!status.ok()) { Fault("strb failed"); return; }
-      break;
-    }
-    case Op::kLdrLit: {
-      const mem::GuestAddr addr =
-          pc_next + static_cast<std::int32_t>(ins.imm);
-      auto value = space_->ReadU32(addr);
-      if (!value.ok()) { Fault("ldrl failed"); return; }
-      set_reg(ins.ra, value.value());
-      break;
-    }
-    case Op::kLdrInd: {
-      auto value = space_->ReadU32(regs_[ins.rb]);
-      if (!value.ok()) { Fault("ldri failed"); return; }
-      set_reg(ins.ra, value.value());
-      break;
-    }
-    case Op::kPush: {
-      // ARM store-multiple, descending: lowest register at lowest address.
-      int count = 0;
-      for (int i = 0; i < 16; ++i) count += (ins.reg_mask >> i) & 1;
-      std::uint32_t addr = sp() - 4 * static_cast<std::uint32_t>(count);
-      const std::uint32_t new_sp = addr;
-      for (int i = 0; i < 16; ++i) {
-        if (((ins.reg_mask >> i) & 1) == 0) continue;
-        auto status = space_->WriteU32(addr, regs_[i]);
-        if (!status.ok()) { Fault("push failed"); return; }
-        addr += 4;
-      }
-      set_sp(new_sp);
-      break;
-    }
-    case Op::kPop: {
-      // ARM load-multiple, ascending; pc (bit 15) loaded last => control
-      // transfer. This is the `pop {..., pc}` return/gadget mechanism.
-      std::uint32_t addr = sp();
-      std::uint32_t new_pc = pc_next;
-      bool has_pc = false;
-      for (int i = 0; i < 16; ++i) {
-        if (((ins.reg_mask >> i) & 1) == 0) continue;
-        auto value = space_->ReadU32(addr);
-        if (!value.ok()) { Fault("pop failed"); return; }
-        addr += 4;
-        if (i == isa::kPC) {
-          new_pc = value.value();
-          has_pc = true;
-        } else if (i == isa::kSP) {
-          // Popping sp is unpredictable on real ARM; we ignore the value
-          // (sp is rewritten below anyway).
-        } else {
-          regs_[i] = value.value();
-        }
-      }
-      set_sp(addr);
-      if (has_pc) {
-        if (!ShadowCheckReturn(new_pc)) {
-          OBS_COUNT("defense.cfi_traps");
-          PushEvent(EventKind::kCfiViolation, "CFI: return address mismatch");
-          RequestStop(StopReason::kCfiViolation, "CFI violation on pop {pc}");
-          return;
-        }
-        set_pc(new_pc);
-      }
-      break;
-    }
-    case Op::kBl: {
-      regs_[isa::kLR] = pc_next;
-      ShadowPush(pc_next);
-      set_pc(pc_next + static_cast<std::int32_t>(ins.imm) * 4);
-      break;
-    }
-    case Op::kBlx:
-      regs_[isa::kLR] = pc_next;
-      ShadowPush(pc_next);
-      set_pc(regs_[ins.ra]);
-      break;
-    case Op::kBx:
-      set_pc(regs_[ins.ra]);
-      break;
-    case Op::kJmp:
-      set_pc(pc_next + static_cast<std::int32_t>(ins.imm) * 4);
-      break;
-    case Op::kJz:
-      if (zf_) set_pc(pc_next + static_cast<std::int32_t>(ins.imm) * 4);
-      break;
-    case Op::kJnz:
-      if (!zf_) set_pc(pc_next + static_cast<std::int32_t>(ins.imm) * 4);
-      break;
-    case Op::kSyscall: {
-      util::Status status = DispatchSyscall(*this);
-      if (!status.ok() && !stopped()) { Fault(status.ToString()); return; }
-      break;
-    }
-    case Op::kHlt:
-      set_pc(pc_next - ins.length);  // halt leaves pc on the hlt itself
-      RequestStop(StopReason::kHalted, "hlt");
-      break;
+    case Op::kMovReg: O::MovReg(*this, ins); break;
+    case Op::kMovImm: O::MovImm(*this, ins); break;
+    case Op::kMovT: O::MovT(*this, ins); break;
+    case Op::kMvn: O::Mvn(*this, ins); break;
+    case Op::kAddImm: O::AddImm(*this, ins); break;
+    case Op::kSubImm: O::SubImm(*this, ins); break;
+    case Op::kAddReg: O::AddReg(*this, ins); break;
+    case Op::kCmpImm: O::CmpImm(*this, ins); break;
+    case Op::kLoad: O::Load(*this, ins); break;
+    case Op::kStore: O::Store(*this, ins); break;
+    case Op::kLoadByte: O::LoadByte(*this, ins); break;
+    case Op::kStoreByte: O::StoreByte(*this, ins); break;
+    case Op::kLdrLit: O::LdrLit(*this, ins, pc_next); break;
+    case Op::kLdrInd: O::LdrInd(*this, ins); break;
+    case Op::kPush: O::PushList(*this, ins); break;
+    case Op::kPop: O::PopList(*this, ins); break;
+    case Op::kBl: O::Bl(*this, ins, pc_next); break;
+    case Op::kBlx: O::Blx(*this, ins, pc_next); break;
+    case Op::kBx: O::Bx(*this, ins); break;
+    case Op::kJmp: O::Jmp(*this, ins, pc_next); break;
+    case Op::kJz: O::Jz(*this, ins, pc_next); break;
+    case Op::kJnz: O::Jnz(*this, ins, pc_next); break;
+    case Op::kSyscall: O::Syscall(*this); break;
+    case Op::kHlt: O::Hlt(*this, ins, pc_next); break;
     default:
       Fault("varm cannot execute op " + std::string(isa::OpName(ins.op)));
       break;
   }
+  pc_ = regs_[isa::kPC];  // an op that wrote r15 has branched
 }
 
 std::string Cpu::RegistersString() const {

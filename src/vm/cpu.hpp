@@ -2,7 +2,8 @@
 // W^X-enforcing fetch, a host-function trampoline registry, breakpoints and
 // an event log. The interpreter keeps no decode cache: every step fetches
 // through the permission-checked front door and decodes in place. The
-// superblock tier (vm/superblock.hpp) is the VM's only decode cache.
+// superblock tier (vm/superblock.hpp) is the VM's only decode cache. What
+// each op does is defined once, in vm/ops.hpp, for both tiers.
 //
 // Host functions are how connlab hosts high-level guest code (the simulated
 // Connman parser, libc routines) without a C compiler: a guest address is
@@ -32,6 +33,9 @@ namespace connlab::vm {
 
 struct Superblock;
 class SuperblockCache;
+struct OpsCommon;
+template <isa::Arch A>
+struct Ops;
 
 /// How a booted System executes. The default is the fast path; turning it
 /// off selects the reference that path must match.
@@ -283,9 +287,12 @@ class Cpu {
   /// The first-touch append, kept out of line so it is not inlined into
   /// every superblock handler.
   void LogCoverageCell(std::uint32_t index) noexcept;
-  void ExecuteInstr(const isa::Instr& ins);
+  /// The interpreter's dispatch over the op definitions (vm/ops.hpp).
   void ExecVX86(const isa::Instr& ins, mem::GuestAddr pc_next);
   void ExecVARM(const isa::Instr& ins, mem::GuestAddr pc_next);
+  friend struct OpsCommon;
+  template <isa::Arch A>
+  friend struct Ops;
 
   isa::Arch arch_;
   mem::AddressSpace* space_;

@@ -55,8 +55,9 @@
 // Each CPU compiles its own blocks straight from segment bytes; no block
 // store outlives its CPU or is shared between CPUs.
 //
-// Correctness contract (the differential suite enforces all of it, tier on
-// vs off):
+// Correctness contract (tier on vs off, the differential suite checks the
+// tier's own work; the per-op goldens in tests/test_ops.cpp pin what each
+// op does):
 //   - Blocks are keyed to (segment, write generation). Any byte or
 //     permission mutation — SMC, a W^X flip, a debugger poke, a snapshot
 //     restore that copied pages back — moves the generation and the block
@@ -66,17 +67,14 @@
 //     instruction stream (shellcode patching the sled it is running on).
 //     Host functions and syscalls can write guest memory too; syscalls end
 //     their block, and host functions only ever run from the interpreter.
-//   - Handlers mirror the interpreter byte-for-byte: same fault wording,
-//     same pc at fault time (the fall-through pc, as ExecVX86/ExecVARM set
-//     before executing), same shadow-stack CFI events and stop details,
-//     same steps_ accounting, same AFL edge-coverage updates per retired
-//     instruction.
-//   - Anything the block cannot reproduce exactly — tracing, a VARM
-//     instruction reading or writing r15 outside the synced cases, an
-//     instruction budget smaller than the block (counted as a full pass,
-//     side exits ignored, so an early exit only ever leaves budget over) —
-//     falls back to the interpreter, which remains the single source of
-//     truth.
+//   - A handler runs its op's one definition (vm/ops.hpp), which the
+//     interpreter runs too, after the interpreter's per-step work: the
+//     steps_ count, the AFL edge update and, before an op that can fault,
+//     stop or read r15, pc (and VARM's r15) at the op's fall-through.
+//   - Anything else — tracing, a VARM op writing r15 or an ALU op reading
+//     it, a budget smaller than the block (counted as a full pass, side
+//     exits ignored, so an early exit only ever leaves budget over) — falls
+//     back to the interpreter.
 #pragma once
 
 #include <array>
