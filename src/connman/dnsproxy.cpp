@@ -53,17 +53,7 @@ DnsProxy::DnsProxy(loader::System& sys, Version version)
       resume_ok_(sys.Sym("connman.resume_ok")),
       parse_response_pc_(sys.Sym("connman.parse_response").value_or(0)),
       get_name_pc_(sys.Sym("connman.get_name").value_or(0)),
-      parse_rr_pc_(sys.Sym("connman.parse_rr").value_or(0)) {
-  // Sentinel the guest copy routine returns to; stops the CPU so the
-  // native parser can continue. Idempotent across proxies on one system.
-  if (copy_done_.ok() && !sys_.cpu->IsHostFn(copy_done_.value())) {
-    (void)sys_.cpu->RegisterHostFn(
-        copy_done_.value(), "connman.copy_done", [](vm::Cpu& cpu) {
-          cpu.RequestStop(vm::StopReason::kHalted, "label copied");
-          return util::OkStatus();
-        });
-  }
-}
+      parse_rr_pc_(sys.Sym("connman.parse_rr").value_or(0)) {}
 
 util::Result<util::Bytes> DnsProxy::AcceptClientQuery(util::ByteSpan wire) {
   if (wire.size() < dns::kHeaderSize) return util::Malformed("short query");
@@ -118,8 +108,10 @@ DnsProxy::GetNameStatus DnsProxy::GuestCopy(mem::GuestAddr dst,
     cpu.ShadowPush(done);
   }
   cpu.set_pc(copy_label_.value());
+  // The copy returns to the `hlt` at connman.copy_done, which stops the
+  // CPU there so the native parser can continue.
   const vm::StopInfo stop = cpu.Run(/*max_steps=*/64 + 8ull * len);
-  if (stop.reason == vm::StopReason::kHalted && stop.detail == "label copied") {
+  if (stop.reason == vm::StopReason::kHalted && stop.pc == done) {
     return GetNameStatus::kOk;
   }
   guest_copy_stop_ = stop;

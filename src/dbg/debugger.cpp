@@ -46,23 +46,4 @@ std::string Debugger::Registers() const { return sys_->cpu->RegistersString(); }
 
 std::string Debugger::Maps() const { return sys_->space.MapsString(); }
 
-util::Status Debugger::BreakAt(const std::string& symbol) {
-  CONNLAB_ASSIGN_OR_RETURN(mem::GuestAddr addr, SymbolAddr(symbol));
-  sys_->cpu->AddBreakpoint(addr);
-  return util::OkStatus();
-}
-
-void Debugger::BreakAtAddr(mem::GuestAddr addr) {
-  sys_->cpu->AddBreakpoint(addr);
-}
-
-void Debugger::RemoveBreakpoint(mem::GuestAddr addr) {
-  sys_->cpu->RemoveBreakpoint(addr);
-}
-
-vm::StopInfo Debugger::Continue(std::uint64_t max_steps) {
-  sys_->cpu->ClearStop();
-  return sys_->cpu->Run(max_steps);
-}
-
 }  // namespace connlab::dbg

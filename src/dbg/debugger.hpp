@@ -1,5 +1,5 @@
 // A gdb-flavoured debugger over a booted System: memory examination,
-// disassembly, symbols, registers, breakpoints.
+// disassembly, symbols, registers and the memory map.
 //
 // This is the tool role from the paper's §III ("using gdb, we are able to
 // isolate the sections of memory occupied by the stack of the
@@ -39,15 +39,6 @@ class Debugger {
   // --- Process state ----------------------------------------------------------
   std::string Registers() const;
   std::string Maps() const;
-
-  // --- Breakpoints --------------------------------------------------------------
-  util::Status BreakAt(const std::string& symbol);
-  void BreakAtAddr(mem::GuestAddr addr);
-  void RemoveBreakpoint(mem::GuestAddr addr);
-  /// Resumes a breakpoint-stopped CPU for up to `max_steps`.
-  vm::StopInfo Continue(std::uint64_t max_steps);
-
-  [[nodiscard]] loader::System& system() noexcept { return *sys_; }
 
  private:
   loader::System* sys_;

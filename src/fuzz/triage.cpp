@@ -238,11 +238,25 @@ util::Result<Reproducer> ParseReproducer(std::string_view text) {
     } else if (auto p = ValueFor(line, "patched"); !p.empty()) {
       repro.config.patched = as_u64(p) != 0;
     } else if (auto k = ValueFor(line, "kind"); !k.empty()) {
-      repro.key.kind = static_cast<ExecResult::Kind>(as_u64(k));
+      const std::uint64_t kind = as_u64(k);
+      if (kind > static_cast<std::uint64_t>(ExecResult::Kind::kOther)) {
+        return util::Malformed("unknown kind: " + std::string(k));
+      }
+      repro.key.kind = static_cast<ExecResult::Kind>(kind);
     } else if (auto r = ValueFor(line, "stop"); !r.empty()) {
-      repro.key.stop_reason = static_cast<vm::StopReason>(as_u64(r));
+      const std::uint64_t stop = as_u64(r);
+      if (std::ranges::none_of(vm::kAllStopReasons, [stop](vm::StopReason s) {
+            return static_cast<std::uint64_t>(s) == stop;
+          })) {
+        return util::Malformed("unknown stop reason: " + std::string(r));
+      }
+      repro.key.stop_reason = static_cast<vm::StopReason>(stop);
     } else if (auto c = ValueFor(line, "pc"); !c.empty()) {
-      repro.key.pc = static_cast<mem::GuestAddr>(as_u64(c));
+      const std::uint64_t pc = as_u64(c);
+      if (pc > 0xFFFFFFFFu) {
+        return util::Malformed("pc does not fit in 32 bits: " + std::string(c));
+      }
+      repro.key.pc = static_cast<mem::GuestAddr>(pc);
     } else if (auto w = ValueFor(line, "write_fault"); !w.empty()) {
       repro.key.write_fault = as_u64(w) != 0;
     } else if (auto h = ValueFor(line, "stack_hash"); !h.empty()) {

@@ -103,7 +103,7 @@ util::Result<util::Bytes> BuildTextVX86(const Layout& layout, Assembler& a,
   x::EncHlt(a.w());
 
   // Parser entry points (hosted natively by connman::DnsProxy; the labels
-  // anchor symbols, breakpoints and backtraces).
+  // anchor symbols and backtraces).
   a.Label("connman.forward_dns_reply");
   x::EncPushReg(a.w(), isa::kEBP);
   x::EncMovReg(a.w(), isa::kEBP, isa::kESP);
@@ -138,6 +138,8 @@ util::Result<util::Bytes> BuildTextVX86(const Layout& layout, Assembler& a,
   a.JmpLabel("connman.copy_label.loop");
   a.Label("connman.copy_label.done");
   x::EncRet(a.w());
+  // copy_label's return address: the hlt stops the CPU, and DnsProxy's
+  // native parser carries on with the next label.
   a.Label("connman.copy_done");
   x::EncHlt(a.w());
 
@@ -269,7 +271,7 @@ util::Result<util::Bytes> BuildTextVARM(const Layout& layout, Assembler& a,
   a.BLabel("connman.copy_label.loop");
   a.Label("connman.copy_label.done");
   v::EncBx(a.w(), isa::kLR);
-  a.Label("connman.copy_done");
+  a.Label("connman.copy_done");  // the return address; hlt, as on VX86
   v::EncHlt(a.w());
 
   std::vector<std::function<void()>> blocks;

@@ -20,20 +20,22 @@ std::string Hex(std::uint32_t v) {
 }
 
 #ifndef CONNLAB_OBS_DISABLED
-constexpr std::size_t kStopReasons =
+/// One slot per StopReason number, the unused one included.
+constexpr std::size_t kStopReasonSlots =
     static_cast<std::size_t>(StopReason::kHeapCorruption) + 1;
 
 /// Per-stop-reason counters, interned once (magic-static, so the table is
 /// built thread-safely): flushes happen often enough under fuzzing that the
-/// name-building + registry lookup must not recur per flush.
+/// name-building + registry lookup must not recur per flush. The unused
+/// number's slot stays null; no Run stops with it.
 obs::Counter* const* StopReasonCounters() {
   struct Table {
-    obs::Counter* c[kStopReasons];
+    obs::Counter* c[kStopReasonSlots] = {};
     Table() {
-      for (std::size_t i = 0; i < kStopReasons; ++i) {
-        c[i] = &obs::Registry::Instance().GetCounter(
-            "vm.stop." +
-            std::string(StopReasonName(static_cast<StopReason>(i))));
+      for (const StopReason reason : kAllStopReasons) {
+        c[static_cast<std::size_t>(reason)] =
+            &obs::Registry::Instance().GetCounter(
+                "vm.stop." + std::string(StopReasonName(reason)));
       }
     }
   };
@@ -53,7 +55,6 @@ std::string_view StopReasonName(StopReason reason) noexcept {
     case StopReason::kFault: return "fault";
     case StopReason::kAbort: return "abort";
     case StopReason::kStepLimit: return "step-limit";
-    case StopReason::kBreakpoint: return "breakpoint";
     case StopReason::kCfiViolation: return "cfi-violation";
     case StopReason::kHeapCorruption: return "heap-corruption";
   }
@@ -97,7 +98,7 @@ void Cpu::FlushObsBatch() noexcept {
                 obs_batch_.steps - obs_batch_.superblock_steps);
   }
   obs::Counter* const* stop_counters = StopReasonCounters();
-  for (std::size_t i = 0; i < kStopReasons; ++i) {
+  for (std::size_t i = 0; i < kStopReasonSlots; ++i) {
     if (obs_batch_.stops[i] != 0) stop_counters[i]->Add(obs_batch_.stops[i]);
   }
   obs_batch_ = ObsBatch{};
@@ -160,7 +161,7 @@ util::Status Cpu::RegisterHostFn(mem::GuestAddr addr, std::string name, HostFn f
   host_fns_[addr] = {std::move(name), std::move(fn)};
   // Compiled superblocks may run straight through the new trampoline's pc;
   // start clean rather than tracking individual blocks.
-  FlushSuperblocks();
+  if (sb_ != nullptr) sb_->Flush();
   return util::OkStatus();
 }
 
@@ -198,23 +199,31 @@ void Cpu::Fault(std::string detail) {
 
 StopInfo Cpu::Run(std::uint64_t max_steps) {
   stop_ = StopInfo{};
-  stop_.reason = StopReason::kRunning;
   const std::uint64_t start_steps = steps_;
   while (!stopped()) {
-    if (steps_ - start_steps >= max_steps) {
+    const std::uint64_t used = steps_ - start_steps;
+    if (used >= max_steps) {
       RequestStop(StopReason::kStepLimit, "instruction budget exhausted");
       break;
     }
-    if (!breakpoints_.empty() && !skip_breakpoint_once_ &&
-        breakpoints_.contains(pc_)) {
-      RequestStop(StopReason::kBreakpoint, "breakpoint");
-      skip_breakpoint_once_ = true;  // next Run steps over it
-      break;
-    }
-    skip_breakpoint_once_ = false;
-    if (exec_.superblocks &&
-        TrySuperblocks(max_steps - (steps_ - start_steps))) {
-      continue;  // re-evaluate stop/budget/breakpoints at the block boundary
+    // Tracing wants a disassembly string per retired instruction; only the
+    // interpreter produces those.
+    if (exec_.superblocks && trace_limit_ == 0) {
+      const SuperblockSlot* slot = LookupSuperblock();
+      // A block that would retire more steps than the budget has left goes
+      // to the interpreter, which stops at exactly the last one.
+      if (slot != nullptr && slot->block->usable() &&
+          slot->block->count <= max_steps - used) {
+        ++sb_->hits;
+        ExecSuperblock(slot->block, slot->seg, slot->gen,
+                       start_steps + max_steps);
+#ifndef CONNLAB_OBS_DISABLED
+        // The steps the block retired, self-loops included.
+        obs_batch_.superblock_steps += steps_ - start_steps - used;
+#endif
+        continue;
+      }
+      ++sb_->fallbacks;
     }
     Step();
   }
@@ -229,10 +238,9 @@ StopInfo Cpu::Run(std::uint64_t max_steps) {
 #ifndef CONNLAB_OBS_DISABLED
   obs_batch_.steps += stop_.steps;
   const auto reason_index = static_cast<std::size_t>(stop_.reason);
-  if (reason_index < kStopReasons) ++obs_batch_.stops[reason_index];
+  if (reason_index < kStopReasonSlots) ++obs_batch_.stops[reason_index];
   if (++obs_batch_.runs >= ObsBatch::kFlushRuns) FlushObsBatch();
 #endif
-  if (stop_.reason != StopReason::kBreakpoint) skip_breakpoint_once_ = false;
   return stop_;
 }
 
@@ -343,7 +351,6 @@ void Cpu::RestoreState(const State& state) {
   shadow_ = state.shadow;
   events_ = state.events;
   stop_ = StopInfo{};
-  skip_breakpoint_once_ = false;
   trace_.clear();
   cov_prev_ = 0;
   // Superblocks compiled from segments the restore rewrote are invalidated

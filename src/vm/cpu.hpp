@@ -1,9 +1,10 @@
 // The guest CPU: an interpreter over VX86 / VARM instruction streams with
-// W^X-enforcing fetch, a host-function trampoline registry, breakpoints and
-// an event log. The interpreter keeps no decode cache: every step fetches
-// through the permission-checked front door and decodes in place. The
-// superblock tier (vm/superblock.hpp) is the VM's only decode cache. What
-// each op does is defined once, in vm/ops.hpp, for both tiers.
+// W^X-enforcing fetch, a host-function trampoline registry and an event
+// log, and the superblock tier's dispatch loop (Run). The interpreter keeps
+// no decode cache: every step fetches through the permission-checked front
+// door and decodes in place. The superblock tier (vm/superblock.hpp) is the
+// VM's only decode cache. What each op does is defined once, in vm/ops.hpp,
+// for both tiers.
 //
 // Host functions are how connlab hosts high-level guest code (the simulated
 // Connman parser, libc routines) without a C compiler: a guest address is
@@ -11,7 +12,7 @@
 // guest memory and guest registers* — it reads its arguments per the calling
 // convention, mutates only guest state, and performs the return-sequence
 // itself (popping the return address / reading lr). Hijacked control flow —
-// shellcode, ROP gadgets, PLT stubs — is ordinary interpreted code.
+// shellcode, ROP gadgets, PLT stubs — is ordinary guest code.
 #pragma once
 
 #include <array>
@@ -21,7 +22,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -32,6 +32,7 @@
 namespace connlab::vm {
 
 struct Superblock;
+struct SuperblockSlot;
 class SuperblockCache;
 struct OpsCommon;
 template <isa::Arch A>
@@ -44,19 +45,28 @@ struct ExecConfig {
   bool superblocks = true;
 };
 
+/// Why a Run ended. The numbers are fixed: reproducer files store them
+/// (fuzz::SerializeReproducer), so a retired reason leaves a gap.
 enum class StopReason : std::uint8_t {
-  kRunning,       // not stopped (internal)
-  kHalted,        // hlt or an explicit clean stop from a host function
-  kExited,        // exit() syscall
-  kShellSpawned,  // exec of a shell — the paper's success condition
-  kProcessExec,   // exec of a non-shell program
-  kFault,         // SIGSEGV / SIGILL equivalent
-  kAbort,         // SIGABRT equivalent (canary failure)
-  kStepLimit,     // ran out of instruction budget
-  kBreakpoint,    // debugger breakpoint hit
-  kCfiViolation,  // shadow-stack return check failed (CFI CaRE model)
-  kHeapCorruption,  // heap-integrity check failed (chunk canary / unlink)
+  kRunning = 0,        // not stopped (internal)
+  kHalted = 1,         // hlt or an explicit clean stop from a host function
+  kExited = 2,         // exit() syscall
+  kShellSpawned = 3,   // exec of a shell — the paper's success condition
+  kProcessExec = 4,    // exec of a non-shell program
+  kFault = 5,          // SIGSEGV / SIGILL equivalent
+  kAbort = 6,          // SIGABRT equivalent (canary failure)
+  kStepLimit = 7,      // ran out of instruction budget
+  // 8 is retired (it was the debugger breakpoint): never reuse it.
+  kCfiViolation = 9,   // shadow-stack return check failed (CFI CaRE model)
+  kHeapCorruption = 10,  // heap-integrity check failed (chunk canary / unlink)
 };
+
+/// Every StopReason, in numeric order.
+inline constexpr StopReason kAllStopReasons[] = {
+    StopReason::kRunning, StopReason::kHalted, StopReason::kExited,
+    StopReason::kShellSpawned, StopReason::kProcessExec, StopReason::kFault,
+    StopReason::kAbort, StopReason::kStepLimit, StopReason::kCfiViolation,
+    StopReason::kHeapCorruption};
 
 std::string_view StopReasonName(StopReason reason) noexcept;
 
@@ -117,31 +127,21 @@ class Cpu {
   [[nodiscard]] std::string HostFnName(mem::GuestAddr addr) const;
 
   // --- Execution --------------------------------------------------------------
-  /// Runs until a stop condition or `max_steps` instructions.
+  /// Runs until a stop condition or `max_steps` instructions. This is the
+  /// one dispatch loop: each turn checks the budget and probes the
+  /// superblock slot for pc, runs the block there when it has an op and
+  /// fits the budget, and otherwise steps the interpreter once.
   StopInfo Run(std::uint64_t max_steps);
-
-  /// Executes exactly one instruction (or host function). The stop state is
-  /// observable through stopped()/stop_info() afterwards.
-  void Step();
 
   /// The execution configuration this CPU was constructed with.
   [[nodiscard]] const ExecConfig& exec() const noexcept { return exec_; }
-
-  // --- Superblock tier ------------------------------------------------------
-  // Straight-line regions compiled into computed-goto threaded code (see
-  // vm/superblock.hpp): the Run() loop dispatches whole blocks when it can
-  // and falls back to Step() everywhere else. Blocks are keyed to (segment,
-  // write generation), so SMC / W^X flips / snapshot restores invalidate
-  // them; store-class ops re-check the code segment's generation mid-block.
-  // ExecConfig::superblocks off pins the CPU to the interpreter.
-  void FlushSuperblocks() noexcept;
 
   // --- Snapshot state (loader::Snapshot) ------------------------------------
   /// Architectural state a snapshot must capture to make a later
   /// RestoreState indistinguishable from a fresh boot: registers, pc,
   /// flags, the retired-instruction counter, the shadow stack and the event
-  /// log. Host functions, breakpoints and configuration knobs survive the
-  /// restore untouched.
+  /// log. Host functions and configuration knobs survive the restore
+  /// untouched.
   struct State {
     std::array<std::uint32_t, 16> regs{};
     std::uint32_t pc = 0;
@@ -152,35 +152,20 @@ class Cpu {
   };
   [[nodiscard]] State SaveState() const;
   /// Restores saved state and clears everything transient (stop record,
-  /// trace, pending breakpoint skip) so execution can start clean.
+  /// trace, coverage edge) so execution can start clean.
   void RestoreState(const State& state);
 
   [[nodiscard]] bool stopped() const noexcept {
     return stop_.reason != StopReason::kRunning;
   }
   [[nodiscard]] const StopInfo& stop_info() const noexcept { return stop_; }
-  /// Clears the stop state so execution can continue (debugger `continue`).
+  /// Clears the stop state so execution can continue.
   void ClearStop() noexcept { stop_.reason = StopReason::kRunning; }
 
   /// For host functions and the syscall layer: requests a stop that Run()
   /// honours after the current instruction completes.
   void RequestStop(StopReason reason, std::string detail);
   void SetExitCode(std::uint32_t code) noexcept { stop_.exit_code = code; }
-
-  // --- Breakpoints -------------------------------------------------------------
-  // Compiled superblocks stop at breakpoint'd pcs, so any change to the set
-  // drops them (rare, debugger-only operations).
-  void AddBreakpoint(mem::GuestAddr addr) {
-    breakpoints_.insert(addr);
-    FlushSuperblocks();
-  }
-  void RemoveBreakpoint(mem::GuestAddr addr) {
-    breakpoints_.erase(addr);
-    FlushSuperblocks();
-  }
-  [[nodiscard]] bool HasBreakpoint(mem::GuestAddr addr) const noexcept {
-    return breakpoints_.contains(addr);
-  }
 
   // --- Shadow stack (CFI CaRE-flavoured return protection) -----------------
   /// When enabled, every call pushes its return address onto a hardware
@@ -221,9 +206,6 @@ class Cpu {
     cov_bitmap_ = nullptr;
     cov_touched_ = nullptr;
   }
-  [[nodiscard]] bool coverage_attached() const noexcept {
-    return cov_bitmap_ != nullptr;
-  }
   /// Resets the edge chain so the next step starts a fresh edge (used at
   /// input boundaries so coverage is a function of the input alone).
   void ResetCoverageEdge() noexcept { cov_prev_ = 0; }
@@ -253,14 +235,13 @@ class Cpu {
   [[nodiscard]] std::string RegistersString() const;
 
  private:
-  /// Superblock tier internals (vm/superblock.cpp). TrySuperblocks chains
-  /// block executions from the current pc while blocks are available and
-  /// the budget allows, returning true when at least one block ran (the
-  /// Run() loop then re-evaluates its stop conditions). SuperblockFor
-  /// compiles-or-fetches the block at `entry`; ExecSuperblock is the
-  /// computed-goto executor (called with block == nullptr it returns the
-  /// handler label table for the builder).
-  bool TrySuperblocks(std::uint64_t remaining);
+  /// Superblock tier internals (vm/superblock.cpp). LookupSuperblock
+  /// returns pc's slot, filled from the block store on a miss, or nullptr
+  /// when pc cannot be fetched (the interpreter then makes the fault).
+  /// SuperblockFor compiles-or-fetches the block at `entry`; ExecSuperblock
+  /// is the computed-goto executor (called with block == nullptr it returns
+  /// the handler label table for the builder).
+  const SuperblockSlot* LookupSuperblock();
   const Superblock* SuperblockFor(const mem::Segment* seg,
                                   mem::GuestAddr entry);
   const void* const* ExecSuperblock(const Superblock* block,
@@ -287,6 +268,8 @@ class Cpu {
   /// The first-touch append, kept out of line so it is not inlined into
   /// every superblock handler.
   void LogCoverageCell(std::uint32_t index) noexcept;
+  /// The interpreter: executes exactly one instruction or host function.
+  void Step();
   /// The interpreter's dispatch over the op definitions (vm/ops.hpp).
   void ExecVX86(const isa::Instr& ins, mem::GuestAddr pc_next);
   void ExecVARM(const isa::Instr& ins, mem::GuestAddr pc_next);
@@ -301,9 +284,7 @@ class Cpu {
   bool zf_ = false;
   std::uint64_t steps_ = 0;
   StopInfo stop_;
-  bool skip_breakpoint_once_ = false;
   std::map<mem::GuestAddr, std::pair<std::string, HostFn>> host_fns_;
-  std::set<mem::GuestAddr> breakpoints_;
   std::vector<Event> events_;
   bool shadow_enabled_ = false;
   std::vector<std::uint32_t> shadow_;
@@ -328,9 +309,10 @@ class Cpu {
   struct ObsBatch {
     static constexpr std::uint32_t kFlushRuns = 256;
     std::uint64_t steps = 0;
-    /// The share of `steps` retired by superblocks (TrySuperblocks adds
-    /// every block pass); the rest is the interpreter's, so the flush
-    /// writes vm.steps.superblock and vm.steps.interp summing to vm.steps.
+    /// The share of `steps` retired by superblocks (Run adds every block
+    /// dispatch, self-loops included); the rest is the interpreter's, so
+    /// the flush writes vm.steps.superblock and vm.steps.interp summing to
+    /// vm.steps.
     std::uint64_t superblock_steps = 0;
     std::uint32_t runs = 0;
     std::uint32_t stops[16] = {};  // indexed by StopReason

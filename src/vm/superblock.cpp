@@ -6,8 +6,9 @@
 // interpreter's ExecVX86/ExecVARM (vm/cpu.cpp) dispatch to as well; the tier
 // adds only its own work: block formation, pc set before an op that can
 // fault, side exits, self-loop re-entry, the mid-block SMC exit and the
-// generation, stop, budget and breakpoint checks. tests/test_ops.cpp pins
-// the op semantics; tests/test_differential.cpp checks the tier's own work.
+// generation, stop and budget checks. Cpu::Run (vm/cpu.cpp) is the dispatch
+// loop that enters the blocks. tests/test_ops.cpp pins the op semantics;
+// tests/test_differential.cpp checks the tier's own work.
 #include "src/vm/superblock.hpp"
 
 #include <algorithm>
@@ -201,10 +202,6 @@ bool IsByteCopyLoop(const Superblock& block, isa::Arch arch) noexcept {
 
 }  // namespace
 
-void Cpu::FlushSuperblocks() noexcept {
-  if (sb_ != nullptr) sb_->Flush();
-}
-
 const Superblock* Cpu::SuperblockFor(const mem::Segment* seg,
                                      mem::GuestAddr entry) {
   SuperblockCache::SegBlocks& store = sb_->For(seg);
@@ -218,12 +215,9 @@ const Superblock* Cpu::SuperblockFor(const mem::Segment* seg,
   mem::GuestAddr pc = entry;
   bool ends_in_terminator = false;
   while (block.ops.size() < Superblock::kMaxOps) {
-    // Host-function trampolines and breakpoint'd pcs end the region: the
-    // interpreter dispatches the former, the Run() loop traps the latter.
-    // (An entry breakpoint was already handled by Run() before we got here;
-    // changing either set flushes all blocks.)
+    // Host-function trampolines end the region: the interpreter runs them
+    // (registering one flushes all blocks).
     if (!host_fns_.empty() && host_fns_.contains(pc)) break;
-    if (pc != entry && breakpoints_.contains(pc)) break;
     const std::uint32_t first_len =
         arch_ == isa::Arch::kVARM ? isa::kVARMInstrSize : 1u;
     if (!seg->ContainsRange(pc, first_len)) break;
@@ -274,62 +268,29 @@ const Superblock* Cpu::SuperblockFor(const mem::Segment* seg,
   return &pos->second;
 }
 
-bool Cpu::TrySuperblocks(std::uint64_t remaining) {
-  // Tracing wants a disassembly string per retired instruction; only the
-  // interpreter produces those.
-  if (trace_limit_ != 0) return false;
+const SuperblockSlot* Cpu::LookupSuperblock() {
   if (sb_ == nullptr) sb_ = std::make_unique<SuperblockCache>();
-  bool executed = false;
-  for (;;) {
-    SuperblockCache::Slot& slot = sb_->SlotFor(pc_, sb_slot_shift_);
-    const Superblock* block;
-    const mem::Segment* seg;
-    std::uint64_t gen;
-    if (slot.block != nullptr && slot.pc == pc_ &&
-        slot.seg->generation() == slot.gen) {
-      block = slot.block;
-      seg = slot.seg;
-      gen = slot.gen;
-    } else {
-      const std::uint32_t probe_len =
-          arch_ == isa::Arch::kVARM ? isa::kVARMInstrSize : 1u;
-      auto head = space_->FetchSegment(pc_, probe_len);
-      if (!head.ok()) {
-        // Unfetchable pc (unmapped, W^X, or a host fn living at a
-        // non-executable address): clear the probe's fault record and let
-        // the interpreter path produce the authoritative outcome.
-        space_->ClearFault();
-        ++sb_->fallbacks;
-        return executed;
-      }
-      seg = head.value();
-      block = SuperblockFor(seg, pc_);
-      gen = seg->generation();
-      slot.pc = pc_;
-      slot.gen = gen;
-      slot.seg = seg;
-      slot.block = block;
-    }
-    if (!block->usable() ||
-        static_cast<std::uint64_t>(block->count) > remaining) {
-      // Interpreter region, or fewer budget steps left than the block would
-      // retire — the interpreter tail preserves exact step-limit semantics.
-      ++sb_->fallbacks;
-      return executed;
-    }
-    ++sb_->hits;
-    const std::uint64_t before = steps_;
-    ExecSuperblock(block, seg, gen, steps_ + remaining);
-    executed = true;
-    remaining -= steps_ - before;
-#ifndef CONNLAB_OBS_DISABLED
-    obs_batch_.superblock_steps += steps_ - before;  // self-loops included
-#endif
-    if (stop_.reason != StopReason::kRunning || remaining == 0 ||
-        !breakpoints_.empty()) {
-      return true;  // Run() re-evaluates its stop conditions
-    }
+  SuperblockSlot& slot = sb_->SlotFor(pc_, sb_slot_shift_);
+  if (slot.block != nullptr && slot.pc == pc_ &&
+      slot.seg->generation() == slot.gen) {
+    return &slot;
   }
+  const std::uint32_t probe_len =
+      arch_ == isa::Arch::kVARM ? isa::kVARMInstrSize : 1u;
+  auto head = space_->FetchSegment(pc_, probe_len);
+  if (!head.ok()) {
+    // Unfetchable pc (unmapped, W^X, or a host fn living at a
+    // non-executable address): clear the probe's fault record and let the
+    // interpreter produce the authoritative outcome.
+    space_->ClearFault();
+    return nullptr;
+  }
+  const mem::Segment* seg = head.value();
+  slot.block = SuperblockFor(seg, pc_);
+  slot.pc = pc_;
+  slot.gen = seg->generation();
+  slot.seg = seg;
+  return &slot;
 }
 
 // Per-op bookkeeping at handler entry: the AFL edge update and retired-step
@@ -377,18 +338,18 @@ bool Cpu::TrySuperblocks(std::uint64_t remaining) {
   } while (0)
 
 // Every per-entry precondition a self-loop re-entry must still meet: block
-// store still valid (generation unchanged), nothing stopped, no breakpoints
-// to honour, budget for a full pass of the block.
-#define CL_CAN_REENTER()                                             \
-  (seg->generation() == entry_gen &&                                \
-   stop_.reason == StopReason::kRunning && breakpoints_.empty() &&  \
+// store still valid (generation unchanged), nothing stopped, budget for a
+// full pass of the block.
+#define CL_CAN_REENTER()                                       \
+  (seg->generation() == entry_gen &&                          \
+   stop_.reason == StopReason::kRunning &&                    \
    steps_ + block->count <= steps_cap)
 
 // Direct-branch exit, after the op moved pc (terminators and taken side
 // exits alike): a branch back to this block's own entry (the tight-loop
 // shape) re-enters threaded code without returning through the dispatch
 // loop whenever CL_CAN_REENTER() holds. Anything else hands control back
-// to TrySuperblocks.
+// to Cpu::Run.
 #define CL_BRANCH()                                  \
   do {                                               \
     if (pc_ == block->entry && CL_CAN_REENTER()) {   \

@@ -2,13 +2,13 @@
 // executed as computed-goto threaded code.
 //
 // The interpreter (vm/cpu.cpp) pays a per-instruction tax: the Run() loop's
-// budget/breakpoint probes, a host-function lookup, a permission-checked
+// budget check and slot probe, a host-function lookup, a permission-checked
 // fetch, a decode and the switch-dispatch in ExecVX86/ExecVARM. This tier is
 // the VM's only decode cache, and it hoists all of that to once per *block*:
-// starting from a hot pc, the builder walks the instruction stream until the
+// starting from a pc, the builder walks the instruction stream until the
 // first unconditional control transfer (jmp, call, ret, indirect branch,
-// syscall, hlt), host-function trampoline, breakpoint'd pc, undecodable
-// byte, segment end or the block-length cap, and records one threaded-code
+// syscall, hlt), host-function trampoline, undecodable byte, op no handler
+// runs, segment end or the block-length cap, and records one threaded-code
 // op per instruction — a direct handler address (GCC/Clang `&&label`), the
 // decoded instruction, its pc / fall-through pc and its precomputed AFL
 // coverage location. Execution then jumps handler-to-handler with no switch
@@ -22,10 +22,9 @@
 //
 // A direct branch back to its own block's entry (the tight-loop shape),
 // whether a terminator or a taken side exit, re-enters the block without
-// returning to the dispatch loop, after re-making every check a fresh
-// TrySuperblocks entry makes (generation, stop state, budget,
-// breakpoints). Every other block exit returns to the dispatch loop, whose
-// direct-mapped slot probe finds the next block.
+// returning to the dispatch loop, after re-making every check a fresh entry
+// from Cpu::Run makes (generation, stop state, budget). Every other block
+// exit returns to Run, whose direct-mapped slot probe finds the next block.
 //
 // Bulk copy passes. Block formation recognises one block by the shape of its
 // ops, on both ISAs: the self-looping byte copy
@@ -71,10 +70,11 @@
 //     interpreter runs too, after the interpreter's per-step work: the
 //     steps_ count, the AFL edge update and, before an op that can fault,
 //     stop or read r15, pc (and VARM's r15) at the op's fall-through.
-//   - Anything else — tracing, a VARM op writing r15 or an ALU op reading
-//     it, a budget smaller than the block (counted as a full pass, side
-//     exits ignored, so an early exit only ever leaves budget over) — falls
-//     back to the interpreter.
+//   - Anything else — tracing, a host-function pc, an unfetchable or
+//     undecodable pc, a VARM op writing r15 or an ALU op reading it, a
+//     budget smaller than the block (counted as a full pass, side exits
+//     ignored, so an early exit only ever leaves budget over) — falls back
+//     to the interpreter for one step.
 #pragma once
 
 #include <array>
@@ -101,18 +101,26 @@ struct SbOp {
 /// the last one can fall through (cap / boundary ended the block, not an
 /// unconditional control transfer — possibly right after a side exit) one
 /// extra exit sentinel op follows that re-syncs pc and leaves the executor.
-/// `count < kMinOps` marks a negative-cache entry: this entry pc is not
-/// worth block dispatch (host fn, a lone control transfer, undecodable) —
-/// the interpreter path handles it.
+/// A block of one op is a block. `count == 0` marks a negative-cache entry:
+/// the entry pc is a host function, undecodable, or an op only the
+/// interpreter runs (VARM's r15 forms), and the interpreter steps it.
 struct Superblock {
   static constexpr std::uint32_t kMaxOps = 64;
-  static constexpr std::uint32_t kMinOps = 2;
 
   mem::GuestAddr entry = 0;
   std::uint32_t count = 0;  // real instructions, excluding the exit sentinel
   std::vector<SbOp> ops;
 
-  [[nodiscard]] bool usable() const noexcept { return count >= kMinOps; }
+  [[nodiscard]] bool usable() const noexcept { return count != 0; }
+};
+
+/// Direct-mapped hot-path slot. Valid while `seg->generation() == gen`;
+/// a stale slot is overwritten without ever dereferencing `block`.
+struct SuperblockSlot {
+  mem::GuestAddr pc = 0;
+  std::uint64_t gen = 0;
+  const mem::Segment* seg = nullptr;
+  const Superblock* block = nullptr;  // nullptr = empty slot
 };
 
 /// Per-CPU block store: a per-segment map of compiled blocks keyed to the
@@ -121,23 +129,15 @@ struct Superblock {
 /// locking anywhere.
 class SuperblockCache {
  public:
-  /// Direct-mapped hot-path slot. Valid while `seg->generation() == gen`;
-  /// a stale slot is overwritten without ever dereferencing `block`.
-  struct Slot {
-    mem::GuestAddr pc = 0;
-    std::uint64_t gen = 0;
-    const mem::Segment* seg = nullptr;
-    const Superblock* block = nullptr;  // nullptr = empty slot
-  };
   static constexpr std::uint32_t kSlots = 2048;  // power of two
 
-  [[nodiscard]] Slot& SlotFor(mem::GuestAddr pc, std::uint32_t shift) noexcept {
+  [[nodiscard]] SuperblockSlot& SlotFor(mem::GuestAddr pc, std::uint32_t shift) noexcept {
     return slots_[(pc >> shift) & (kSlots - 1)];
   }
 
   /// Blocks compiled from one segment at one write generation. The map's
-  /// nodes are pointer-stable, so Slot::block stays valid until the whole
-  /// SegBlocks is invalidated.
+  /// nodes are pointer-stable, so SuperblockSlot::block stays valid until
+  /// the whole SegBlocks is invalidated.
   struct SegBlocks {
     const mem::Segment* seg = nullptr;
     std::uint64_t gen = 0;
@@ -163,11 +163,11 @@ class SuperblockCache {
     return segs_.back();
   }
 
-  /// Drops everything (host-fn registration, breakpoint changes — events
-  /// that can invalidate blocks without a generation bump).
+  /// Drops everything (a host-fn registration can invalidate blocks
+  /// without a generation bump).
   void Flush() noexcept {
     segs_.clear();
-    slots_.fill(Slot{});
+    slots_.fill(SuperblockSlot{});
   }
 
   // Tier counters, batched per-CPU like ObsBatch and flushed to the obs
@@ -175,13 +175,13 @@ class SuperblockCache {
   // bulk_passes}.
   std::uint64_t compiles = 0;       // usable blocks built
   std::uint64_t hits = 0;           // blocks dispatched
-  std::uint64_t fallbacks = 0;      // entries that deferred to the interpreter
+  std::uint64_t fallbacks = 0;      // interpreter steps Run took instead
   std::uint64_t invalidations = 0;  // generation bumps that dropped blocks
   std::uint64_t bulk_passes = 0;    // the share of `hits` retired in bulk
 
  private:
   std::vector<SegBlocks> segs_;  // a handful of segments per address space
-  std::array<Slot, kSlots> slots_{};
+  std::array<SuperblockSlot, kSlots> slots_{};
 };
 
 /// An empty type with a no-op Clear(), kept only for perfbench/workloads.cpp,

@@ -71,25 +71,6 @@ TEST(Debugger, MapsAndRegistersRender) {
   EXPECT_NE(dbg.Registers().find("pc="), std::string::npos);
 }
 
-TEST(Debugger, BreakpointAndContinue) {
-  auto sys = MakeSys();
-  Debugger dbg(*sys);
-  // Break on main; run from _start.
-  ASSERT_TRUE(dbg.BreakAt("connman.main").ok());
-  auto stop = sys->cpu->Run(100);
-  EXPECT_EQ(stop.reason, vm::StopReason::kBreakpoint);
-  EXPECT_EQ(sys->cpu->pc(), dbg.SymbolAddr("connman.main").value());
-  // Continue: main calls forward_dns_reply -> parse_response (a hlt label).
-  auto stop2 = dbg.Continue(100);
-  EXPECT_NE(stop2.reason, vm::StopReason::kBreakpoint);
-}
-
-TEST(Debugger, BreakAtUnknownSymbolFails) {
-  auto sys = MakeSys();
-  Debugger dbg(*sys);
-  EXPECT_FALSE(dbg.BreakAt("no.such.symbol").ok());
-}
-
 TEST(Debugger, WriteMemPatchesCode) {
   auto sys = MakeSys();
   Debugger dbg(*sys);

@@ -12,10 +12,11 @@
 // the build.
 //
 // Both tiers run each op's one definition (src/vm/ops.hpp), so the tier
-// comparison checks the tier's own work: block formation, side exits,
-// self-loop re-entry, the mid-block SMC exit, budgets, breakpoints and the
-// bulk copy passes. What each op does is pinned by the per-op goldens in
-// tests/test_ops.cpp, which a semantics edit both tiers share still fails.
+// comparison checks the tier's own work: block formation (one-op blocks
+// included), side exits, self-loop re-entry, the mid-block SMC exit,
+// budgets and the bulk copy passes. What each op does is pinned by the
+// per-op goldens in tests/test_ops.cpp, which a semantics edit both tiers
+// share still fails.
 #include <gtest/gtest.h>
 
 #include <string>

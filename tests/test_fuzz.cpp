@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <string_view>
+#include <utility>
 
 #include "src/dns/craft.hpp"
 #include "src/dns/message.hpp"
@@ -553,6 +555,63 @@ TEST(Reproducer, SerializeParseRoundTrip) {
                   "target: floppyd");
   rejects(unknown, util::StatusCode::kInvalidArgument,
           "unknown fuzz target: floppyd");
+}
+
+/// A reproducer written by hand, as an old file would hold it: `kind:` and
+/// `stop:` are enum numbers, and 9 and 10 keep meaning the CFI and heap
+/// traps although number 8 was retired.
+constexpr std::string_view kStoredReproducer =
+    "connlab-repro v1\n"
+    "target: dnsproxy\n"
+    "arch: vx86\n"
+    "boot_seed: 7\n"
+    "patched: 0\n"
+    "kind: 2\n"
+    "stop: 9\n"
+    "pc: 0x0804a010\n"
+    "write_fault: 0\n"
+    "stack_hash: 0x0000000000000001\n"
+    "input: c00c\n";
+
+/// `kStoredReproducer` with the line starting `key: ` replaced by `line`.
+std::string StoredReproducerWith(std::string_view key, std::string_view line) {
+  std::string text(kStoredReproducer);
+  const std::size_t at = text.find("\n" + std::string(key) + ": ") + 1;
+  text.replace(at, text.find('\n', at) - at, line);
+  return text;
+}
+
+TEST(Reproducer, StoredStopNumbersKeepTheirMeaning) {
+  auto parsed = ParseReproducer(kStoredReproducer);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().key.kind, ExecResult::Kind::kAbort);
+  EXPECT_EQ(parsed.value().key.stop_reason, vm::StopReason::kCfiViolation);
+  EXPECT_EQ(parsed.value().key.pc, 0x0804a010u);
+
+  parsed = ParseReproducer(StoredReproducerWith("stop", "stop: 10"));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().key.stop_reason, vm::StopReason::kHeapCorruption);
+}
+
+/// Numbers outside their field are refused, not cast: `stop: 300` would
+/// otherwise read as reason 44, and a pc past 32 bits would be truncated.
+TEST(Reproducer, OutOfRangeNumbersAreRejected) {
+  const std::pair<std::string_view, std::string_view> bad[] = {
+      {"kind", "kind: 5"},
+      {"kind", "kind: 256"},
+      {"kind", "kind: -1"},
+      {"stop", "stop: 8"},  // the retired breakpoint reason
+      {"stop", "stop: 11"},
+      {"stop", "stop: 300"},
+      {"pc", "pc: 0x100000000"},
+      {"pc", "pc: 99999999999999999999"},
+  };
+  for (const auto& [key, line] : bad) {
+    SCOPED_TRACE(line);
+    auto parsed = ParseReproducer(StoredReproducerWith(key, line));
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), util::StatusCode::kMalformed);
+  }
 }
 
 // -------------------------------------------------------------- targets ----

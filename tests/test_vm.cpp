@@ -1,9 +1,12 @@
-// CPU interpreter tests: arithmetic, control flow, stack ops, syscalls,
-// W^X fetch enforcement, host functions, breakpoints, step limits.
+// CPU tests: arithmetic, control flow, stack ops, syscalls, W^X fetch
+// enforcement, host functions, step limits, and the superblock tier's own
+// work (block formation, side exits, self-loop re-entry, SMC exits and the
+// bulk copy passes) against the plain interpreter.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -374,22 +377,29 @@ TEST(Cpu, DuplicateHostFnRejected) {
   EXPECT_FALSE(m.cpu->RegisterHostFn(0x1000, "b", ok).ok());
 }
 
-TEST(Cpu, BreakpointStopsAndResumes) {
-  util::ByteWriter w;
-  x::EncMovImm(w, isa::kEAX, 1);
-  x::EncMovImm(w, isa::kEBX, 2);
-  x::EncHlt(w);
-  auto m = MakeMachine(Arch::kVX86, w.bytes());
-  m.cpu->AddBreakpoint(0x1006);  // second instruction
-  auto stop1 = m.cpu->Run(100);
-  EXPECT_EQ(stop1.reason, StopReason::kBreakpoint);
-  EXPECT_EQ(m.cpu->pc(), 0x1006u);
-  EXPECT_EQ(m.cpu->reg(isa::kEAX), 1u);
-  EXPECT_EQ(m.cpu->reg(isa::kEBX), 0u);
-  m.cpu->ClearStop();
-  auto stop2 = m.cpu->Run(100);
-  EXPECT_EQ(stop2.reason, StopReason::kHalted);
-  EXPECT_EQ(m.cpu->reg(isa::kEBX), 2u);
+/// Stop reasons keep their numbers (reproducer files store them), and every
+/// reason has a name and a vm.stop.<name> counter.
+TEST(Cpu, StopReasonsKeepTheirNumbersAndCounters) {
+  EXPECT_EQ(static_cast<int>(StopReason::kStepLimit), 7);
+  EXPECT_EQ(static_cast<int>(StopReason::kCfiViolation), 9);
+  EXPECT_EQ(static_cast<int>(StopReason::kHeapCorruption), 10);
+  obs::Scope scope;
+  {
+    auto m = MakeMachine(Arch::kVX86, util::Bytes{0x90});
+    m.cpu->Run(1);
+  }  // ~Cpu flushes the batch, which interns every stop counter
+  const auto counters = scope.Metrics().counters;
+  std::set<std::string> names;
+  int previous = -1;
+  for (const StopReason reason : kAllStopReasons) {
+    EXPECT_GT(static_cast<int>(reason), previous);
+    previous = static_cast<int>(reason);
+    const std::string name(StopReasonName(reason));
+    EXPECT_NE(name, "?");
+    names.insert(name);
+    EXPECT_TRUE(counters.contains("vm.stop." + name)) << name;
+  }
+  EXPECT_EQ(names.size(), std::size(kAllStopReasons));
 }
 
 TEST(Cpu, RegistersStringMentionsAllRegisters) {
@@ -827,53 +837,6 @@ TEST(CpuSuperblock, WxFlipInvalidatesCompiledBlocks) {
   EXPECT_EQ(m.cpu->reg(isa::kEAX), 77u);
 }
 
-/// Breakpoints flush compiled blocks and are honoured exactly: the stop
-/// lands on the breakpoint pc after the same number of retired steps with
-/// the tier on as off, and resuming skips it once, as the debugger expects.
-TEST(CpuSuperblock, BreakpointInsideHotLoopStillHit) {
-  std::vector<std::uint64_t> steps_seen;
-  for (const bool superblocks : {true, false}) {
-    isa::Assembler a(Arch::kVX86, 0x1000);
-    x::EncMovImm(a.w(), isa::kEAX, 100);
-    a.Label("loop");
-    x::EncSubImm(a.w(), isa::kEAX, 1);
-    x::EncCmpImm(a.w(), isa::kEAX, 0);
-    a.JnzLabel("loop");
-    x::EncHlt(a.w());
-    auto m = MakeMachine(Arch::kVX86, a.Finish().value(), mem::kPermRW,
-                         {.superblocks = superblocks});
-
-    // Warm the block cache, then set a breakpoint on the cmp inside the
-    // loop body and re-run from scratch.
-    EXPECT_EQ(m.cpu->Run(1000).reason, StopReason::kHalted);
-    util::ByteWriter probe;
-    x::EncMovImm(probe, isa::kEAX, 0);
-    x::EncSubImm(probe, isa::kEAX, 0);
-    const std::uint32_t cmp_pc = static_cast<std::uint32_t>(
-        0x1000 + probe.bytes().size());  // mov, sub, then cmp
-    m.cpu->AddBreakpoint(cmp_pc);
-    m.cpu->set_reg(isa::kEAX, 0);
-    m.cpu->set_pc(0x1000);
-    auto stop = m.cpu->Run(1000);
-    EXPECT_EQ(stop.reason, StopReason::kBreakpoint);
-    EXPECT_EQ(m.cpu->pc(), cmp_pc);
-    steps_seen.push_back(stop.steps);
-
-    // Resume: the skip-once contract steps over the breakpoint and comes
-    // back around the loop to it.
-    auto again = m.cpu->Run(1000);
-    EXPECT_EQ(again.reason, StopReason::kBreakpoint);
-    EXPECT_EQ(m.cpu->pc(), cmp_pc);
-    steps_seen.push_back(again.steps);
-
-    m.cpu->RemoveBreakpoint(cmp_pc);
-    EXPECT_EQ(m.cpu->Run(1000).reason, StopReason::kHalted);
-  }
-  ASSERT_EQ(steps_seen.size(), 4u);
-  EXPECT_EQ(steps_seen[0], steps_seen[2]);  // tier on == tier off
-  EXPECT_EQ(steps_seen[1], steps_seen[3]);
-}
-
 // --- Successor blocks: every block-to-block hop crosses the dispatch loop's
 // slot probe, which must see the same hazards a lone block does ------------
 
@@ -1016,42 +979,6 @@ TEST(CpuSuperblock, WxFlipRecompilesSuccessorBlock) {
     EXPECT_EQ(stop.reason, StopReason::kHalted);
     EXPECT_EQ(m.cpu->reg(isa::kESI), 9u);  // a stale B would deliver 7
     steps_seen.push_back(stop.steps);
-  }
-  EXPECT_EQ(steps_seen[0], steps_seen[1]);
-}
-
-/// A breakpoint set on a successor's entry pc after both blocks compiled:
-/// the flush drops them, the stop lands exactly on the successor's first
-/// instruction, and the retired step count matches the interpreter.
-TEST(CpuSuperblock, BreakpointOnSuccessorEntryHonoured) {
-  util::ByteWriter probe;
-  x::EncMovImm(probe, isa::kECX, 5);
-  x::EncJmp(probe, 0);
-  const std::uint32_t b_addr =
-      0x1000 + static_cast<std::uint32_t>(probe.bytes().size());
-
-  std::vector<std::uint64_t> steps_seen;
-  for (const bool superblocks : {true, false}) {
-    util::ByteWriter w;
-    x::EncMovImm(w, isa::kECX, 5);  // A
-    x::EncJmp(w, b_addr);
-    x::EncMovImm(w, isa::kESI, 7);  // B
-    x::EncHlt(w);
-    auto m = MakeMachine(Arch::kVX86, w.bytes(), mem::kPermRW,
-                         {.superblocks = superblocks});
-
-    EXPECT_EQ(m.cpu->Run(100).reason, StopReason::kHalted);  // warm A and B
-    m.cpu->AddBreakpoint(b_addr);
-    m.cpu->set_reg(isa::kESI, 0);
-    m.cpu->set_pc(0x1000);
-    auto stop = m.cpu->Run(100);
-    EXPECT_EQ(stop.reason, StopReason::kBreakpoint);
-    EXPECT_EQ(m.cpu->pc(), b_addr);
-    EXPECT_EQ(m.cpu->reg(isa::kESI), 0u);  // stopped before B executed
-    steps_seen.push_back(stop.steps);
-
-    EXPECT_EQ(m.cpu->Run(100).reason, StopReason::kHalted);  // skip-once
-    EXPECT_EQ(m.cpu->reg(isa::kESI), 7u);
   }
   EXPECT_EQ(steps_seen[0], steps_seen[1]);
 }
@@ -1276,42 +1203,6 @@ TEST(CpuSuperblock, SideExitFaultAfterNotTakenBranch) {
   }
 }
 
-/// Taken side exits into breakpoint'd pcs: the while loop's jz target, and
-/// a do-while's self-loop head (the branch that would otherwise re-enter
-/// its own block). Each resume steps over the breakpoint once.
-TEST(CpuSuperblock, SideExitTakenIntoBreakpoint) {
-  for (const Arch arch : kBothArchs) {
-    SCOPED_TRACE(isa::ArchName(arch));
-    const util::Bytes text = WhileCopyLoop(arch);
-    const auto copy_args = CopyArgs(arch, 0x8400, 0x4010, 20);
-    // out: the hlt that ends the program.
-    std::uint32_t out = 0x1000 + static_cast<std::uint32_t>(text.size());
-    out -= arch == Arch::kVX86 ? 1 : 4;
-    SideExitCase c;
-    c.arch = arch;
-    c.text = text;
-    c.setup = [copy_args, out](Machine& m) {
-      copy_args(m);
-      m.cpu->AddBreakpoint(out);
-    };
-    c.budgets = {100000, 100000};
-    const TierRun at_out = ExpectTiersAgree(c);
-    EXPECT_EQ(at_out.reasons,
-              (std::vector<StopReason>{StopReason::kBreakpoint,
-                                       StopReason::kHalted}));
-    EXPECT_EQ(at_out.stop_pcs[0], out);
-
-    c.setup = [copy_args](Machine& m) {
-      copy_args(m);
-      m.cpu->AddBreakpoint(0x1000);  // head: every pass re-enters it
-    };
-    c.budgets = {1000, 1000, 1000, 1000};
-    const TierRun at_head = ExpectTiersAgree(c);
-    EXPECT_EQ(at_head.reasons,
-              std::vector<StopReason>(4, StopReason::kBreakpoint));
-  }
-}
-
 /// Every budget from 1 to past the end: the budget runs out before, inside
 /// and right after the side exit, on the first pass and on self-loop
 /// re-entries, and every stop matches the interpreter step for step.
@@ -1446,24 +1337,19 @@ TEST(CpuSuperblock, SideExitLoopUnderCfi) {
 }
 
 /// Calls connman.copy_label(dst, src, len) on a booted system, returning
-/// through connman.copy_done, whose host function halts with "copied".
-/// The copy's frame sits 0x40 below `dst`.
-void CallCopyLabel(loader::System& sys, mem::GuestAddr dst,
-                   mem::GuestAddr src, std::uint32_t len) {
+/// to connman.copy_done, whose hlt stops the CPU. The copy's frame sits
+/// 0x40 below `dst`.
+StopInfo CallCopyLabel(loader::System& sys, mem::GuestAddr dst,
+                       mem::GuestAddr src, std::uint32_t len) {
   auto& cpu = *sys.cpu;
   const mem::GuestAddr copy = sys.Sym("connman.copy_label").value();
   const mem::GuestAddr done = sys.Sym("connman.copy_done").value();
-  const auto stop_at_done = [](Cpu& c) {
-    c.RequestStop(StopReason::kHalted, "copied");
-    return util::OkStatus();
-  };
-  ASSERT_TRUE(cpu.RegisterHostFn(done, "done", stop_at_done).ok());
   cpu.set_sp(dst - 0x40);
   if (sys.arch == Arch::kVX86) {
-    ASSERT_TRUE(cpu.Push(len).ok());
-    ASSERT_TRUE(cpu.Push(src).ok());
-    ASSERT_TRUE(cpu.Push(dst).ok());
-    ASSERT_TRUE(cpu.Push(done).ok());
+    EXPECT_TRUE(cpu.Push(len).ok());
+    EXPECT_TRUE(cpu.Push(src).ok());
+    EXPECT_TRUE(cpu.Push(dst).ok());
+    EXPECT_TRUE(cpu.Push(done).ok());
   } else {
     cpu.set_reg(isa::kR0, dst);
     cpu.set_reg(isa::kR1, src);
@@ -1472,7 +1358,91 @@ void CallCopyLabel(loader::System& sys, mem::GuestAddr dst,
   }
   cpu.set_pc(copy);
   const StopInfo stop = cpu.Run(64 + 8ull * len);
-  ASSERT_EQ(stop.reason, StopReason::kHalted) << stop.ToString();
+  EXPECT_EQ(stop.reason, StopReason::kHalted) << stop.ToString();
+  return stop;
+}
+
+/// The value of counter `name` in `scope`, 0 when it never moved.
+std::uint64_t Counter(const obs::Scope& scope, const std::string& name) {
+  const auto counters = scope.Metrics().counters;
+  const auto it = counters.find(name);
+  return it == counters.end() ? 0 : it->second;
+}
+
+/// No host function sits at connman.copy_done: the copy returns to its
+/// hlt, which stops the CPU there. With the tier on, blocks retire every
+/// step, the lone `ret`/`bx lr` and the hlt included, and the run leaves
+/// the interpreter's registers, memory, steps and stop record.
+TEST(CpuSuperblock, CopyLabelHaltsAtCopyDoneInTheTier) {
+  struct Outcome {
+    StopInfo stop;
+    mem::GuestAddr done = 0;
+    std::array<std::uint32_t, 16> regs{};
+    std::vector<util::Bytes> memory;
+    std::uint64_t interp_steps = 0;
+  };
+  for (const Arch arch : kBothArchs) {
+    SCOPED_TRACE(isa::ArchName(arch));
+    const auto run = [arch](bool superblocks) {
+      Outcome out;
+      obs::Scope scope;
+      {
+        auto sys = loader::Boot(arch, loader::ProtectionConfig::None(), 11,
+                                {.superblocks = superblocks})
+                       .value();
+        out.done = sys->Sym("connman.copy_done").value();
+        EXPECT_FALSE(sys->cpu->IsHostFn(out.done));
+        out.stop = CallCopyLabel(*sys, sys->layout.initial_sp() - 0x400,
+                                 sys->layout.heap_base, 200);
+        for (std::uint8_t i = 0; i < 16; ++i) out.regs[i] = sys->cpu->reg(i);
+        for (const auto& seg : sys->space.segments()) {
+          out.memory.push_back(seg->data());
+        }
+      }  // ~Cpu flushes the batched counters
+      out.interp_steps = Counter(scope, "vm.steps.interp");
+      return out;
+    };
+    const Outcome tier = run(true);
+    const Outcome interp = run(false);
+    EXPECT_EQ(tier.stop.pc, tier.done);
+    EXPECT_EQ(tier.stop.detail, "hlt");
+    EXPECT_EQ(tier.interp_steps, 0u);
+    EXPECT_EQ(tier.stop.reason, interp.stop.reason);
+    EXPECT_EQ(tier.stop.pc, interp.stop.pc);
+    EXPECT_EQ(tier.stop.steps, interp.stop.steps);
+    EXPECT_EQ(tier.regs, interp.regs);
+    EXPECT_TRUE(tier.memory == interp.memory);
+    EXPECT_EQ(interp.interp_steps, interp.stop.steps);
+  }
+}
+
+/// A block whose jmp lands on a host function: Run probes the host pc's
+/// negative slot once and steps the interpreter there, so the run counts
+/// one block dispatch and one fallback.
+TEST(CpuSuperblock, JumpIntoHostFunctionCountsOneFallback) {
+  util::ByteWriter w;
+  x::EncMovImm(w, isa::kEAX, 1);
+  x::EncJmp(w, 0x1100);
+  obs::Scope scope;
+  {
+    auto m = MakeMachine(Arch::kVX86, w.bytes());
+    ASSERT_TRUE(m.cpu
+                    ->RegisterHostFn(0x1100, "stop",
+                                     [](Cpu& c) {
+                                       c.RequestStop(StopReason::kHalted,
+                                                     "host");
+                                       return util::OkStatus();
+                                     })
+                    .ok());
+    const StopInfo stop = m.cpu->Run(100);
+    EXPECT_EQ(stop.reason, StopReason::kHalted);
+    EXPECT_EQ(stop.pc, 0x1100u);
+    EXPECT_EQ(stop.steps, 3u);  // mov, jmp, the host function
+  }
+  EXPECT_EQ(Counter(scope, "vm.superblock.hits"), 1u);
+  EXPECT_EQ(Counter(scope, "vm.superblock.fallbacks"), 1u);
+  EXPECT_EQ(Counter(scope, "vm.steps.superblock"), 2u);
+  EXPECT_EQ(Counter(scope, "vm.steps.interp"), 1u);
 }
 
 /// connman.copy_label's loop is one self-looping block: a 200-byte copy
