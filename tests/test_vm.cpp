@@ -1479,9 +1479,7 @@ TEST(CpuSuperblock, CopyLabelRunsOneBlockPassPerByte) {
 std::uint64_t ExpectTiersAgreeCountingBulk(const SideExitCase& c) {
   obs::Scope scope;
   ExpectTiersAgree(c);  // the interpreter run has no tier counters
-  const auto& counters = scope.Metrics().counters;
-  const auto it = counters.find("vm.superblock.bulk_passes");
-  return it == counters.end() ? 0 : it->second;
+  return Counter(scope, "vm.superblock.bulk_passes");
 }
 
 /// A copy loop case with coverage attached or not.
