@@ -245,9 +245,8 @@ util::Result<Reproducer> ParseReproducer(std::string_view text) {
       repro.key.kind = static_cast<ExecResult::Kind>(kind);
     } else if (auto r = ValueFor(line, "stop"); !r.empty()) {
       const std::uint64_t stop = as_u64(r);
-      if (std::ranges::none_of(vm::kAllStopReasons, [stop](vm::StopReason s) {
-            return static_cast<std::uint64_t>(s) == stop;
-          })) {
+      if (stop > static_cast<std::uint64_t>(vm::StopReason::kHeapCorruption) ||
+          vm::StopReasonName(static_cast<vm::StopReason>(stop)) == "?") {
         return util::Malformed("unknown stop reason: " + std::string(r));
       }
       repro.key.stop_reason = static_cast<vm::StopReason>(stop);

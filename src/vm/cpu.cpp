@@ -32,10 +32,11 @@ obs::Counter* const* StopReasonCounters() {
   struct Table {
     obs::Counter* c[kStopReasonSlots] = {};
     Table() {
-      for (const StopReason reason : kAllStopReasons) {
-        c[static_cast<std::size_t>(reason)] =
-            &obs::Registry::Instance().GetCounter(
-                "vm.stop." + std::string(StopReasonName(reason)));
+      for (std::size_t i = 0; i < kStopReasonSlots; ++i) {
+        const std::string_view name = StopReasonName(static_cast<StopReason>(i));
+        if (name == "?") continue;
+        c[i] = &obs::Registry::Instance().GetCounter("vm.stop." +
+                                                     std::string(name));
       }
     }
   };

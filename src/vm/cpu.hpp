@@ -46,7 +46,9 @@ struct ExecConfig {
 };
 
 /// Why a Run ended. The numbers are fixed: reproducer files store them
-/// (fuzz::SerializeReproducer), so a retired reason leaves a gap.
+/// (fuzz::SerializeReproducer), so a retired reason leaves a gap. Code that
+/// walks every reason counts up to kHeapCorruption, the highest number, and
+/// skips the numbers StopReasonName calls "?".
 enum class StopReason : std::uint8_t {
   kRunning = 0,        // not stopped (internal)
   kHalted = 1,         // hlt or an explicit clean stop from a host function
@@ -61,13 +63,7 @@ enum class StopReason : std::uint8_t {
   kHeapCorruption = 10,  // heap-integrity check failed (chunk canary / unlink)
 };
 
-/// Every StopReason, in numeric order.
-inline constexpr StopReason kAllStopReasons[] = {
-    StopReason::kRunning, StopReason::kHalted, StopReason::kExited,
-    StopReason::kShellSpawned, StopReason::kProcessExec, StopReason::kFault,
-    StopReason::kAbort, StopReason::kStepLimit, StopReason::kCfiViolation,
-    StopReason::kHeapCorruption};
-
+/// "?" for a number that names no reason (the retired 8).
 std::string_view StopReasonName(StopReason reason) noexcept;
 
 struct StopInfo {

@@ -377,12 +377,14 @@ TEST(Cpu, DuplicateHostFnRejected) {
   EXPECT_FALSE(m.cpu->RegisterHostFn(0x1000, "b", ok).ok());
 }
 
-/// Stop reasons keep their numbers (reproducer files store them), and every
-/// reason has a name and a vm.stop.<name> counter.
+/// Stop reasons keep their numbers (reproducer files store them), the
+/// retired 8 names nothing, and every other number up to kHeapCorruption
+/// has its own name and a vm.stop.<name> counter.
 TEST(Cpu, StopReasonsKeepTheirNumbersAndCounters) {
   EXPECT_EQ(static_cast<int>(StopReason::kStepLimit), 7);
   EXPECT_EQ(static_cast<int>(StopReason::kCfiViolation), 9);
   EXPECT_EQ(static_cast<int>(StopReason::kHeapCorruption), 10);
+  EXPECT_EQ(StopReasonName(static_cast<StopReason>(8)), "?");
   obs::Scope scope;
   {
     auto m = MakeMachine(Arch::kVX86, util::Bytes{0x90});
@@ -390,16 +392,14 @@ TEST(Cpu, StopReasonsKeepTheirNumbersAndCounters) {
   }  // ~Cpu flushes the batch, which interns every stop counter
   const auto counters = scope.Metrics().counters;
   std::set<std::string> names;
-  int previous = -1;
-  for (const StopReason reason : kAllStopReasons) {
-    EXPECT_GT(static_cast<int>(reason), previous);
-    previous = static_cast<int>(reason);
-    const std::string name(StopReasonName(reason));
-    EXPECT_NE(name, "?");
+  for (int i = 0; i <= static_cast<int>(StopReason::kHeapCorruption); ++i) {
+    if (i == 8) continue;
+    const std::string name(StopReasonName(static_cast<StopReason>(i)));
+    EXPECT_NE(name, "?") << i;
     names.insert(name);
     EXPECT_TRUE(counters.contains("vm.stop." + name)) << name;
   }
-  EXPECT_EQ(names.size(), std::size(kAllStopReasons));
+  EXPECT_EQ(names.size(), 10u);
 }
 
 TEST(Cpu, RegistersStringMentionsAllRegisters) {
