@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "examples/flags.hpp"
 #include "src/attack/matrix.hpp"
 #include "src/attack/report.hpp"
 #include "src/defense/canary.hpp"
@@ -29,25 +30,9 @@
 #include "src/vm/cpu.hpp"
 
 using namespace connlab;
+using namespace connlab::examples;
 
 namespace {
-
-int Fail(const util::Status& status) {
-  std::printf("error: %s\n", status.ToString().c_str());
-  return 1;
-}
-
-std::string TakeFlag(std::vector<std::string>& args, const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (auto it = args.begin(); it != args.end(); ++it) {
-    if (it->rfind(prefix, 0) == 0) {
-      std::string value = it->substr(prefix.size());
-      args.erase(it);
-      return value;
-    }
-  }
-  return {};
-}
 
 /// Writes the scope's exports (and prints the table) before main returns.
 int FinishObs(obs::Scope& scope, const std::string& metrics_path,

@@ -24,41 +24,15 @@
 #include <string>
 #include <vector>
 
+#include "examples/flags.hpp"
 #include "src/fleet/campaign.hpp"
 #include "src/fleet/report.hpp"
 #include "src/obs/obs.hpp"
 
 using namespace connlab;
+using namespace connlab::examples;
 
 namespace {
-
-int Fail(const util::Status& status) {
-  std::printf("error: %s\n", status.ToString().c_str());
-  return 1;
-}
-
-std::string TakeFlag(std::vector<std::string>& args, const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (auto it = args.begin(); it != args.end(); ++it) {
-    if (it->rfind(prefix, 0) == 0) {
-      std::string value = it->substr(prefix.size());
-      args.erase(it);
-      return value;
-    }
-  }
-  return {};
-}
-
-bool TakeBareFlag(std::vector<std::string>& args, const std::string& name) {
-  const std::string flag = "--" + name;
-  for (auto it = args.begin(); it != args.end(); ++it) {
-    if (*it == flag) {
-      args.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
 
 void PrintUsage() {
   std::printf(

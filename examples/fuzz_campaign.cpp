@@ -41,19 +41,16 @@
 #include <string>
 #include <vector>
 
+#include "examples/flags.hpp"
 #include "src/fuzz/dict.hpp"
 #include "src/fuzz/fuzzer.hpp"
 #include "src/obs/obs.hpp"
 #include "src/util/hexdump.hpp"
 
 using namespace connlab;
+using namespace connlab::examples;
 
 namespace {
-
-int Fail(const util::Status& status) {
-  std::printf("error: %s\n", status.ToString().c_str());
-  return 1;
-}
 
 void PrintReport(const fuzz::FuzzReport& report) {
   const fuzz::FuzzStats& s = report.stats;
@@ -70,32 +67,6 @@ void PrintReport(const fuzz::FuzzReport& report) {
               static_cast<unsigned long long>(s.coverage_digest));
   std::printf("  target reboots   : %llu\n\n",
               static_cast<unsigned long long>(s.reboots));
-}
-
-/// Pulls `--name=value` out of the argument list (anywhere on the line) so
-/// the positional parameters keep their historical meaning.
-std::string TakeFlag(std::vector<std::string>& args, const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (auto it = args.begin(); it != args.end(); ++it) {
-    if (it->rfind(prefix, 0) == 0) {
-      std::string value = it->substr(prefix.size());
-      args.erase(it);
-      return value;
-    }
-  }
-  return {};
-}
-
-/// Pulls a bare `--name` switch out of the argument list.
-bool TakeBareFlag(std::vector<std::string>& args, const std::string& name) {
-  const std::string flag = "--" + name;
-  for (auto it = args.begin(); it != args.end(); ++it) {
-    if (*it == flag) {
-      args.erase(it);
-      return true;
-    }
-  }
-  return false;
 }
 
 void PrintUsage() {

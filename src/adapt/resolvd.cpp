@@ -132,12 +132,4 @@ ServiceOutcome Resolvd::HandleQuery(util::ByteSpan wire) {
   return outcome;
 }
 
-util::Result<exploit::TargetProfile> Resolvd::ProfileFor() const {
-  exploit::TargetProfile profile;
-  profile.arch = sys_.arch;
-  profile.prot = sys_.prot;
-  profile.buffer_addr = sys_.layout.scratch_base;
-  return profile;
-}
-
 }  // namespace connlab::adapt

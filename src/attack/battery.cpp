@@ -8,13 +8,6 @@
 
 namespace connlab::attack {
 
-const Volley* VolleyBattery::Find(exploit::Technique technique) const {
-  for (const Volley& volley : volleys) {
-    if (volley.technique == technique) return &volley;
-  }
-  return nullptr;
-}
-
 util::Result<VolleyBattery> BuildVolleyBattery(
     isa::Arch arch, const loader::ProtectionConfig& lab_prot,
     std::uint64_t lab_seed, const std::vector<exploit::Technique>& techniques) {

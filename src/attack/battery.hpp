@@ -30,8 +30,6 @@ struct VolleyBattery {
   util::Bytes query_wire;          // the query every volley answers
   std::vector<Volley> volleys;     // one per requested technique, in order
   int probes = 0;                  // responses the extraction loop used
-
-  [[nodiscard]] const Volley* Find(exploit::Technique technique) const;
 };
 
 /// Extracts a profile from a lab boot of (`arch`, `lab_prot`, `lab_seed`)

@@ -96,70 +96,6 @@ std::string RenderDefenseGrid(const std::vector<AttackResult>& results,
   return out;
 }
 
-std::string RenderCsv(const std::vector<AttackResult>& results) {
-  std::string out =
-      "service,arch,protections,version,technique,defense,shell,crash,outcome,"
-      "failure,payload_bytes,labels,response_bytes,probes,guest_steps\n";
-  char line[384];
-  for (const AttackResult& r : results) {
-    std::snprintf(line, sizeof(line),
-                  "%s,%s,%s,%s,%s,%s,%d,%d,%s,%s,%zu,%zu,%zu,%d,%llu\n",
-                  r.service.c_str(),
-                  std::string(isa::ArchName(r.arch)).c_str(),
-                  r.prot.ToString().c_str(),
-                  std::string(connman::VersionName(r.version)).c_str(),
-                  std::string(exploit::TechniqueName(r.technique)).c_str(),
-                  r.defense.c_str(), r.shell ? 1 : 0, r.crash ? 1 : 0,
-                  std::string(connman::OutcomeKindName(r.kind)).c_str(),
-                  r.FailureLabel().c_str(), r.payload_bytes, r.labels,
-                  r.response_bytes, r.probes,
-                  static_cast<unsigned long long>(r.guest_steps));
-    out += line;
-  }
-  return out;
-}
-
-namespace {
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  for (char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-}  // namespace
-
-std::string RenderJson(const std::vector<AttackResult>& results) {
-  std::string out = "[\n";
-  char line[512];
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const AttackResult& r = results[i];
-    std::snprintf(
-        line, sizeof(line),
-        "  {\"service\": \"%s\", \"arch\": \"%s\", \"protections\": \"%s\", "
-        "\"version\": \"%s\", "
-        "\"technique\": \"%s\", \"defense\": \"%s\", \"shell\": %s, "
-        "\"crash\": %s, \"outcome\": \"%s\", \"failure\": \"%s\", "
-        "\"payload_bytes\": %zu, \"labels\": %zu, "
-        "\"probes\": %d, \"detail\": \"%s\"}%s\n",
-        JsonEscape(r.service).c_str(),
-        std::string(isa::ArchName(r.arch)).c_str(),
-        r.prot.ToString().c_str(),
-        std::string(connman::VersionName(r.version)).c_str(),
-        std::string(exploit::TechniqueName(r.technique)).c_str(),
-        JsonEscape(r.defense).c_str(),
-        r.shell ? "true" : "false", r.crash ? "true" : "false",
-        std::string(connman::OutcomeKindName(r.kind)).c_str(),
-        r.FailureLabel().c_str(),
-        r.payload_bytes, r.labels, r.probes, JsonEscape(r.detail).c_str(),
-        i + 1 < results.size() ? "," : "");
-    out += line;
-  }
-  out += "]\n";
-  return out;
-}
-
 std::string RenderRemoteResult(const RemoteResult& remote) {
   std::string out;
   out += "benign resolution before attack: ";

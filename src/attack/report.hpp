@@ -25,8 +25,4 @@ std::string RenderDefenseGrid(const std::vector<AttackResult>& results,
 /// One-paragraph rendering of a remote (Pineapple) run.
 std::string RenderRemoteResult(const RemoteResult& remote);
 
-/// Machine-readable renderings for downstream analysis.
-std::string RenderCsv(const std::vector<AttackResult>& results);
-std::string RenderJson(const std::vector<AttackResult>& results);
-
 }  // namespace connlab::attack

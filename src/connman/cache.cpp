@@ -36,17 +36,4 @@ std::vector<CacheEntry> Cache::Lookup(const std::string& hostname,
   return out;
 }
 
-std::size_t Cache::EvictExpired(std::uint64_t now) {
-  std::size_t removed = 0;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second.expires_at <= now) {
-      it = entries_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
-  return removed;
-}
-
 }  // namespace connlab::connman

@@ -31,9 +31,6 @@ class Cache {
   [[nodiscard]] std::vector<CacheEntry> Lookup(const std::string& hostname,
                                                std::uint64_t now) const;
 
-  /// Drops expired entries; returns how many were removed.
-  std::size_t EvictExpired(std::uint64_t now);
-
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   void Clear() noexcept { entries_.clear(); }

@@ -3,10 +3,10 @@
 //
 // This is the tool role from the paper's §III ("using gdb, we are able to
 // isolate the sections of memory occupied by the stack of the
-// parse_response function"): the exploit-profile extractor drives these
-// primitives against a *local* copy of the target, then reuses the learned
-// addresses against the remote one — which works because the image is not
-// PIE and the exploited regions are not randomised.
+// parse_response function"): the examples use it to show a *local* copy
+// of the target the way gdb would. The exploit-profile extractor
+// (exploit::ProfileExtractor) does not build one; it reads guest memory
+// through AddressSpace::DebugRead, the same ptrace-style read.
 #pragma once
 
 #include <string>

@@ -24,14 +24,6 @@ util::Status PayloadImage::SetWord(std::size_t offset, std::uint32_t value) {
   return SetBytes(offset, util::ByteSpan(raw, 4));
 }
 
-util::Status PayloadImage::Require(std::size_t offset, std::size_t len) {
-  if (offset + len > bytes_.size()) {
-    return util::OutOfRange("required range past image end");
-  }
-  for (std::size_t i = 0; i < len; ++i) required_[offset + i] = true;
-  return util::OkStatus();
-}
-
 util::Result<LabelSeq> CutIntoLabels(const PayloadImage& image) {
   const std::size_t size = image.size();
   if (size < 2) return util::InvalidArgument("payload image too small");

@@ -44,9 +44,6 @@ class PayloadImage {
 
   util::Status SetBytes(std::size_t offset, util::ByteSpan data);
   util::Status SetWord(std::size_t offset, std::uint32_t value);  // little-endian
-  /// Marks a range as required with its current (filler) contents — used
-  /// for NOP sleds, which must not be interrupted by label-length bytes.
-  util::Status Require(std::size_t offset, std::size_t len);
 
   [[nodiscard]] bool required(std::size_t offset) const {
     return required_[offset];

@@ -76,139 +76,4 @@ ResourceRecord MakeTXT(std::string name, std::string_view text,
   return rr;
 }
 
-namespace {
-
-/// One record whose rdata is a single uncompressed name.
-ResourceRecord MakeNameRdata(std::string name, Type type,
-                             const std::string& target, std::uint32_t ttl) {
-  ResourceRecord rr;
-  rr.name = std::move(name);
-  rr.type = type;
-  rr.ttl = ttl;
-  util::ByteWriter w;
-  if (EncodeName(w, target).ok()) rr.rdata = std::move(w).Take();
-  return rr;
-}
-
-}  // namespace
-
-ResourceRecord MakeNS(std::string name, const std::string& target,
-                      std::uint32_t ttl) {
-  return MakeNameRdata(std::move(name), Type::kNS, target, ttl);
-}
-
-ResourceRecord MakeCNAME(std::string name, const std::string& target,
-                         std::uint32_t ttl) {
-  return MakeNameRdata(std::move(name), Type::kCNAME, target, ttl);
-}
-
-ResourceRecord MakePTR(std::string name, const std::string& target,
-                       std::uint32_t ttl) {
-  return MakeNameRdata(std::move(name), Type::kPTR, target, ttl);
-}
-
-ResourceRecord MakeMX(std::string name, std::uint16_t preference,
-                      const std::string& exchange, std::uint32_t ttl) {
-  ResourceRecord rr;
-  rr.name = std::move(name);
-  rr.type = Type::kMX;
-  rr.ttl = ttl;
-  util::ByteWriter w;
-  w.WriteU16BE(preference);
-  if (EncodeName(w, exchange).ok()) rr.rdata = std::move(w).Take();
-  return rr;
-}
-
-ResourceRecord MakeSOA(std::string name, const SoaFields& soa,
-                       std::uint32_t ttl) {
-  ResourceRecord rr;
-  rr.name = std::move(name);
-  rr.type = Type::kSOA;
-  rr.ttl = ttl;
-  util::ByteWriter w;
-  if (!EncodeName(w, soa.mname).ok()) return rr;
-  if (!EncodeName(w, soa.rname).ok()) return rr;
-  w.WriteU32BE(soa.serial);
-  w.WriteU32BE(soa.refresh);
-  w.WriteU32BE(soa.retry);
-  w.WriteU32BE(soa.expire);
-  w.WriteU32BE(soa.minimum);
-  rr.rdata = std::move(w).Take();
-  return rr;
-}
-
-util::Result<std::string> DecodeNameRdata(const ResourceRecord& rr) {
-  if (rr.type != Type::kNS && rr.type != Type::kCNAME &&
-      rr.type != Type::kPTR) {
-    return util::InvalidArgument("rdata of " + TypeName(rr.type) +
-                                 " is not a bare name");
-  }
-  // max_hops=0: rdata stands alone, a pointer would reach outside it.
-  CONNLAB_ASSIGN_OR_RETURN(const DecodedName decoded,
-                           DecodeName(rr.rdata, 0, /*max_hops=*/0));
-  if (decoded.wire_len != rr.rdata.size()) {
-    return util::Malformed("trailing bytes after " + TypeName(rr.type) +
-                           " target name");
-  }
-  return decoded.dotted;
-}
-
-util::Result<MxFields> DecodeMX(const ResourceRecord& rr) {
-  if (rr.type != Type::kMX) {
-    return util::InvalidArgument("not an MX record");
-  }
-  util::ByteReader r(rr.rdata);
-  MxFields mx;
-  CONNLAB_ASSIGN_OR_RETURN(mx.preference, r.ReadU16BE());
-  CONNLAB_ASSIGN_OR_RETURN(const DecodedName decoded,
-                           DecodeName(rr.rdata, 2, /*max_hops=*/0));
-  if (2 + decoded.wire_len != rr.rdata.size()) {
-    return util::Malformed("trailing bytes after MX exchange name");
-  }
-  mx.exchange = decoded.dotted;
-  return mx;
-}
-
-util::Result<SoaFields> DecodeSOA(const ResourceRecord& rr) {
-  if (rr.type != Type::kSOA) {
-    return util::InvalidArgument("not a SOA record");
-  }
-  SoaFields soa;
-  CONNLAB_ASSIGN_OR_RETURN(const DecodedName mname,
-                           DecodeName(rr.rdata, 0, /*max_hops=*/0));
-  soa.mname = mname.dotted;
-  CONNLAB_ASSIGN_OR_RETURN(
-      const DecodedName rname,
-      DecodeName(rr.rdata, mname.wire_len, /*max_hops=*/0));
-  soa.rname = rname.dotted;
-  util::ByteReader r(rr.rdata);
-  CONNLAB_RETURN_IF_ERROR(r.Skip(mname.wire_len + rname.wire_len));
-  CONNLAB_ASSIGN_OR_RETURN(soa.serial, r.ReadU32BE());
-  CONNLAB_ASSIGN_OR_RETURN(soa.refresh, r.ReadU32BE());
-  CONNLAB_ASSIGN_OR_RETURN(soa.retry, r.ReadU32BE());
-  CONNLAB_ASSIGN_OR_RETURN(soa.expire, r.ReadU32BE());
-  CONNLAB_ASSIGN_OR_RETURN(soa.minimum, r.ReadU32BE());
-  if (r.remaining() != 0) {
-    return util::Malformed("trailing bytes after SOA fields");
-  }
-  return soa;
-}
-
-util::Result<std::string> DecodeTXT(const ResourceRecord& rr) {
-  if (rr.type != Type::kTXT) {
-    return util::InvalidArgument("not a TXT record");
-  }
-  std::string text;
-  std::size_t i = 0;
-  while (i < rr.rdata.size()) {
-    const std::size_t len = rr.rdata[i];
-    if (i + 1 + len > rr.rdata.size()) {
-      return util::Malformed("TXT character-string runs past rdata");
-    }
-    text.append(reinterpret_cast<const char*>(rr.rdata.data()) + i + 1, len);
-    i += 1 + len;
-  }
-  return text;
-}
-
 }  // namespace connlab::dns

@@ -51,48 +51,6 @@ ResourceRecord MakeAAAA(std::string name, std::uint32_t ttl = 300);
 ResourceRecord MakeTXT(std::string name, std::string_view text,
                        std::uint32_t ttl = 300);
 
-/// Name-valued rdata helpers (RFC 1035 §3.3): the rdata is the target name
-/// in uncompressed wire form. A malformed target yields empty rdata — the
-/// Make* helpers mirror MakeA's forgiving contract so crafted messages can
-/// still carry nonsense on purpose.
-ResourceRecord MakeNS(std::string name, const std::string& target,
-                      std::uint32_t ttl = 300);
-ResourceRecord MakeCNAME(std::string name, const std::string& target,
-                         std::uint32_t ttl = 300);
-ResourceRecord MakePTR(std::string name, const std::string& target,
-                       std::uint32_t ttl = 300);
-/// MX rdata: 16-bit preference (big-endian) + exchange name.
-ResourceRecord MakeMX(std::string name, std::uint16_t preference,
-                      const std::string& exchange, std::uint32_t ttl = 300);
-
-/// SOA rdata: mname + rname + five 32-bit big-endian bookkeeping fields.
-struct SoaFields {
-  std::string mname;              // primary master
-  std::string rname;              // responsible mailbox (dotted form)
-  std::uint32_t serial = 1;
-  std::uint32_t refresh = 3600;
-  std::uint32_t retry = 600;
-  std::uint32_t expire = 86400;
-  std::uint32_t minimum = 60;
-};
-ResourceRecord MakeSOA(std::string name, const SoaFields& soa,
-                       std::uint32_t ttl = 300);
-
-/// Rdata decoders for the typed records above. Rdata is treated as a
-/// self-contained packet: compression pointers inside it are rejected by
-/// the bounded decoder rather than followed into a packet that is no
-/// longer in scope.
-/// NS / CNAME / PTR: the target name in dotted form.
-util::Result<std::string> DecodeNameRdata(const ResourceRecord& rr);
-struct MxFields {
-  std::uint16_t preference = 0;
-  std::string exchange;
-};
-util::Result<MxFields> DecodeMX(const ResourceRecord& rr);
-util::Result<SoaFields> DecodeSOA(const ResourceRecord& rr);
-/// TXT: concatenation of every character-string chunk.
-util::Result<std::string> DecodeTXT(const ResourceRecord& rr);
-
 /// Parses "a.b.c.d" into 4 rdata bytes.
 util::Result<util::Bytes> ParseIPv4(const std::string& dotted_quad);
 /// Renders 4 rdata bytes as "a.b.c.d".

@@ -1,9 +1,8 @@
 // The discrete-event core of the fleet simulator.
 //
-// Virtual time only: events are (time, seq) pairs popped in deadline order
-// with FIFO tie-breaking, exactly like net::Network's scheduled delivery but
-// for client-lifecycle events (join, query, renew, roam, leave) instead of
-// datagrams. No wall clock anywhere — a campaign replayed from the same
+// Virtual time only: client-lifecycle events (join, query, renew, roam,
+// leave) are (time, seq) pairs popped in deadline order with FIFO
+// tie-breaking. No wall clock anywhere — a campaign replayed from the same
 // seed pops the same events in the same order on any machine.
 #pragma once
 
@@ -13,7 +12,7 @@
 
 namespace connlab::fleet {
 
-/// Virtual microseconds since campaign start (same unit as net::SimTime).
+/// Virtual microseconds since campaign start.
 using SimTime = std::uint64_t;
 
 struct Event {

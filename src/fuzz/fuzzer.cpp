@@ -27,10 +27,9 @@ double ThreadCpuSeconds() noexcept {
 
 }  // namespace
 
-Fuzzer::WorkerOutput Fuzzer::RunWorker(const FuzzConfig& config,
-                                       std::size_t worker_index,
-                                       std::uint64_t budget,
-                                       EpochExchange* exchange) {
+Fuzzer::WorkerOutput Fuzzer::RunWorker(
+    const FuzzConfig& config, const std::vector<CorpusEntry>& persisted,
+    std::size_t worker_index, std::uint64_t budget, EpochExchange* exchange) {
   WorkerOutput out;
   const double busy_start = ThreadCpuSeconds();
   OBS_TRACE_SPAN(worker_span, "fuzz", "RunWorker");
@@ -148,19 +147,19 @@ Fuzzer::WorkerOutput Fuzzer::RunWorker(const FuzzConfig& config,
   };
 
   // Seed round: every seed runs once and is admitted regardless of
-  // coverage (the corpus must never start empty). Extra seeds — typically
-  // a persisted corpus from an earlier campaign — join the same round.
+  // coverage (the corpus must never start empty). A persisted corpus from
+  // an earlier campaign joins the same round.
   for (const util::Bytes& seed : target->SeedCorpus()) {
     if (out.execs >= budget) break;
     const ExecResult result = run_one(seed);
     record(result, seed);
     corpus.Add(seed, 1, out.execs);
   }
-  for (const util::Bytes& seed : config.extra_seeds) {
+  for (const CorpusEntry& seed : persisted) {
     if (out.execs >= budget) break;
-    const ExecResult result = run_one(seed);
-    record(result, seed);
-    corpus.Add(seed, 1, out.execs);
+    const ExecResult result = run_one(seed.data);
+    record(result, seed.data);
+    corpus.Add(seed.data, 1, out.execs);
   }
 
   const auto done = [&] {
@@ -226,7 +225,7 @@ Fuzzer::WorkerOutput Fuzzer::RunWorker(const FuzzConfig& config,
   // their buckets keep the full witness.
   if (config.minimize && !target->stateful_across_execs()) {
     for (CrashBucket& bucket : out.triage.buckets()) {
-      MinimizeBucket(*target, bucket, config.minimize_execs);
+      MinimizeBucket(*target, bucket);
     }
   }
 
@@ -258,16 +257,15 @@ util::Result<FuzzReport> Fuzzer::Run() {
     return util::InvalidArgument("budget smaller than worker count");
   }
 
-  FuzzConfig config = config_;
+  const FuzzConfig& config = config_;
+  Corpus persisted;
   if (!config.corpus_path.empty()) {
     // A missing file just means this is the first campaign on this path.
-    auto persisted = LoadCorpus(config.corpus_path);
-    if (persisted.ok()) {
-      for (const CorpusEntry& e : persisted.value().entries()) {
-        config.extra_seeds.push_back(e.data);
-      }
-    } else if (persisted.status().code() != util::StatusCode::kNotFound) {
-      return persisted.status();
+    auto loaded = LoadCorpus(config.corpus_path);
+    if (loaded.ok()) {
+      persisted = std::move(loaded).value();
+    } else if (loaded.status().code() != util::StatusCode::kNotFound) {
+      return loaded.status();
     }
   }
 
@@ -285,10 +283,12 @@ util::Result<FuzzReport> Fuzzer::Run() {
   EpochExchange* sync =
       workers > 1 && config.sync_interval != 0 ? &exchange : nullptr;
   if (workers == 1) {
-    outputs[0] = RunWorker(config, 0, worker_budget(0), nullptr);
+    outputs[0] =
+        RunWorker(config, persisted.entries(), 0, worker_budget(0), nullptr);
   } else {
     util::ParallelInvoke(workers, [&](std::size_t i) {
-      outputs[i] = RunWorker(config, i, worker_budget(i), sync);
+      outputs[i] =
+          RunWorker(config, persisted.entries(), i, worker_budget(i), sync);
     });
   }
   const auto end = std::chrono::steady_clock::now();

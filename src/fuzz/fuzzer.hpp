@@ -53,16 +53,12 @@ struct FuzzConfig {
   std::uint64_t stop_after_crashes = 0;
   /// Minimize each bucket's witness after the loop.
   bool minimize = true;
-  std::size_t minimize_execs = 2000;
   /// Persistent-corpus file. When set, Run() seeds every worker with the
-  /// file's entries (if it exists) and writes the merged corpus back after
-  /// the campaign, so coverage accumulates across runs. A missing file is
-  /// not an error — the first campaign creates it.
+  /// file's entries (if it exists), after the target's built-ins, and
+  /// writes the merged corpus back after the campaign, so coverage
+  /// accumulates across runs. A missing file is not an error — the first
+  /// campaign creates it.
   std::string corpus_path;
-  /// Extra seed inputs injected into every worker's seed round, after the
-  /// target's built-ins. Run() fills this from `corpus_path`; callers can
-  /// also set it directly.
-  std::vector<util::Bytes> extra_seeds;
   /// Mutation dictionary (see fuzz/dict.hpp). Empty = no dictionary ops,
   /// bit-identical behaviour to a build without the feature.
   std::vector<util::Bytes> dictionary;
@@ -130,10 +126,12 @@ class Fuzzer {
     double busy_seconds = 0;  // this worker's thread-CPU time
   };
 
-  /// One worker's whole campaign slice; pure function of (config, index)
-  /// plus — when `exchange` is non-null — the other workers' published
-  /// epoch deltas, themselves deterministic.
+  /// One worker's whole campaign slice; pure function of (config, index,
+  /// persisted) plus — when `exchange` is non-null — the other workers'
+  /// published epoch deltas, themselves deterministic. `persisted` (the
+  /// corpus_path entries) joins the seed round.
   static WorkerOutput RunWorker(const FuzzConfig& config,
+                                const std::vector<CorpusEntry>& persisted,
                                 std::size_t worker_index,
                                 std::uint64_t budget,
                                 EpochExchange* exchange);

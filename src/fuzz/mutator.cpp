@@ -48,19 +48,13 @@ LabelWalk WalkLabels(util::ByteSpan input, std::size_t start) {
   return walk;
 }
 
-util::Bytes CopyOf(util::ByteSpan input) {
-  return util::Bytes(input.begin(), input.end());
-}
-
 }  // namespace
 
 // Each structural operator computes its label walk against the pre-edit
-// bytes, draws from the Rng, then edits `data` directly — the same walk,
-// the same draws, and the same resulting bytes as the historical
-// copy-then-edit versions the public statics still expose.
+// bytes, draws from the Rng, then edits `data` directly.
 
-void Mutator::GrowLabelInPlace(util::Bytes& data, std::size_t start,
-                               util::Rng& rng) {
+void Mutator::GrowLabel(util::Bytes& data, std::size_t start,
+                        util::Rng& rng) {
   const LabelWalk walk = WalkLabels(data, start);
   if (walk.labels.empty()) return;
   const auto& label = walk.labels[rng.NextBelow(walk.labels.size())];
@@ -77,15 +71,8 @@ void Mutator::GrowLabelInPlace(util::Bytes& data, std::size_t start,
       static_cast<std::size_t>(new_len - label.len), kFiller);
 }
 
-util::Bytes Mutator::GrowLabel(util::ByteSpan input, std::size_t start,
-                               util::Rng& rng) {
-  util::Bytes out = CopyOf(input);
-  GrowLabelInPlace(out, start, rng);
-  return out;
-}
-
-void Mutator::DuplicateLabelRunInPlace(util::Bytes& data, std::size_t start,
-                                       util::Rng& rng, util::Bytes& scratch) {
+void Mutator::DuplicateLabelRun(util::Bytes& data, std::size_t start,
+                                util::Rng& rng, util::Bytes& scratch) {
   const LabelWalk walk = WalkLabels(data, start);
   if (walk.labels.empty()) return;
   const std::size_t first = rng.NextBelow(walk.labels.size());
@@ -103,17 +90,8 @@ void Mutator::DuplicateLabelRunInPlace(util::Bytes& data, std::size_t start,
   }
 }
 
-util::Bytes Mutator::DuplicateLabelRun(util::ByteSpan input, std::size_t start,
-                                       util::Rng& rng) {
-  util::Bytes out = CopyOf(input);
-  util::Bytes scratch;
-  DuplicateLabelRunInPlace(out, start, rng, scratch);
-  return out;
-}
-
-void Mutator::PlantCompressionPointerInPlace(util::Bytes& data,
-                                             std::size_t start,
-                                             util::Rng& rng) {
+void Mutator::PlantCompressionPointer(util::Bytes& data, std::size_t start,
+                                      util::Rng& rng) {
   const LabelWalk walk = WalkLabels(data, start);
   if (walk.end_pos >= data.size() && walk.end != LabelWalk::End::kRanOff) {
     return;
@@ -141,15 +119,7 @@ void Mutator::PlantCompressionPointerInPlace(util::Bytes& data,
   }
 }
 
-util::Bytes Mutator::PlantCompressionPointer(util::ByteSpan input,
-                                             std::size_t start,
-                                             util::Rng& rng) {
-  util::Bytes out = CopyOf(input);
-  PlantCompressionPointerInPlace(out, start, rng);
-  return out;
-}
-
-void Mutator::BumpAnswerCountInPlace(util::Bytes& data, util::Rng& rng) {
+void Mutator::BumpAnswerCount(util::Bytes& data, util::Rng& rng) {
   if (data.size() < 8) return;
   const std::uint16_t current =
       static_cast<std::uint16_t>((data[6] << 8) | data[7]);
@@ -160,21 +130,15 @@ void Mutator::BumpAnswerCountInPlace(util::Bytes& data, util::Rng& rng) {
   data[7] = static_cast<std::uint8_t>(next & 0xFF);
 }
 
-util::Bytes Mutator::BumpAnswerCount(util::ByteSpan input, util::Rng& rng) {
-  util::Bytes out = CopyOf(input);
-  BumpAnswerCountInPlace(out, rng);
-  return out;
-}
-
 void Mutator::DnsOnce(util::Bytes& data, const MutationHint& hint) {
   const std::size_t start = hint.fixed_prefix;
   if (data.size() <= start) return;
   switch (rng_.NextBelow(5)) {
-    case 0: GrowLabelInPlace(data, start, rng_); return;
+    case 0: GrowLabel(data, start, rng_); return;
     case 1:
-    case 2: DuplicateLabelRunInPlace(data, start, rng_, chunk_); return;
-    case 3: PlantCompressionPointerInPlace(data, start, rng_); return;
-    default: BumpAnswerCountInPlace(data, rng_); return;
+    case 2: DuplicateLabelRun(data, start, rng_, chunk_); return;
+    case 3: PlantCompressionPointer(data, start, rng_); return;
+    default: BumpAnswerCount(data, rng_); return;
   }
 }
 
@@ -284,13 +248,6 @@ void Mutator::MutateInto(util::ByteSpan input, const MutationHint& hint,
     }
     if (out.size() > hint.max_size) out.resize(hint.max_size);
   }
-}
-
-util::Bytes Mutator::Mutate(util::ByteSpan input, const MutationHint& hint,
-                            util::ByteSpan splice_donor) {
-  util::Bytes out;
-  MutateInto(input, hint, splice_donor, out);
-  return out;
 }
 
 }  // namespace connlab::fuzz

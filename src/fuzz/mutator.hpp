@@ -14,12 +14,11 @@
 // Every draw comes from the caller's Rng, so a campaign is replayable from
 // its root seed.
 //
-// The hot-loop entry point is MutateInto: it writes the mutant into a
-// caller-owned scratch buffer and routes every intermediate copy through
-// member scratch space, so a steady-state fuzz loop allocates nothing per
-// execution. Mutate (returning a fresh buffer) wraps it for callers that
-// don't care; both draw the identical RNG sequence and produce identical
-// bytes.
+// MutateInto is the one entry point: it writes the mutant into a
+// caller-owned buffer and routes every intermediate copy through member
+// scratch space, so a steady-state fuzz loop allocates nothing per
+// execution. The structural operators edit a buffer in place and are
+// public so tests can drive each one alone.
 #pragma once
 
 #include <cstdint>
@@ -53,43 +52,27 @@ class Mutator {
  public:
   explicit Mutator(util::Rng rng) noexcept : rng_(rng) {}
 
-  /// Produces one mutant. `splice_donor` (optional second corpus entry)
-  /// feeds the crossover operator.
-  util::Bytes Mutate(util::ByteSpan input, const MutationHint& hint,
-                     util::ByteSpan splice_donor = {});
-
-  /// Mutates `input` into `out`, reusing out's capacity: the zero-alloc
-  /// (after warmup) hot-loop variant of Mutate, with the identical RNG
-  /// draw sequence and output bytes. `input` and `splice_donor` must not
-  /// alias `out`.
+  /// Mutates `input` into `out`, reusing out's capacity (no allocation
+  /// after warmup). `splice_donor` (optional second corpus entry) feeds
+  /// the crossover operator. `input` and `splice_donor` must not alias
+  /// `out`.
   void MutateInto(util::ByteSpan input, const MutationHint& hint,
                   util::ByteSpan splice_donor, util::Bytes& out);
 
   [[nodiscard]] util::Rng& rng() noexcept { return rng_; }
 
-  // Individual structural operators, exposed for tests. Each returns the
-  // mutated buffer (possibly unchanged when the input has no usable
-  // structure). `start` is the offset of the first answer's owner name.
-  static util::Bytes GrowLabel(util::ByteSpan input, std::size_t start,
-                               util::Rng& rng);
-  static util::Bytes DuplicateLabelRun(util::ByteSpan input, std::size_t start,
-                                       util::Rng& rng);
-  static util::Bytes PlantCompressionPointer(util::ByteSpan input,
-                                             std::size_t start, util::Rng& rng);
-  static util::Bytes BumpAnswerCount(util::ByteSpan input, util::Rng& rng);
+  // The structural operators. Each edits `data` in place and leaves it
+  // unchanged when it has no usable structure. `start` is the offset of
+  // the first answer's owner name. `scratch` buffers a self-insertion
+  // (vector ranges must not alias their own insert).
+  static void GrowLabel(util::Bytes& data, std::size_t start, util::Rng& rng);
+  static void DuplicateLabelRun(util::Bytes& data, std::size_t start,
+                                util::Rng& rng, util::Bytes& scratch);
+  static void PlantCompressionPointer(util::Bytes& data, std::size_t start,
+                                      util::Rng& rng);
+  static void BumpAnswerCount(util::Bytes& data, util::Rng& rng);
 
  private:
-  // In-place cores of the structural operators; the public statics wrap
-  // them around a fresh copy. `scratch` buffers a self-insertion (vector
-  // ranges must not alias their own insert).
-  static void GrowLabelInPlace(util::Bytes& data, std::size_t start,
-                               util::Rng& rng);
-  static void DuplicateLabelRunInPlace(util::Bytes& data, std::size_t start,
-                                       util::Rng& rng, util::Bytes& scratch);
-  static void PlantCompressionPointerInPlace(util::Bytes& data,
-                                             std::size_t start, util::Rng& rng);
-  static void BumpAnswerCountInPlace(util::Bytes& data, util::Rng& rng);
-
   void DnsOnce(util::Bytes& data, const MutationHint& hint);
   void HavocOnce(util::Bytes& data, const MutationHint& hint,
                  util::ByteSpan splice_donor);

@@ -1,8 +1,8 @@
 #include "src/fuzz/triage.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 
 #include "src/isa/isa.hpp"
 #include "src/obs/obs.hpp"
@@ -167,12 +167,36 @@ namespace {
 
 constexpr std::string_view kMagic = "connlab-repro v1";
 
-/// Returns the value part of "key: value", or empty when the key differs.
-std::string_view ValueFor(std::string_view line, std::string_view key) {
-  if (line.substr(0, key.size()) != key) return {};
-  std::string_view rest = line.substr(key.size());
-  if (rest.substr(0, 2) != ": ") return {};
-  return rest.substr(2);
+// The largest number each enum field of a reproducer may hold.
+constexpr std::uint64_t kMaxKind =
+    static_cast<std::uint64_t>(ExecResult::Kind::kOther);
+constexpr std::uint64_t kMaxStop =
+    static_cast<std::uint64_t>(vm::StopReason::kHeapCorruption);
+
+/// Reads the whole of `value` as an unsigned number no larger than `max`:
+/// decimal, or hex after "0x" (SerializeReproducer writes both). An empty
+/// value, a sign, any other text and overflow are Malformed.
+util::Result<std::uint64_t> ParseNumber(std::string_view key,
+                                        std::string_view value,
+                                        std::uint64_t max = UINT64_MAX) {
+  std::string_view digits = value;
+  int base = 10;
+  if (digits.starts_with("0x")) {
+    digits.remove_prefix(2);
+    base = 16;
+  }
+  std::uint64_t number = 0;
+  const char* end = digits.data() + digits.size();
+  const auto [stop, error] = std::from_chars(digits.data(), end, number, base);
+  if (digits.empty() || error != std::errc() || stop != end) {
+    return util::Malformed(std::string(key) + " is not a number: " +
+                           std::string(value));
+  }
+  if (number > max) {
+    return util::Malformed(std::string(key) + " out of range: " +
+                           std::string(value));
+  }
+  return number;
 }
 
 }  // namespace
@@ -220,48 +244,49 @@ util::Result<Reproducer> ParseReproducer(std::string_view text) {
       magic_ok = true;
       continue;
     }
-    const auto as_u64 = [](std::string_view v) {
-      return std::strtoull(std::string(v).c_str(), nullptr, 0);
-    };
-    if (auto v = ValueFor(line, "target"); !v.empty()) {
-      CONNLAB_ASSIGN_OR_RETURN(repro.config.kind, ParseTargetKind(v));
-    } else if (auto a = ValueFor(line, "arch"); !a.empty()) {
-      if (a == "vx86") {
+    const std::size_t sep = line.find(": ");
+    if (sep == std::string_view::npos) continue;
+    const std::string_view key = line.substr(0, sep);
+    const std::string_view value = line.substr(sep + 2);
+    if (key == "target") {
+      CONNLAB_ASSIGN_OR_RETURN(repro.config.kind, ParseTargetKind(value));
+    } else if (key == "arch") {
+      if (value == "vx86") {
         repro.config.arch = isa::Arch::kVX86;
-      } else if (a == "varm") {
+      } else if (value == "varm") {
         repro.config.arch = isa::Arch::kVARM;
       } else {
-        return util::Malformed("unknown arch: " + std::string(a));
+        return util::Malformed("unknown arch: " + std::string(value));
       }
-    } else if (auto s = ValueFor(line, "boot_seed"); !s.empty()) {
-      repro.config.boot_seed = as_u64(s);
-    } else if (auto p = ValueFor(line, "patched"); !p.empty()) {
-      repro.config.patched = as_u64(p) != 0;
-    } else if (auto k = ValueFor(line, "kind"); !k.empty()) {
-      const std::uint64_t kind = as_u64(k);
-      if (kind > static_cast<std::uint64_t>(ExecResult::Kind::kOther)) {
-        return util::Malformed("unknown kind: " + std::string(k));
-      }
+    } else if (key == "boot_seed") {
+      CONNLAB_ASSIGN_OR_RETURN(repro.config.boot_seed, ParseNumber(key, value));
+    } else if (key == "patched") {
+      CONNLAB_ASSIGN_OR_RETURN(const std::uint64_t patched,
+                               ParseNumber(key, value, 1));
+      repro.config.patched = patched != 0;
+    } else if (key == "kind") {
+      CONNLAB_ASSIGN_OR_RETURN(const std::uint64_t kind,
+                               ParseNumber(key, value, kMaxKind));
       repro.key.kind = static_cast<ExecResult::Kind>(kind);
-    } else if (auto r = ValueFor(line, "stop"); !r.empty()) {
-      const std::uint64_t stop = as_u64(r);
-      if (stop > static_cast<std::uint64_t>(vm::StopReason::kHeapCorruption) ||
-          vm::StopReasonName(static_cast<vm::StopReason>(stop)) == "?") {
-        return util::Malformed("unknown stop reason: " + std::string(r));
+    } else if (key == "stop") {
+      CONNLAB_ASSIGN_OR_RETURN(const std::uint64_t stop,
+                               ParseNumber(key, value, kMaxStop));
+      if (vm::StopReasonName(static_cast<vm::StopReason>(stop)) == "?") {
+        return util::Malformed("unknown stop reason: " + std::string(value));
       }
       repro.key.stop_reason = static_cast<vm::StopReason>(stop);
-    } else if (auto c = ValueFor(line, "pc"); !c.empty()) {
-      const std::uint64_t pc = as_u64(c);
-      if (pc > 0xFFFFFFFFu) {
-        return util::Malformed("pc does not fit in 32 bits: " + std::string(c));
-      }
+    } else if (key == "pc") {
+      CONNLAB_ASSIGN_OR_RETURN(const std::uint64_t pc,
+                               ParseNumber(key, value, 0xFFFFFFFFu));
       repro.key.pc = static_cast<mem::GuestAddr>(pc);
-    } else if (auto w = ValueFor(line, "write_fault"); !w.empty()) {
-      repro.key.write_fault = as_u64(w) != 0;
-    } else if (auto h = ValueFor(line, "stack_hash"); !h.empty()) {
-      repro.key.stack_hash = as_u64(h);
-    } else if (auto i = ValueFor(line, "input"); !i.empty()) {
-      CONNLAB_ASSIGN_OR_RETURN(repro.input, util::FromHex(i));
+    } else if (key == "write_fault") {
+      CONNLAB_ASSIGN_OR_RETURN(const std::uint64_t write_fault,
+                               ParseNumber(key, value, 1));
+      repro.key.write_fault = write_fault != 0;
+    } else if (key == "stack_hash") {
+      CONNLAB_ASSIGN_OR_RETURN(repro.key.stack_hash, ParseNumber(key, value));
+    } else if (key == "input") {
+      CONNLAB_ASSIGN_OR_RETURN(repro.input, util::FromHex(value));
       have_input = true;
     }
   }

@@ -108,10 +108,6 @@ void Assembler::Asciz(std::string_view text) {
   w_.WriteU8(0);
 }
 
-void Assembler::Zeros(std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) w_.WriteU8(0);
-}
-
 void Assembler::AlignTo(std::uint32_t alignment) {
   if (alignment == 0) return;
   while (addr() % alignment != 0) w_.WriteU8(0);

@@ -69,7 +69,6 @@ class Assembler {
   void Byte(std::uint8_t v) { w_.WriteU8(v); }
   void Ascii(std::string_view text) { w_.WriteString(text); }
   void Asciz(std::string_view text);
-  void Zeros(std::size_t count);
   /// Pads with HLT-encoding filler up to the given alignment.
   void AlignTo(std::uint32_t alignment);
 

@@ -21,7 +21,6 @@ class AccessPoint {
 
   [[nodiscard]] const std::string& ssid() const noexcept { return ssid_; }
   [[nodiscard]] int signal_dbm() const noexcept { return signal_dbm_; }
-  void set_signal_dbm(int dbm) noexcept { signal_dbm_ = dbm; }
   [[nodiscard]] DhcpServer& dhcp() noexcept { return dhcp_; }
 
  private:
@@ -39,8 +38,6 @@ class Radio {
 
   /// Strongest AP broadcasting `ssid` (the association rule).
   [[nodiscard]] util::Result<AccessPoint*> StrongestFor(const std::string& ssid) const;
-
-  [[nodiscard]] std::vector<AccessPoint*> Scan() const { return aps_; }
 
  private:
   std::vector<AccessPoint*> aps_;

@@ -11,7 +11,6 @@ DhcpServer::DhcpServer(std::string prefix, std::string gateway,
 
 util::Result<DhcpLease> DhcpServer::Offer(const std::string& client_id,
                                           std::uint64_t now) {
-  ++offers_;
   auto it = leases_.find(client_id);
   if (it != leases_.end()) {
     // Renewal refreshes the options (a client re-associating to a rogue AP

@@ -47,7 +47,6 @@ class DhcpServer {
 
   /// Lease lifetime in virtual time units; 0 (the default) never expires.
   void set_lease_ttl(std::uint64_t ttl) noexcept { lease_ttl_ = ttl; }
-  [[nodiscard]] std::uint64_t lease_ttl() const noexcept { return lease_ttl_; }
 
   void set_dns_server(std::string dns) { dns_server_ = std::move(dns); }
   [[nodiscard]] const std::string& dns_server() const noexcept {
@@ -56,7 +55,6 @@ class DhcpServer {
   [[nodiscard]] std::size_t active_leases() const noexcept {
     return leases_.size();
   }
-  [[nodiscard]] std::uint64_t offers() const noexcept { return offers_; }
   [[nodiscard]] std::uint64_t exhaustions() const noexcept {
     return exhaustions_;
   }
@@ -68,7 +66,6 @@ class DhcpServer {
   int pool_size_;
   int next_host_ = 100;
   std::uint64_t lease_ttl_ = 0;
-  std::uint64_t offers_ = 0;
   std::uint64_t exhaustions_ = 0;
   std::vector<std::string> free_ips_;  // released addresses, reused LIFO
   std::map<std::string, DhcpLease> leases_;

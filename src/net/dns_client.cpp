@@ -18,12 +18,11 @@ util::Status VictimDevice::JoinWifi(Radio& radio, Network& net) {
     net.Detach(lease_.ip);
   }
   lease_ = std::move(lease);
-  char dbg[64];
-  std::snprintf(dbg, sizeof(dbg), "%s @ %d dBm", ap->ssid().c_str(),
+  char ap_name[64];
+  std::snprintf(ap_name, sizeof(ap_name), "%s @ %d dBm", ap->ssid().c_str(),
                 ap->signal_dbm());
-  ap_debug_ = dbg;
   net.Attach(lease_.ip, this);
-  CONNLAB_INFO("victim") << "associated to " << ap_debug_ << ", ip "
+  CONNLAB_INFO("victim") << "associated to " << ap_name << ", ip "
                          << lease_.ip << ", dns " << lease_.dns_server;
   return util::OkStatus();
 }

@@ -33,9 +33,6 @@ class VictimDevice : public Endpoint {
 
   [[nodiscard]] connman::DnsProxy& proxy() noexcept { return proxy_; }
   [[nodiscard]] const DhcpLease& lease() const noexcept { return lease_; }
-  [[nodiscard]] const std::string& associated_ssid_owner() const noexcept {
-    return ap_debug_;
-  }
   /// Outcomes of every upstream response the proxy has processed.
   [[nodiscard]] const std::vector<connman::ProxyOutcome>& outcomes() const noexcept {
     return outcomes_;
@@ -50,7 +47,6 @@ class VictimDevice : public Endpoint {
   std::string ssid_;
   std::string hostname_;
   DhcpLease lease_;
-  std::string ap_debug_;
   std::uint16_t next_txid_ = 0x1000;
   std::uint16_t next_port_ = 40000;
   std::vector<connman::ProxyOutcome> outcomes_;

@@ -27,14 +27,6 @@ void Network::EnableCapture(std::size_t max_datagrams) {
 }
 
 util::Status Network::Send(Datagram dgram) {
-  return Schedule(std::move(dgram), now_ + latency_);
-}
-
-util::Status Network::SendAt(Datagram dgram, SimTime deliver_at) {
-  return Schedule(std::move(dgram), deliver_at < now_ ? now_ : deliver_at);
-}
-
-util::Status Network::Schedule(Datagram dgram, SimTime deliver_at) {
   if (dgram.dst_ip.empty()) return util::InvalidArgument("no destination");
   OBS_COUNT("net.datagrams");
   if (dgram.dst_port == kDnsPort) OBS_COUNT("net.dns_queries");
@@ -43,46 +35,26 @@ util::Status Network::Schedule(Datagram dgram, SimTime deliver_at) {
     log_.push_back(dgram);
     while (log_.size() > capture_cap_) log_.pop_front();
   }
-  schedule_.push(Scheduled{deliver_at, next_seq_++, std::move(dgram)});
+  queue_.push_back(std::move(dgram));
   return util::OkStatus();
-}
-
-void Network::DeliverOne(Scheduled item) {
-  if (item.deliver_at > now_) now_ = item.deliver_at;
-  auto it = endpoints_.find(item.dgram.dst_ip);
-  if (it == endpoints_.end() || it->second == nullptr) {
-    ++dropped_;
-    OBS_COUNT("net.dropped");
-    return;
-  }
-  ++delivered_;
-  OBS_COUNT("net.delivered");
-  it->second->OnDatagram(*this, item.dgram);
 }
 
 int Network::DeliverAll(int max) {
   int count = 0;
-  while (!schedule_.empty() && count < max) {
-    // Move out from under the heap before popping; safe because the slot is
-    // removed immediately and never compared again.
-    Scheduled item = std::move(const_cast<Scheduled&>(schedule_.top()));
-    schedule_.pop();
+  while (!queue_.empty() && count < max) {
+    const Datagram dgram = std::move(queue_.front());
+    queue_.pop_front();
     ++count;
-    DeliverOne(std::move(item));
+    auto it = endpoints_.find(dgram.dst_ip);
+    if (it == endpoints_.end() || it->second == nullptr) {
+      ++dropped_;
+      OBS_COUNT("net.dropped");
+      continue;
+    }
+    ++delivered_;
+    OBS_COUNT("net.delivered");
+    it->second->OnDatagram(*this, dgram);
   }
-  return count;
-}
-
-int Network::DeliverUntil(SimTime deadline, int max) {
-  int count = 0;
-  while (!schedule_.empty() && count < max &&
-         schedule_.top().deliver_at <= deadline) {
-    Scheduled item = std::move(const_cast<Scheduled&>(schedule_.top()));
-    schedule_.pop();
-    ++count;
-    DeliverOne(std::move(item));
-  }
-  if (now_ < deadline) now_ = deadline;
   return count;
 }
 

@@ -1,15 +1,12 @@
 // The simulated LAN: endpoints addressed by IPv4 string, UDP-like
-// datagrams, a virtual-time delivery schedule and an opt-in traffic
-// capture. Single-threaded and deterministic.
+// datagrams delivered in send order, and an opt-in traffic capture.
+// Single-threaded and deterministic.
 //
-// Delivery is driven by a virtual clock, not a FIFO: every datagram is
-// scheduled for `now() + latency` (or an explicit deadline via SendAt) and
-// the network delivers strictly in (deliver_at, send-sequence) order,
-// advancing `now()` as it goes. With the default zero latency this reduces
-// exactly to the old send-order drain, so the single-victim scenarios keep
-// their behaviour; the fleet simulator leans on the schedule to interleave
-// thousands of in-flight exchanges (a lease can expire while a response is
-// still in the air — see DeliverUntil).
+// Send() appends to a FIFO and DeliverAll() drains it, datagrams sent
+// during delivery included, so a reply lands after every datagram already
+// in flight. The paper's chain (§III-D) is one lookup and one answer per
+// victim and needs no clock; the fleet simulator keeps its own virtual
+// time in fleet::EventQueue.
 //
 // Traffic capture is opt-in and ring-buffered: `log_` used to record every
 // datagram ever sent, which reads as tcpdump in the tests but is an OOM in
@@ -20,17 +17,12 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <queue>
 #include <string>
-#include <vector>
 
 #include "src/util/bytes.hpp"
 #include "src/util/status.hpp"
 
 namespace connlab::net {
-
-/// Virtual microseconds since the simulation epoch.
-using SimTime = std::uint64_t;
 
 struct Datagram {
   std::string src_ip;
@@ -59,69 +51,32 @@ class Network {
   void Attach(const std::string& ip, Endpoint* endpoint);
   void Detach(const std::string& ip);
 
-  /// Queues a datagram for delivery at now() + latency.
+  /// Queues a datagram behind every datagram already in flight.
   util::Status Send(Datagram dgram);
 
-  /// Queues a datagram for delivery at virtual time `deliver_at` (clamped
-  /// to now(): the past is not addressable).
-  util::Status SendAt(Datagram dgram, SimTime deliver_at);
-
-  /// One-way link latency applied by Send(). Zero (the default) keeps the
-  /// historical deliver-in-send-order behaviour.
-  void set_latency(SimTime latency) noexcept { latency_ = latency; }
-  [[nodiscard]] SimTime latency() const noexcept { return latency_; }
-
-  /// The virtual clock: the deadline of the last delivered datagram (or
-  /// the last DeliverUntil horizon, whichever is later).
-  [[nodiscard]] SimTime now() const noexcept { return now_; }
-
-  /// Delivers scheduled datagrams (including ones generated during
-  /// delivery) in deadline order until the schedule drains or `max`
-  /// deliveries. Returns deliveries made.
+  /// Delivers queued datagrams (including ones sent during delivery) in
+  /// send order until the queue drains or `max` deliveries. Returns
+  /// deliveries made.
   int DeliverAll(int max = 1000);
-
-  /// Delivers every datagram scheduled at or before `deadline`, then
-  /// advances now() to `deadline`. Returns deliveries made.
-  int DeliverUntil(SimTime deadline, int max = 1000000);
 
   [[nodiscard]] std::uint64_t delivered() const noexcept { return delivered_; }
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
-  [[nodiscard]] std::size_t pending() const noexcept { return schedule_.size(); }
+  [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
 
   /// Starts capturing sent datagrams into a ring buffer of at most
   /// `max_datagrams` entries (tcpdump for the tests). Off by default: a
   /// fleet campaign sends millions of datagrams and must not retain them.
   void EnableCapture(std::size_t max_datagrams = 4096);
-  void DisableCapture() noexcept { capture_ = false; }
   [[nodiscard]] bool capturing() const noexcept { return capture_; }
   /// The captured traffic, oldest first (empty unless EnableCapture'd).
   [[nodiscard]] const std::deque<Datagram>& log() const noexcept { return log_; }
 
  private:
-  struct Scheduled {
-    SimTime deliver_at = 0;
-    std::uint64_t seq = 0;  // tie-break: equal deadlines deliver in send order
-    Datagram dgram;
-  };
-  struct ScheduledAfter {
-    bool operator()(const Scheduled& a, const Scheduled& b) const noexcept {
-      if (a.deliver_at != b.deliver_at) return a.deliver_at > b.deliver_at;
-      return a.seq > b.seq;
-    }
-  };
-
-  util::Status Schedule(Datagram dgram, SimTime deliver_at);
-  void DeliverOne(Scheduled item);
-
   std::map<std::string, Endpoint*> endpoints_;
-  std::priority_queue<Scheduled, std::vector<Scheduled>, ScheduledAfter>
-      schedule_;
+  std::deque<Datagram> queue_;
   std::deque<Datagram> log_;
   bool capture_ = false;
   std::size_t capture_cap_ = 0;
-  SimTime now_ = 0;
-  SimTime latency_ = 0;
-  std::uint64_t next_seq_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;
 };

@@ -49,11 +49,6 @@ Result<std::uint8_t> ByteReader::ReadU8() {
   return data_[offset_++];
 }
 
-Result<std::uint8_t> ByteReader::PeekU8() const {
-  if (remaining() < 1) return Malformed("truncated: need 1 byte");
-  return data_[offset_];
-}
-
 Result<std::uint16_t> ByteReader::ReadU16BE() {
   if (remaining() < 2) return Malformed("truncated: need 2 bytes");
   std::uint16_t v = static_cast<std::uint16_t>(
@@ -116,11 +111,6 @@ void ByteWriter::WriteU32BE(std::uint32_t v) {
   out_.push_back(static_cast<std::uint8_t>((v >> 16) & 0xFF));
   out_.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
   out_.push_back(static_cast<std::uint8_t>(v & 0xFF));
-}
-
-void ByteWriter::WriteU16LE(std::uint16_t v) {
-  out_.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  out_.push_back(static_cast<std::uint8_t>(v >> 8));
 }
 
 void ByteWriter::WriteU32LE(std::uint32_t v) {

@@ -51,9 +51,6 @@ class ByteReader {
   Result<Bytes> ReadBytes(std::size_t count);
   Status Skip(std::size_t count);
 
-  /// Peek without consuming.
-  Result<std::uint8_t> PeekU8() const;
-
  private:
   ByteSpan data_;
   std::size_t offset_ = 0;
@@ -67,7 +64,6 @@ class ByteWriter {
   void WriteU8(std::uint8_t v);
   void WriteU16BE(std::uint16_t v);
   void WriteU32BE(std::uint32_t v);
-  void WriteU16LE(std::uint16_t v);
   void WriteU32LE(std::uint32_t v);
   void WriteBytes(ByteSpan data);
   void WriteString(std::string_view text);  // raw chars, no NUL

@@ -81,14 +81,6 @@ TEST(Cache, CapacityEvictsSoonestExpiry) {
   EXPECT_FALSE(cache.Lookup("b", 5).empty());
 }
 
-TEST(Cache, EvictExpired) {
-  Cache cache;
-  cache.Insert("a", {1, 2, 3, 4}, false, 10, 0);
-  cache.Insert("b", {1, 2, 3, 5}, false, 100, 0);
-  EXPECT_EQ(cache.EvictExpired(50), 1u);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
 // ------------------------------------------------------------- frame model --
 
 TEST(Frame, OffsetsMatchDocumentedGeometry) {

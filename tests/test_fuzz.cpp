@@ -372,8 +372,9 @@ TEST(Mutator, NeverTouchesFixedPrefix) {
   const std::size_t prefix = dns::kHeaderSize + 18 + 4;  // header + question
   MutationHint hint{prefix, /*dns=*/true, /*max_size=*/4096};
   Mutator mutator(util::Rng(99));
+  Bytes mutant;
   for (int i = 0; i < 500; ++i) {
-    const Bytes mutant = mutator.Mutate(seed, hint, seed);
+    mutator.MutateInto(seed, hint, seed, mutant);
     ASSERT_GE(mutant.size(), prefix);
     ASSERT_LE(mutant.size(), hint.max_size);
     for (std::size_t b = 0; b < prefix; ++b) {
@@ -390,7 +391,8 @@ TEST(Mutator, GrowLabelStaysWithin0x3F) {
   const std::size_t start = dns::kHeaderSize + 18 + 4;
   util::Rng rng(5);
   for (int i = 0; i < 200; ++i) {
-    const Bytes grown = Mutator::GrowLabel(seed, start, rng);
+    Bytes grown = seed;
+    Mutator::GrowLabel(grown, start, rng);
     ASSERT_GE(grown.size(), seed.size());
     // Every label length byte reachable from start stays <= 63.
     std::size_t pos = start;
@@ -409,7 +411,8 @@ TEST(Mutator, PlantCompressionPointerPlantsOne) {
   util::Rng rng(5);
   bool planted = false;
   for (int i = 0; i < 50 && !planted; ++i) {
-    const Bytes mutant = Mutator::PlantCompressionPointer(seed, start, rng);
+    Bytes mutant = seed;
+    Mutator::PlantCompressionPointer(mutant, start, rng);
     for (std::size_t pos = start; pos < mutant.size(); ++pos) {
       if ((mutant[pos] & dns::kCompressionFlags) == dns::kCompressionFlags) {
         planted = true;
@@ -420,10 +423,43 @@ TEST(Mutator, PlantCompressionPointerPlantsOne) {
   EXPECT_TRUE(planted);
 }
 
+TEST(Mutator, DuplicateLabelRunRepeatsWholeLabelsAfterThemselves) {
+  const Bytes seed = DnsSeed();
+  const std::size_t start = dns::kHeaderSize + 18 + 4;
+  // The label boundaries of the answer's owner name, fuzz.example.com.
+  const std::size_t bounds[] = {start, start + 5, start + 13, start + 17};
+  util::Rng rng(5);
+  Bytes scratch;
+  for (int i = 0; i < 200; ++i) {
+    Bytes mutant = seed;
+    Mutator::DuplicateLabelRun(mutant, start, rng, scratch);
+    ASSERT_GT(mutant.size(), seed.size()) << i;
+    ASSERT_TRUE(std::equal(seed.begin(), seed.begin() + start, mutant.begin()))
+        << i;
+    // The mutant is the seed with one run of whole labels repeated 1-4
+    // times right after itself.
+    bool matched = false;
+    for (std::size_t b = 0; b + 1 < std::size(bounds) && !matched; ++b) {
+      for (std::size_t e = b + 1; e < std::size(bounds) && !matched; ++e) {
+        const Bytes run(seed.begin() + bounds[b], seed.begin() + bounds[e]);
+        Bytes expected(seed.begin(), seed.begin() + bounds[e]);
+        for (int k = 1; k <= 4 && !matched; ++k) {
+          expected.insert(expected.end(), run.begin(), run.end());
+          Bytes whole = expected;
+          whole.insert(whole.end(), seed.begin() + bounds[e], seed.end());
+          matched = mutant == whole;
+        }
+      }
+    }
+    EXPECT_TRUE(matched) << i;
+  }
+}
+
 TEST(Mutator, BumpAnswerCountOnlyTouchesHeaderCount) {
   const Bytes seed = DnsSeed();
   util::Rng rng(5);
-  const Bytes bumped = Mutator::BumpAnswerCount(seed, rng);
+  Bytes bumped = seed;
+  Mutator::BumpAnswerCount(bumped, rng);
   ASSERT_EQ(bumped.size(), seed.size());
   for (std::size_t i = 0; i < seed.size(); ++i) {
     if (i == 6 || i == 7) continue;
@@ -439,8 +475,12 @@ TEST(Mutator, DeterministicForSameRngSeed) {
   MutationHint hint{12, true, 4096};
   Mutator a(util::Rng(77));
   Mutator b(util::Rng(77));
+  Bytes mutant_a;
+  Bytes mutant_b;
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(a.Mutate(seed, hint), b.Mutate(seed, hint)) << i;
+    a.MutateInto(seed, hint, {}, mutant_a);
+    b.MutateInto(seed, hint, {}, mutant_b);
+    EXPECT_EQ(mutant_a, mutant_b) << i;
   }
 }
 
@@ -595,16 +635,34 @@ TEST(Reproducer, StoredStopNumbersKeepTheirMeaning) {
 
 /// Numbers outside their field are refused, not cast: `stop: 300` would
 /// otherwise read as reason 44, and a pc past 32 bits would be truncated.
+/// So is a value the number parser does not consume whole (leading or
+/// trailing text, a sign, an empty value, overflow) and a flag other than
+/// 0 or 1.
 TEST(Reproducer, OutOfRangeNumbersAreRejected) {
   const std::pair<std::string_view, std::string_view> bad[] = {
       {"kind", "kind: 5"},
       {"kind", "kind: 256"},
       {"kind", "kind: -1"},
+      {"kind", "kind: x"},
       {"stop", "stop: 8"},  // the retired breakpoint reason
       {"stop", "stop: 11"},
       {"stop", "stop: 300"},
+      {"stop", "stop: y"},
       {"pc", "pc: 0x100000000"},
       {"pc", "pc: 99999999999999999999"},
+      {"pc", "pc: zz"},
+      {"pc", "pc: 0x10 junk"},
+      {"pc", "pc: 0x"},
+      {"boot_seed", "boot_seed: 12abc"},
+      {"boot_seed", "boot_seed: 18446744073709551616"},
+      {"boot_seed", "boot_seed: "},
+      {"boot_seed", "boot_seed: +7"},
+      {"boot_seed", "boot_seed:  7"},
+      {"patched", "patched: maybe"},
+      {"patched", "patched: 2"},
+      {"write_fault", "write_fault: 7"},
+      {"stack_hash", "stack_hash: -1"},
+      {"stack_hash", "stack_hash: 0x10000000000000000"},
   };
   for (const auto& [key, line] : bad) {
     SCOPED_TRACE(line);
@@ -612,6 +670,20 @@ TEST(Reproducer, OutOfRangeNumbersAreRejected) {
     ASSERT_FALSE(parsed.ok());
     EXPECT_EQ(parsed.status().code(), util::StatusCode::kMalformed);
   }
+}
+
+TEST(Reproducer, ExtremeValuesRoundTrip) {
+  TargetConfig config;
+  config.boot_seed = ~std::uint64_t{0};
+  CrashBucket bucket;
+  bucket.key = {ExecResult::Kind::kOther, vm::StopReason::kHeapCorruption,
+                0xFFFFFFFFu, true, ~std::uint64_t{0}};
+  bucket.witness = Bytes{0x41};
+  auto parsed = ParseReproducer(SerializeReproducer(config, bucket));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().config.boot_seed, config.boot_seed);
+  EXPECT_EQ(parsed.value().key, bucket.key);
+  EXPECT_EQ(parsed.value().input, bucket.witness);
 }
 
 // -------------------------------------------------------------- targets ----
@@ -1233,8 +1305,12 @@ TEST(Dictionary, AbsentDictionaryLeavesMutationStreamUnchanged) {
   MutationHint empty_dict{12, true, 4096, &empty};
   Mutator a(util::Rng(99));
   Mutator b(util::Rng(99));
+  Bytes mutant_a;
+  Bytes mutant_b;
   for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(a.Mutate(seed, no_dict), b.Mutate(seed, empty_dict)) << i;
+    a.MutateInto(seed, no_dict, {}, mutant_a);
+    b.MutateInto(seed, empty_dict, {}, mutant_b);
+    EXPECT_EQ(mutant_a, mutant_b) << i;
   }
 }
 
@@ -1244,8 +1320,9 @@ TEST(Dictionary, TokensGetSpliced) {
   MutationHint hint{12, false, 4096, &dict};
   Mutator mutator(util::Rng(5));
   bool seen = false;
+  Bytes mutant;
   for (int i = 0; i < 400 && !seen; ++i) {
-    const Bytes mutant = mutator.Mutate(seed, hint);
+    mutator.MutateInto(seed, hint, {}, mutant);
     for (std::size_t at = 0; at + 4 <= mutant.size(); ++at) {
       if (mutant[at] == 0xDE && mutant[at + 1] == 0xAD &&
           mutant[at + 2] == 0xBE && mutant[at + 3] == 0xEF) {

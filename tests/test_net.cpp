@@ -102,57 +102,20 @@ TEST(Network, CaptureRingBufferDropsOldest) {
   EXPECT_EQ(net.log()[1].payload, (util::Bytes{4}));
 }
 
-TEST(Network, VirtualTimeDeliversInDeadlineOrder) {
-  Network net;
-  Sink sink;
-  net.Attach("x", &sink);
-  ASSERT_TRUE(net.SendAt({"a", 1, "x", 2, {30}}, 300).ok());
-  ASSERT_TRUE(net.SendAt({"a", 1, "x", 2, {10}}, 100).ok());
-  ASSERT_TRUE(net.SendAt({"a", 1, "x", 2, {20}}, 200).ok());
-  EXPECT_EQ(net.DeliverAll(), 3);
-  ASSERT_EQ(sink.received.size(), 3u);
-  EXPECT_EQ(sink.received[0].payload, (util::Bytes{10}));
-  EXPECT_EQ(sink.received[1].payload, (util::Bytes{20}));
-  EXPECT_EQ(sink.received[2].payload, (util::Bytes{30}));
-  EXPECT_EQ(net.now(), 300u);  // clock advanced to the last deadline
-}
-
-TEST(Network, EqualDeadlinesDeliverInSendOrder) {
+TEST(Network, DeliversInSendOrder) {
   Network net;
   Sink sink;
   net.Attach("x", &sink);
   for (std::uint8_t i = 0; i < 5; ++i) {
-    ASSERT_TRUE(net.SendAt({"a", 1, "x", 2, {i}}, 50).ok());
+    ASSERT_TRUE(net.Send({"a", 1, "x", 2, {i}}).ok());
   }
-  net.DeliverAll();
+  EXPECT_EQ(net.pending(), 5u);
+  EXPECT_EQ(net.DeliverAll(), 5);
+  EXPECT_EQ(net.pending(), 0u);
   ASSERT_EQ(sink.received.size(), 5u);
   for (std::uint8_t i = 0; i < 5; ++i) {
     EXPECT_EQ(sink.received[i].payload, (util::Bytes{i}));
   }
-}
-
-TEST(Network, DeliverUntilLeavesFutureTrafficPending) {
-  Network net;
-  Sink sink;
-  net.Attach("x", &sink);
-  (void)net.SendAt({"a", 1, "x", 2, {1}}, 100);
-  (void)net.SendAt({"a", 1, "x", 2, {2}}, 900);
-  EXPECT_EQ(net.DeliverUntil(500), 1);
-  EXPECT_EQ(net.now(), 500u);
-  EXPECT_EQ(net.pending(), 1u);
-  EXPECT_EQ(net.DeliverUntil(900), 1);
-  EXPECT_EQ(net.pending(), 0u);
-}
-
-TEST(Network, LatencySchedulesSendsIntoTheFuture) {
-  Network net;
-  Sink sink;
-  net.Attach("x", &sink);
-  net.set_latency(250);
-  (void)net.Send({"a", 1, "x", 2, {1}});
-  EXPECT_EQ(net.DeliverUntil(249), 0);  // still in flight
-  EXPECT_EQ(net.DeliverUntil(250), 1);
-  ASSERT_EQ(sink.received.size(), 1u);
 }
 
 TEST(Dhcp, LeasesAreStableAndOptionsRefresh) {
@@ -218,7 +181,6 @@ TEST(Dhcp, LeaseExpiryMidExchangeDropsTheInFlightResponse) {
   // detaches) while the response is still in the air: the response must be
   // dropped, not delivered to a stale binding.
   Network net;
-  net.set_latency(10);
   Echo server;
   Sink victim;
   net.Attach("server", &server);
@@ -228,12 +190,12 @@ TEST(Dhcp, LeaseExpiryMidExchangeDropsTheInFlightResponse) {
   ASSERT_EQ(dhcp.Offer("victim", /*now=*/0).value().ip, "10.5.5.100");
 
   (void)net.Send({"10.5.5.100", 4000, "server", kDnsPort, {0xAA}});
-  net.DeliverUntil(10);  // query reaches the server; reply scheduled at t=20
-  ASSERT_EQ(net.pending(), 1u);
+  EXPECT_EQ(net.DeliverAll(/*max=*/1), 1);  // query reaches the server
+  ASSERT_EQ(net.pending(), 1u);             // its reply is in the air
 
   EXPECT_EQ(dhcp.ExpireLeases(15), 1u);  // lease lapses mid-exchange
   net.Detach("10.5.5.100");
-  net.DeliverUntil(30);
+  EXPECT_EQ(net.DeliverAll(), 1);
   EXPECT_TRUE(victim.received.empty());
   EXPECT_EQ(net.dropped(), 1u);
 }
