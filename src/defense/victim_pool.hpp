@@ -41,6 +41,10 @@ class VictimPool {
     bool shell = false;    // exploit got its shell (compromise)
     bool crashed = false;  // DoS: the device went down
     bool trapped = false;  // a mitigation fired (abort / CFI / parse reject)
+
+    /// The one reading of an outcome kind as shell, crash or trap; every
+    /// other kind (benign parse, exec, step limit) is none of the three.
+    static VolleyOutcome Of(connman::ProxyOutcome::Kind kind) noexcept;
   };
 
   /// Which guest daemon FireServiceVolley constructs over the lane. The
@@ -106,6 +110,14 @@ class VictimPool {
 
   util::Result<Lane*> GetLane(std::uint32_t variant,
                               const DefensePolicy& policy);
+
+  /// The one evaluate body: memo lookup on (lane, memo_id), lane restore,
+  /// one timed `deliver(system)` returning the outcome kind, memo insert.
+  template <typename Deliver>
+  util::Result<VolleyOutcome> Evaluate(std::uint32_t variant,
+                                       const DefensePolicy& policy,
+                                       std::uint64_t memo_id, bool bypass_memo,
+                                       Deliver deliver);
 
   Config config_;
   std::map<std::uint64_t, Lane> lanes_;

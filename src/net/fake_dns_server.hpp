@@ -5,17 +5,15 @@
 // FakeDnsServer is the paper's "simple Python DNS server" (§III,
 // Experimental Setup): on every query it "copies the relevant portions of
 // the query from the target machine's packet, inserts the proper flags,
-// and encodes the malicious code into the record response". Which
-// malicious code depends on the configured payload (an exploit technique,
-// a raw DoS name, or benign passthrough for staging).
+// and encodes the malicious code into the record response". The malicious
+// code is a crafted name — the exploit's label sequence the attacker armed
+// it with, or a raw DoS name — or, for staging, a benign forged address.
 #pragma once
 
 #include <map>
-#include <optional>
 #include <string>
 
 #include "src/dns/craft.hpp"
-#include "src/exploit/generator.hpp"
 #include "src/net/sim.hpp"
 
 namespace connlab::net {
@@ -43,10 +41,10 @@ class FakeDnsServer : public Endpoint {
   FakeDnsServer(std::string ip, Mode mode)
       : ip_(std::move(ip)), mode_(mode) {}
 
-  /// Arms the server with an exploit generator + technique (kExploit mode).
-  void Arm(exploit::TargetProfile profile, exploit::Technique technique) {
-    generator_.emplace(std::move(profile));
-    technique_ = technique;
+  /// Arms the server with the exploit's crafted name (kExploit mode): every
+  /// answer carries `labels` as its owner name.
+  void Arm(dns::LabelSeq labels) {
+    armed_ = std::move(labels);
     mode_ = Mode::kExploit;
   }
   void set_mode(Mode mode) noexcept { mode_ = mode; }
@@ -59,10 +57,12 @@ class FakeDnsServer : public Endpoint {
   [[nodiscard]] const std::string& last_error() const noexcept { return last_error_; }
 
  private:
+  /// The answer to `query` in the current mode.
+  util::Result<util::Bytes> Answer(const dns::Message& query) const;
+
   std::string ip_;
   Mode mode_;
-  std::optional<exploit::ExploitGenerator> generator_;
-  exploit::Technique technique_ = exploit::Technique::kDosCrash;
+  dns::LabelSeq armed_;  // the exploit name Arm installed
   std::uint64_t seen_ = 0;
   std::uint64_t sent_ = 0;
   std::string last_error_;

@@ -11,7 +11,6 @@
 #include <memory>
 #include <string>
 
-#include "src/exploit/generator.hpp"
 #include "src/net/access_point.hpp"
 #include "src/net/fake_dns_server.hpp"
 #include "src/net/sim.hpp"
@@ -28,10 +27,8 @@ class Pineapple {
   void PowerOn(Radio& radio, Network& net);
   void PowerOff(Radio& radio, Network& net);
 
-  /// Arms the embedded DNS server with an exploit.
-  void Arm(exploit::TargetProfile profile, exploit::Technique technique) {
-    dns_.Arm(std::move(profile), technique);
-  }
+  /// Arms the embedded DNS server with the exploit's crafted name.
+  void Arm(dns::LabelSeq labels) { dns_.Arm(std::move(labels)); }
   void set_dns_mode(FakeDnsServer::Mode mode) { dns_.set_mode(mode); }
 
   [[nodiscard]] AccessPoint& ap() noexcept { return ap_; }

@@ -86,7 +86,7 @@ TEST(Report, TableContainsEveryRow) {
 struct RemoteCase {
   Arch arch;
   ProtectionConfig prot;
-  const char* name;
+  std::size_t name;  // index into kRemoteNames (see kRemoteCases)
 };
 
 class PineappleTest : public ::testing::TestWithParam<RemoteCase> {};
@@ -105,15 +105,23 @@ TEST_P(PineappleTest, FullRemoteChainCompromisesDevice) {
 }
 
 // §III-D: the x86 feasibility check (basic stack smash over the MITM) and
-// all three ARM exploits delivered remotely.
+// all three ARM exploits delivered remotely. ctest lists each case by the
+// parameter's raw bytes, so the table is zero-filled at namespace scope and
+// holds no pointer, like kMatrixCases in tests/test_exploit.cpp.
+const char* const kRemoteNames[] = {"x86_smash", "arm_inject", "arm_wx",
+                                    "arm_wx_aslr"};
+const RemoteCase kRemoteCases[] = {
+    {Arch::kVX86, ProtectionConfig::None(), 0},
+    {Arch::kVARM, ProtectionConfig::None(), 1},
+    {Arch::kVARM, ProtectionConfig::WxOnly(), 2},
+    {Arch::kVARM, ProtectionConfig::WxAslr(), 3},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    RemoteAttacks, PineappleTest,
-    ::testing::Values(
-        RemoteCase{Arch::kVX86, ProtectionConfig::None(), "x86_smash"},
-        RemoteCase{Arch::kVARM, ProtectionConfig::None(), "arm_inject"},
-        RemoteCase{Arch::kVARM, ProtectionConfig::WxOnly(), "arm_wx"},
-        RemoteCase{Arch::kVARM, ProtectionConfig::WxAslr(), "arm_wx_aslr"}),
-    [](const auto& info) { return std::string(info.param.name); });
+    RemoteAttacks, PineappleTest, ::testing::ValuesIn(kRemoteCases),
+    [](const auto& info) {
+      return std::string(kRemoteNames[info.param.name]);
+    });
 
 TEST(PineappleScenario, PatchedFirmwareSurvivesTheChain) {
   ScenarioConfig config;

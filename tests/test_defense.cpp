@@ -6,11 +6,11 @@
 #include <string>
 #include <vector>
 
+#include "src/attack/battery.hpp"
 #include "src/attack/matrix.hpp"
 #include "src/attack/report.hpp"
 #include "src/attack/scenario.hpp"
 #include "src/defense/canary.hpp"
-#include "src/defense/diversity.hpp"
 #include "src/defense/mitigation.hpp"
 #include "src/loader/boot.hpp"
 
@@ -259,8 +259,8 @@ TEST_F(DefenseGridTest, ReportsCarryDefenseAndDiagnosis) {
 
 TEST(CanaryBruteForce, RecoversANarrowedGuard) {
   auto report =
-      defense::BruteForceCanary(Arch::kVX86, /*entropy_bits=*/4,
-                                /*target_seed=*/4242, /*max_attempts=*/16);
+      attack::BruteForceCanary(Arch::kVX86, /*entropy_bits=*/4,
+                               /*target_seed=*/4242, /*max_attempts=*/16);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report.value().recovered);
   EXPECT_TRUE(report.value().shell);  // the surviving volley is the exploit
@@ -270,15 +270,15 @@ TEST(CanaryBruteForce, RecoversANarrowedGuard) {
 
 TEST(CanaryBruteForce, AttemptBudgetIsHonoured) {
   auto report =
-      defense::BruteForceCanary(Arch::kVX86, /*entropy_bits=*/8,
-                                /*target_seed=*/4242, /*max_attempts=*/2);
+      attack::BruteForceCanary(Arch::kVX86, /*entropy_bits=*/8,
+                               /*target_seed=*/4242, /*max_attempts=*/2);
   ASSERT_TRUE(report.ok());
   EXPECT_LE(report.value().attempts, 2u);
 }
 
 TEST(CanaryBruteForce, FullWidthGuardIsRejected) {
   EXPECT_FALSE(
-      defense::BruteForceCanary(Arch::kVX86, 32, 4242, 100).ok());
+      attack::BruteForceCanary(Arch::kVX86, 32, 4242, 100).ok());
 }
 
 TEST(CanaryBruteForce, ExpectedCostDoublesPerBit) {
@@ -319,14 +319,14 @@ TEST(StochasticDiversity, BenignTrafficUnaffected) {
 
 TEST(StochasticDiversity, SurvivalMeasuredOverBoots) {
   // The stack-targeted injection rides through every re-randomised boot...
-  auto inject = defense::MeasureDiversityResistance(
+  auto inject = attack::MeasureDiversityResistance(
       Arch::kVX86, ProtectionConfig::None(), /*trials=*/6, /*seed0=*/100);
   ASSERT_TRUE(inject.ok()) << inject.status().ToString();
   EXPECT_EQ(inject.value().shells, inject.value().trials);
   EXPECT_DOUBLE_EQ(inject.value().survival_rate(), 1.0);
 
   // ...while the address-reuse exploit dies on (nearly) every layout.
-  auto ret2libc = defense::MeasureDiversityResistance(
+  auto ret2libc = attack::MeasureDiversityResistance(
       Arch::kVX86, ProtectionConfig::WxOnly(), /*trials=*/6, /*seed0=*/100);
   ASSERT_TRUE(ret2libc.ok()) << ret2libc.status().ToString();
   EXPECT_LT(ret2libc.value().shells, ret2libc.value().trials);
