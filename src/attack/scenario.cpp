@@ -48,6 +48,7 @@ std::optional<VolleyBattery> ArmAttacker(const ScenarioConfig& config,
   result->exploit_available = true;
   result->probes = battery.value().probes;
   result->payload_bytes = battery.value().volleys[0].payload_bytes;
+  result->labels = battery.value().volleys[0].labels;
   return std::move(battery).value();
 }
 
@@ -74,7 +75,6 @@ util::Result<AttackResult> RunControlledScenario(const ScenarioConfig& config) {
   std::optional<VolleyBattery> battery = ArmAttacker(config, &result);
   if (!battery) return result;
   const Volley& volley = battery->volleys[0];
-  result.labels = volley.labels;
   result.response_bytes = volley.response_wire.size();
 
   // The victim: a different boot (fresh ASLR draw, fresh canary).
@@ -158,6 +158,9 @@ util::Result<LureResult> RunLureScenario(const ScenarioConfig& config) {
   // the local zone and forwards anything under evil.example to its
   // "authoritative" server — which the attacker operates.
   net::Network network;
+  // As in the Pineapple scenario: the wire size reported is that of the
+  // response the victim processed, the last datagram of the exchange.
+  network.EnableCapture();
   net::Radio radio;
   net::ForwardingResolver resolver("192.168.1.53");
   resolver.AddRecord("updates.vendor.example", "93.184.216.34");
@@ -193,6 +196,8 @@ util::Result<LureResult> RunLureScenario(const ScenarioConfig& config) {
     return result;
   }
   Classify(config, victim.outcomes().back(), &result.attack);
+  result.attack.response_bytes =
+      network.log().empty() ? 0 : network.log().back().payload.size();
   return result;
 }
 

@@ -250,23 +250,23 @@ const char* const kDefenseGrid[] = {
 // ... plus benign_resolution_before | roamed_to_rogue | queries_intercepted.
 const char* const kPineapple[] = {
     "vx86 / none / connman 1.34 (vulnerable) | code-injection | none | "
-    "ROOT SHELL | - | 1 | 1092 | 0 | 1144 | 38 | 1 | 1 | 1",
+    "ROOT SHELL | - | 1 | 1092 | 18 | 1144 | 38 | 1 | 1 | 1",
     "varm / none / connman 1.34 (vulnerable) | code-injection | none | "
-    "ROOT SHELL | - | 9 | 1076 | 0 | 1128 | 13 | 1 | 1 | 1",
+    "ROOT SHELL | - | 9 | 1076 | 18 | 1128 | 13 | 1 | 1 | 1",
     "varm / W^X / connman 1.34 (vulnerable) | gadget-execlp | none | "
-    "ROOT SHELL | - | 9 | 1108 | 0 | 1160 | 5 | 1 | 1 | 1",
+    "ROOT SHELL | - | 9 | 1108 | 18 | 1160 | 5 | 1 | 1 | 1",
     "varm / W^X+ASLR / connman 1.34 (vulnerable) | rop-memcpy-chain | none | "
-    "ROOT SHELL | - | 9 | 1188 | 0 | 1240 | 19 | 1 | 1 | 1",
+    "ROOT SHELL | - | 9 | 1188 | 19 | 1240 | 19 | 1 | 1 | 1",
     "varm / W^X+ASLR / connman 1.35 (patched) | rop-memcpy-chain | none | "
-    "parse-error | patched-parser | 9 | 1188 | 0 | 1240 | 0 | 1 | 1 | 1",
+    "parse-error | patched-parser | 9 | 1188 | 19 | 1240 | 0 | 1 | 1 | 1",
 };
 
 // ... plus on_legitimate_network | forwarded.
 const char* const kLure[] = {
     "varm / W^X+ASLR / connman 1.34 (vulnerable) | rop-memcpy-chain | none | "
-    "ROOT SHELL | - | 9 | 1188 | 0 | 0 | 19 | 1 | 1",
+    "ROOT SHELL | - | 9 | 1188 | 19 | 1237 | 19 | 1 | 1",
     "varm / W^X+ASLR / connman 1.35 (patched) | rop-memcpy-chain | none | "
-    "parse-error | patched-parser | 9 | 1188 | 0 | 0 | 0 | 1 | 1",
+    "parse-error | patched-parser | 9 | 1188 | 19 | 1237 | 0 | 1 | 1",
 };
 
 TEST(PipelineGolden, SixAttackMatrix) {
