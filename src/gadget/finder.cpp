@@ -1,6 +1,6 @@
 #include "src/gadget/finder.hpp"
 
-#include <algorithm>
+#include <bit>
 
 #include "src/isa/disasm.hpp"
 
@@ -93,13 +93,20 @@ util::Result<Gadget> Finder::FindPopRet(int pop_count) const {
   if (arch_ != isa::Arch::kVX86) {
     return util::FailedPrecondition("pop...ret gadgets are a VX86 shape");
   }
-  for (const Gadget& gadget : FindAll(pop_count + 1)) {
-    if (static_cast<int>(gadget.instrs.size()) != pop_count + 1) continue;
-    bool all_pops = true;
-    for (int i = 0; i < pop_count; ++i) {
-      all_pops &= gadget.instrs[static_cast<std::size_t>(i)].op == isa::Op::kPop;
+  Gadget gadget;
+  for (std::size_t start = 0; start < text_.size(); ++start) {
+    gadget.instrs.clear();
+    std::size_t pos = start;
+    for (int n = 0; n <= pop_count; ++n) {
+      auto decoded = isa::Decode(arch_, text_, pos);
+      const isa::Op want = n < pop_count ? isa::Op::kPop : isa::Op::kRet;
+      if (!decoded.ok() || decoded.value().op != want) break;
+      gadget.instrs.push_back(decoded.value());
+      pos += decoded.value().length;
     }
-    if (all_pops && gadget.instrs.back().op == isa::Op::kRet) {
+    // Only the last of the pop_count + 1 instructions may be the ret.
+    if (!gadget.instrs.empty() && gadget.instrs.back().op == isa::Op::kRet) {
+      gadget.addr = text_base_ + static_cast<mem::GuestAddr>(start);
       return gadget;
     }
   }
@@ -112,22 +119,24 @@ util::Result<Gadget> Finder::FindPopRegsPc(std::uint16_t required_mask) const {
   }
   const std::uint16_t want =
       static_cast<std::uint16_t>(required_mask | (1u << isa::kPC));
-  const std::vector<Gadget> all = FindAll(1);
-  const Gadget* best = nullptr;
+  Gadget best;
   int best_pops = 17;
-  for (const Gadget& gadget : all) {
-    const isa::Instr& ins = gadget.instrs.front();
-    if (ins.op != isa::Op::kPop) continue;
-    if ((ins.reg_mask & want) != want) continue;
-    int pops = 0;
-    for (int i = 0; i < 16; ++i) pops += (ins.reg_mask >> i) & 1;
-    if (pops < best_pops) {
-      best = &gadget;
+  for (std::size_t start = 0; start < text_.size(); start += 4) {
+    auto decoded = isa::Decode(arch_, text_, start);
+    if (!decoded.ok()) continue;
+    const isa::Instr& ins = decoded.value();
+    if (ins.op != isa::Op::kPop || (ins.reg_mask & want) != want) continue;
+    const int pops = std::popcount(ins.reg_mask);
+    if (pops < best_pops) {  // strictly fewer: the earliest wins a tie
+      best.addr = text_base_ + static_cast<mem::GuestAddr>(start);
+      best.instrs.assign(1, ins);
       best_pops = pops;
     }
   }
-  if (best == nullptr) return util::NotFound("no covering pop {…, pc} gadget");
-  return *best;
+  if (best.instrs.empty()) {
+    return util::NotFound("no covering pop {…, pc} gadget");
+  }
+  return best;
 }
 
 util::Result<Gadget> Finder::FindBlx(std::uint8_t reg) const {

@@ -5,6 +5,10 @@
 // variable-length encoding yields unintended gadgets inside instruction
 // immediates (the same property real x86 tools exploit). On VARM the scan
 // is word-aligned, matching the fixed-width encoding.
+//
+// The shape queries scan .text once, in address order, and keep only their
+// answer: the first match, or for `FindPopRegsPc` the smallest covering
+// gadget, the earliest of equal size.
 #pragma once
 
 #include <string>
@@ -36,15 +40,17 @@ class Finder {
 
   // --- The specific shapes the paper's exploits need -----------------------
 
-  /// VX86: exactly `pop_count` pops followed by ret (the "pppr" shape).
+  /// VX86: exactly `pop_count` pops followed by ret (the "pppr" shape), at
+  /// the lowest address that has one.
   [[nodiscard]] util::Result<Gadget> FindPopRet(int pop_count) const;
 
   /// VARM: a `pop {mask, pc}` gadget whose mask covers `required_mask`
   /// (pc implied). Returns the *smallest* covering gadget so callers can
-  /// derive the frame layout from its actual mask.
+  /// derive the frame layout from its actual mask; of equal sizes, the one
+  /// at the lowest address.
   [[nodiscard]] util::Result<Gadget> FindPopRegsPc(std::uint16_t required_mask) const;
 
-  /// VARM: `blx <reg>`; the instructions following it (up to 2) are
+  /// VARM: the first `blx <reg>`; the instructions following it (up to 2) are
   /// included so the caller can see how control continues after the call
   /// returns (the paper's pop {r8, pc} tail).
   [[nodiscard]] util::Result<Gadget> FindBlx(std::uint8_t reg) const;

@@ -1,7 +1,9 @@
 #include "src/loader/connman_image.hpp"
 
 #include <functional>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/isa/assembler.hpp"
@@ -356,6 +358,86 @@ util::Result<util::Bytes> BuildRodata(Arch arch, Assembler& a) {
   return a.Finish();
 }
 
+/// One assembled section: where it was assembled, the bytes it holds and
+/// the labels defined in it.
+struct AssembledSection {
+  mem::GuestAddr base = 0;
+  util::Bytes bytes;
+  std::map<std::string, mem::GuestAddr> labels;
+};
+
+/// Assembles .text at the arch's fixed base (the image is not PIE, so ASLR
+/// never moves it). Only the diversity models read `prot` and `boot_seed`.
+util::Result<AssembledSection> AssembleText(Arch arch,
+                                            const ProtectionConfig& prot,
+                                            std::uint64_t boot_seed) {
+  const Layout l = DefaultLayout(arch);
+  Assembler a(arch, l.text_base);
+  AssembledSection text;
+  text.base = l.text_base;
+  CONNLAB_ASSIGN_OR_RETURN(text.bytes,
+                           arch == Arch::kVX86
+                               ? BuildTextVX86(l, a, prot, boot_seed)
+                               : BuildTextVARM(l, a, prot, boot_seed));
+  if (text.bytes.size() > l.text_size) {
+    return util::ResourceExhausted("generated .text exceeds the segment");
+  }
+  text.labels = std::move(a).TakeLabels();
+  return text;
+}
+
+util::Result<AssembledSection> AssembleRodata(Arch arch) {
+  const Layout l = DefaultLayout(arch);
+  Assembler a(arch, l.rodata_base);
+  AssembledSection rodata;
+  rodata.base = l.rodata_base;
+  CONNLAB_ASSIGN_OR_RETURN(rodata.bytes, BuildRodata(arch, a));
+  if (rodata.bytes.size() > l.rodata_size) {
+    return util::ResourceExhausted("generated .rodata exceeds the segment");
+  }
+  rodata.labels = std::move(a).TakeLabels();
+  return rodata;
+}
+
+/// The .text every undiversified boot of an arch loads, and the .rodata
+/// every boot of it loads.
+struct CanonicalImage {
+  AssembledSection text;
+  AssembledSection rodata;
+};
+
+util::Result<CanonicalImage> BuildCanonicalImage(Arch arch) {
+  CanonicalImage image;
+  CONNLAB_ASSIGN_OR_RETURN(image.text,
+                           AssembleText(arch, ProtectionConfig::None(), 0));
+  CONNLAB_ASSIGN_OR_RETURN(image.rodata, AssembleRodata(arch));
+  return image;
+}
+
+/// Built on first use, once per arch and process, and never changed after:
+/// function-local statics are initialised exactly once even when fuzz
+/// workers or fleet sweep threads boot at the same time.
+const util::Result<CanonicalImage>& Canonical(Arch arch) {
+  if (arch == Arch::kVX86) {
+    static const util::Result<CanonicalImage> vx86 =
+        BuildCanonicalImage(Arch::kVX86);
+    return vx86;
+  }
+  static const util::Result<CanonicalImage> varm =
+      BuildCanonicalImage(Arch::kVARM);
+  return varm;
+}
+
+/// Copies `section` into the mapped segment and imports its labels.
+util::Status LoadSection(System& sys, const char* name,
+                         const AssembledSection& section) {
+  CONNLAB_RETURN_IF_ERROR(sys.space.DebugWrite(section.base, section.bytes));
+  CONNLAB_RETURN_IF_ERROR(sys.symbols.Import(section.labels));
+  sys.sections.push_back(
+      {name, section.base, static_cast<std::uint32_t>(section.bytes.size())});
+  return util::OkStatus();
+}
+
 }  // namespace
 
 util::Status LoadConnmanImage(System& sys) {
@@ -374,31 +456,19 @@ util::Status LoadConnmanImage(System& sys) {
   const mem::Perm heap_perm = sys.prot.wx ? mem::kPermRW : mem::kPermRWX;
   CONNLAB_RETURN_IF_ERROR(space.Map("heap", l.heap_base, l.heap_size, heap_perm));
 
-  // .text
-  Assembler text_asm(sys.arch, l.text_base);
-  CONNLAB_ASSIGN_OR_RETURN(
-      util::Bytes text,
-      sys.arch == Arch::kVX86
-          ? BuildTextVX86(l, text_asm, sys.prot, sys.boot_seed)
-          : BuildTextVARM(l, text_asm, sys.prot, sys.boot_seed));
-  if (text.size() > l.text_size) {
-    return util::ResourceExhausted("generated .text exceeds the segment");
+  const util::Result<CanonicalImage>& canonical = Canonical(sys.arch);
+  CONNLAB_RETURN_IF_ERROR(canonical.status());
+  if (sys.prot.diversity || sys.prot.stochastic_diversity) {
+    CONNLAB_ASSIGN_OR_RETURN(
+        AssembledSection text,
+        AssembleText(sys.arch, sys.prot, sys.boot_seed));
+    CONNLAB_RETURN_IF_ERROR(LoadSection(sys, ".text", text));
+  } else {
+    CONNLAB_RETURN_IF_ERROR(
+        LoadSection(sys, ".text", canonical.value().text));
   }
-  CONNLAB_RETURN_IF_ERROR(space.DebugWrite(l.text_base, text));
-  CONNLAB_RETURN_IF_ERROR(sys.symbols.Import(text_asm.labels()));
-  sys.sections.push_back(
-      {".text", l.text_base, static_cast<std::uint32_t>(text.size())});
-
-  // .rodata
-  Assembler ro_asm(sys.arch, l.rodata_base);
-  CONNLAB_ASSIGN_OR_RETURN(util::Bytes rodata, BuildRodata(sys.arch, ro_asm));
-  if (rodata.size() > l.rodata_size) {
-    return util::ResourceExhausted("generated .rodata exceeds the segment");
-  }
-  CONNLAB_RETURN_IF_ERROR(space.DebugWrite(l.rodata_base, rodata));
-  CONNLAB_RETURN_IF_ERROR(sys.symbols.Import(ro_asm.labels()));
-  sys.sections.push_back(
-      {".rodata", l.rodata_base, static_cast<std::uint32_t>(rodata.size())});
+  CONNLAB_RETURN_IF_ERROR(
+      LoadSection(sys, ".rodata", canonical.value().rodata));
 
   // GOT slots (resolved when libc loads).
   CONNLAB_RETURN_IF_ERROR(sys.symbols.Define("got.memcpy", l.got_base + 0));

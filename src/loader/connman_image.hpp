@@ -4,7 +4,17 @@
 // The image is byte-for-byte deterministic per architecture — exploit
 // profiles extracted on one boot stay valid on the next, just as the
 // paper's authors reused gdb-derived addresses across runs (the binary is
-// not PIE). The .text is populated with:
+// not PIE, so ASLR moves only libc and the stack). What keys the image:
+//   * .rodata and its symbols: the arch alone;
+//   * .text and its symbols: the arch, unless a diversity model shuffles
+//     the blocks — compile-time diversity adds `diversity_build`, and
+//     stochastic diversity adds the boot seed.
+// Each arch's canonical image (.text undiversified, and .rodata) is
+// assembled once per process, on first use, and never changes after; each
+// boot copies its bytes and imports its symbols. Diversified boots assemble
+// their own .text and take the canonical .rodata.
+//
+// The .text is populated with:
 //   * entry labels for the parser routines the DnsProxy hosts natively
 //     (connman.parse_response / get_name / parse_rr);
 //   * PLT stubs + GOT slots for memcpy / execlp / __strcpy_chk — note there

@@ -1,6 +1,7 @@
 #include "src/loader/image.hpp"
 
 #include <cstdio>
+#include <iterator>
 
 namespace connlab::loader {
 
@@ -12,10 +13,16 @@ util::Status SymbolTable::Define(const std::string& name, mem::GuestAddr addr) {
 }
 
 util::Status SymbolTable::Import(
-    const std::map<std::string, mem::GuestAddr>& labels,
-    const std::string& prefix) {
+    const std::map<std::string, mem::GuestAddr>& labels) {
+  // Both maps are sorted by name, so each label belongs just after the one
+  // imported before it: a hinted insert there takes constant time.
+  auto hint = symbols_.begin();
   for (const auto& [name, addr] : labels) {
-    CONNLAB_RETURN_IF_ERROR(Define(prefix + name, addr));
+    const std::size_t before = symbols_.size();
+    hint = std::next(symbols_.emplace_hint(hint, name, addr));
+    if (symbols_.size() == before) {
+      return util::AlreadyExists("symbol redefined: " + name);
+    }
   }
   return util::OkStatus();
 }

@@ -21,9 +21,8 @@ namespace connlab::loader {
 class SymbolTable {
  public:
   util::Status Define(const std::string& name, mem::GuestAddr addr);
-  /// Bulk import (e.g. an Assembler's label map), with an optional prefix.
-  util::Status Import(const std::map<std::string, mem::GuestAddr>& labels,
-                      const std::string& prefix = "");
+  /// Bulk import of an Assembler's label map.
+  util::Status Import(const std::map<std::string, mem::GuestAddr>& labels);
 
   [[nodiscard]] util::Result<mem::GuestAddr> Lookup(const std::string& name) const;
   [[nodiscard]] bool Has(const std::string& name) const noexcept {
@@ -32,10 +31,6 @@ class SymbolTable {
   /// Reverse lookup: the symbol at or immediately below `addr`, rendered as
   /// "name" or "name+0x12" — what a debugger shows in a backtrace.
   [[nodiscard]] std::string Describe(mem::GuestAddr addr) const;
-
-  [[nodiscard]] const std::map<std::string, mem::GuestAddr>& all() const noexcept {
-    return symbols_;
-  }
 
  private:
   std::map<std::string, mem::GuestAddr> symbols_;
