@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -61,6 +63,89 @@ TEST(EventQueue, TimeNeverRunsBackwards) {
   queue.Push({10, Event::Kind::kJoin, 2});  // scheduled "in the past"
   (void)queue.Pop();
   EXPECT_EQ(queue.now(), 50u);
+}
+
+/// The order the fleet's digests were recorded under: a binary heap over
+/// (deadline, push order), with now() the latest deadline popped so far.
+class ReferenceQueue {
+ public:
+  void Push(const Event& event) { heap_.push({event, next_seq_++}); }
+  Event Pop() {
+    const Event event = heap_.top().event;
+    heap_.pop();
+    now_ = std::max(now_, event.at);
+    return event;
+  }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
+  [[nodiscard]] fleet::SimTime now() const { return now_; }
+
+ private:
+  struct Entry {
+    Event event;
+    std::uint64_t seq;
+  };
+  struct After {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.event.at != b.event.at) return a.event.at > b.event.at;
+      return a.seq > b.seq;
+    }
+  };
+  std::priority_queue<Entry, std::vector<Entry>, After> heap_;
+  std::uint64_t next_seq_ = 0;
+  fleet::SimTime now_ = 0;
+};
+
+TEST(EventQueue, MatchesReferenceOnRandomSchedule) {
+  EventQueue queue;
+  ReferenceQueue reference;
+  util::Rng rng(2024);
+  std::uint32_t next_client = 0;
+  const auto expect_same_pop = [&](int op) {
+    const Event got = queue.Pop();
+    const Event want = reference.Pop();
+    ASSERT_EQ(got.client, want.client) << "op " << op;
+    ASSERT_EQ(got.at, want.at) << "op " << op;
+    ASSERT_EQ(static_cast<int>(got.kind), static_cast<int>(want.kind))
+        << "op " << op;
+  };
+  for (int op = 0; op < 200000; ++op) {
+    // Phases that mostly push alternate with phases that mostly pop, so
+    // the queue grows to thousands of events and drains empty again.
+    const std::uint64_t pop_pct = (op / 10000) % 2 == 0 ? 35 : 70;
+    if (!reference.empty() && rng.NextBelow(100) < pop_pct) {
+      expect_same_pop(op);
+      if (HasFatalFailure()) return;
+    } else {
+      const fleet::SimTime now = reference.now();
+      // Deadlines: ties with the clock, runs of equal deadlines, the lease
+      // TTL's reach, either side of 1,024 ahead, the past, the initial
+      // seating's reach, and far beyond all of them.
+      fleet::SimTime at = now;
+      switch (rng.NextBelow(7)) {
+        case 0: break;
+        case 1: at += rng.NextBelow(4); break;
+        case 2: at += rng.NextBelow(600); break;
+        case 3: at += 1016 + rng.NextBelow(16); break;
+        case 4: at -= std::min(now, rng.NextBelow(64)); break;
+        case 5: at += 1024 + rng.NextBelow(8192); break;
+        default: at += rng.NextBelow(1ull << 40); break;
+      }
+      const Event event{at, static_cast<Event::Kind>(rng.NextBelow(5)),
+                        next_client++};
+      queue.Push(event);
+      reference.Push(event);
+    }
+    ASSERT_EQ(queue.size(), reference.size()) << "op " << op;
+    ASSERT_EQ(queue.empty(), reference.empty()) << "op " << op;
+    ASSERT_EQ(queue.now(), reference.now()) << "op " << op;
+  }
+  while (!reference.empty()) {
+    expect_same_pop(-1);
+    if (HasFatalFailure()) return;
+    ASSERT_EQ(queue.now(), reference.now());
+  }
+  EXPECT_TRUE(queue.empty());
 }
 
 // ---------------------------------------------------------- population ----
@@ -371,6 +456,142 @@ TEST(FleetCampaign, RejectsBadConfigs) {
   config = SmallCampaign();
   config.profiled_variant = 4;  // outside 2^2 variants
   EXPECT_FALSE(fleet::RunFleetCampaign(config).ok());
+}
+
+// ------------------------------------------------------------ goldens ----
+
+// Every count of ten campaigns, recorded from the binary-heap event queue
+// and the ordered DHCP lease map. Replaying a campaign twice cannot tell a
+// correct queue from one that reorders events the same way every time;
+// these recorded values can.
+struct FleetGoldenRow {
+  std::uint64_t digest;
+  fleet::SimTime sim_end_us;
+  // joins, join_retries, renews, roams, leaves, lease_expiries
+  std::uint64_t lifecycle[6];
+  // queries, cache_hits, cache_misses, cache_evictions
+  std::uint64_t traffic[4];
+  // deliveries, compromised, crashed, trapped, canaries_defeated,
+  // brute_responses
+  std::uint64_t attack[6];
+  // pool: lanes, restores, evaluations, memo_hits
+  std::uint64_t pool[4];
+};
+
+void ExpectGolden(const FleetConfig& config, const FleetGoldenRow& want) {
+  auto result = fleet::RunFleetCampaign(config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const FleetResult& r = result.value();
+  EXPECT_EQ(r.victims, config.victims);
+  EXPECT_EQ(r.digest, want.digest);
+  EXPECT_EQ(r.sim_end_us, want.sim_end_us);
+  EXPECT_EQ(r.joins, want.lifecycle[0]);
+  EXPECT_EQ(r.join_retries, want.lifecycle[1]);
+  EXPECT_EQ(r.renews, want.lifecycle[2]);
+  EXPECT_EQ(r.roams, want.lifecycle[3]);
+  EXPECT_EQ(r.leaves, want.lifecycle[4]);
+  EXPECT_EQ(r.lease_expiries, want.lifecycle[5]);
+  EXPECT_EQ(r.queries, want.traffic[0]);
+  EXPECT_EQ(r.cache_hits, want.traffic[1]);
+  EXPECT_EQ(r.cache_misses, want.traffic[2]);
+  EXPECT_EQ(r.cache_evictions, want.traffic[3]);
+  EXPECT_EQ(r.deliveries, want.attack[0]);
+  EXPECT_EQ(r.compromised, want.attack[1]);
+  EXPECT_EQ(r.crashed, want.attack[2]);
+  EXPECT_EQ(r.trapped, want.attack[3]);
+  EXPECT_EQ(r.canaries_defeated, want.attack[4]);
+  EXPECT_EQ(r.brute_responses, want.attack[5]);
+  EXPECT_EQ(r.pool.lanes, want.pool[0]);
+  EXPECT_EQ(r.pool.restores, want.pool[1]);
+  EXPECT_EQ(r.pool.evaluations, want.pool[2]);
+  EXPECT_EQ(r.pool.memo_hits, want.pool[3]);
+}
+
+/// Runs one bug class at diversity 0, 4 and 8 against its recorded rows.
+/// 20,000 victims outlast the initial seating of 4,096 clients, and a pool
+/// of as many addresses as live sessions runs dry while the leases of
+/// shelled and crashed devices wait to lapse, so joins retry.
+void ExpectGoldenSweep(fleet::BugClass bug_class,
+                       const FleetGoldenRow (&rows)[3]) {
+  for (int i = 0; i < 3; ++i) {
+    FleetConfig config;
+    config.victims = 20000;
+    config.seed = 42;
+    config.bug_class = bug_class;
+    config.population.diversity_bits = 4 * i;
+    config.ap.dhcp_pool = 4096;
+    SCOPED_TRACE("diversity_bits " +
+                 std::to_string(config.population.diversity_bits));
+    ExpectGolden(config, rows[i]);
+  }
+}
+
+TEST(FleetGolden, StackSmashMatchesRecordedCampaigns) {
+  static constexpr FleetGoldenRow kRows[3] = {
+      {0xdcd0af819bf6d9b3ull, 9500, {20389, 1980, 2526, 389, 8015, 11985},
+       {90696, 50410, 17702, 17446},
+       {22584, 11985, 0, 10599, 1311, 167808},
+       {16, 20405, 16, 23879}},
+      {0x9d0cd9661347d2aeull, 9146, {20416, 2038, 2570, 416, 8038, 11960},
+       {90232, 50059, 17652, 17396},
+       {22521, 783, 11179, 10559, 1312, 167936},
+       {44, 20446, 30, 23803}},
+      {0x9e95c580041553f2ull, 9146, {20416, 2038, 2570, 416, 8038, 11960},
+       {90232, 50059, 17652, 17396},
+       {22521, 43, 11919, 10559, 1312, 167936},
+       {279, 20441, 25, 23808}},
+  };
+  ExpectGoldenSweep(fleet::BugClass::kStackSmash, kRows);
+}
+
+TEST(FleetGolden, PointerLoopMatchesRecordedCampaigns) {
+  static constexpr FleetGoldenRow kRows[3] = {
+      {0xb9586cdd73cfd19dull, 9182, {20201, 5880, 669, 201, 3880, 16118},
+       {64965, 36099, 12746, 12490},
+       {16120, 0, 16120, 0, 0, 0},
+       {16, 20217, 16, 16104}},
+      {0x58f923956c8bfebdull, 9118, {20202, 6069, 675, 202, 3854, 16144},
+       {64276, 35595, 12535, 12279},
+       {16146, 0, 16146, 0, 0, 0},
+       {44, 20232, 30, 16116}},
+      {0x58f923956c8bfebdull, 9118, {20202, 6069, 675, 202, 3854, 16144},
+       {64276, 35595, 12535, 12279},
+       {16146, 0, 16146, 0, 0, 0},
+       {279, 20227, 25, 16121}},
+  };
+  ExpectGoldenSweep(fleet::BugClass::kPointerLoop, kRows);
+}
+
+TEST(FleetGolden, HeapMetadataMatchesRecordedCampaigns) {
+  static constexpr FleetGoldenRow kRows[3] = {
+      {0x17911090d6fb31ddull, 9182, {20313, 3733, 1761, 313, 6322, 13676},
+       {80083, 44457, 15713, 15457},
+       {19913, 0, 13678, 6235, 0, 0},
+       {16, 20329, 16, 19897}},
+      {0x29401d0459f6bbf3ull, 9174, {20332, 3665, 1772, 332, 6326, 13672},
+       {79969, 44415, 15561, 15305},
+       {19993, 0, 13674, 6319, 0, 0},
+       {44, 20362, 30, 19963}},
+      {0x29401d0459f6bbf3ull, 9174, {20332, 3665, 1772, 332, 6326, 13672},
+       {79969, 44415, 15561, 15305},
+       {19993, 0, 13674, 6319, 0, 0},
+       {279, 20357, 25, 19968}},
+  };
+  ExpectGoldenSweep(fleet::BugClass::kHeapMetadata, kRows);
+}
+
+TEST(FleetGolden, TightDhcpPoolMatchesRecordedCampaign) {
+  // DhcpChurnRecyclesABoundedPool's config: 24 addresses for 40 sessions.
+  FleetConfig config = SmallCampaign();
+  config.victims = 300;
+  config.max_concurrent = 40;
+  config.ap.dhcp_pool = 24;
+  ExpectGolden(config, {0xe9d473943c7e70c6ull,
+                        9500,
+                        {309, 1038, 34, 9, 112, 188},
+                        {1355, 756, 256, 0},
+                        {343, 57, 131, 155, 27, 3456},
+                        {23, 330, 21, 349}});
 }
 
 // -------------------------------------------------------------- report ----

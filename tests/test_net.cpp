@@ -176,6 +176,24 @@ TEST(Dhcp, ExpireLeasesLapsesOnlyDueLeases) {
   EXPECT_EQ(dhcp.ExpireLeases(150), 0u);
 }
 
+TEST(Dhcp, ExpireLeasesFreesAddressesInClientIdOrder) {
+  // Lapsed addresses return to the free list in client-id string order
+  // ("c1" < "c10" < "c2"), and the free list hands out the last address
+  // returned first. The leases are taken in an order that is neither
+  // client-id order nor its reverse, so a sweep that freed them in the
+  // order they were taken, or backwards, would hand them out differently.
+  DhcpServer dhcp("10.6.6", "10.6.6.1", "10.6.6.53", /*pool_size=*/8);
+  dhcp.set_lease_ttl(10);
+  ASSERT_EQ(dhcp.Offer("c10", /*now=*/0).value().ip, "10.6.6.100");
+  ASSERT_EQ(dhcp.Offer("c2", /*now=*/0).value().ip, "10.6.6.101");
+  ASSERT_EQ(dhcp.Offer("c1", /*now=*/0).value().ip, "10.6.6.102");
+  EXPECT_EQ(dhcp.ExpireLeases(10), 3u);
+  EXPECT_EQ(dhcp.active_leases(), 0u);
+  EXPECT_EQ(dhcp.Offer("n1", /*now=*/10).value().ip, "10.6.6.101");
+  EXPECT_EQ(dhcp.Offer("n2", /*now=*/10).value().ip, "10.6.6.100");
+  EXPECT_EQ(dhcp.Offer("n3", /*now=*/10).value().ip, "10.6.6.102");
+}
+
 TEST(Dhcp, LeaseExpiryMidExchangeDropsTheInFlightResponse) {
   // A victim sends a query upstream, but its lease lapses (and the device
   // detaches) while the response is still in the air: the response must be
