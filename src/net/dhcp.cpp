@@ -1,5 +1,7 @@
 #include "src/net/dhcp.hpp"
 
+#include <algorithm>
+
 namespace connlab::net {
 
 DhcpServer::DhcpServer(std::string prefix, std::string gateway,
@@ -33,8 +35,7 @@ util::Result<DhcpLease> DhcpServer::Offer(const std::string& client_id,
   lease.gateway = gateway_;
   lease.dns_server = dns_server_;
   lease.expires_at = lease_ttl_ == 0 ? 0 : now + lease_ttl_;
-  leases_[client_id] = lease;
-  return lease;
+  return leases_.emplace(client_id, std::move(lease)).first->second;
 }
 
 void DhcpServer::Release(const std::string& client_id) {
@@ -45,17 +46,20 @@ void DhcpServer::Release(const std::string& client_id) {
 }
 
 std::size_t DhcpServer::ExpireLeases(std::uint64_t now) {
-  std::size_t lapsed = 0;
-  for (auto it = leases_.begin(); it != leases_.end();) {
+  std::vector<decltype(leases_)::iterator> lapsed;
+  for (auto it = leases_.begin(); it != leases_.end(); ++it) {
     if (it->second.expires_at != 0 && it->second.expires_at <= now) {
-      free_ips_.push_back(std::move(it->second.ip));
-      it = leases_.erase(it);
-      ++lapsed;
-    } else {
-      ++it;
+      lapsed.push_back(it);
     }
   }
-  return lapsed;
+  // Client-id order, not the hash table's, decides the free list's order.
+  std::sort(lapsed.begin(), lapsed.end(),
+            [](const auto& a, const auto& b) { return a->first < b->first; });
+  for (const auto& it : lapsed) {
+    free_ips_.push_back(std::move(it->second.ip));
+    leases_.erase(it);
+  }
+  return lapsed.size();
 }
 
 }  // namespace connlab::net

@@ -7,11 +7,17 @@
 // Release() returns an address to a free list so a churning population can
 // cycle through a bounded pool, and a released address is handed to the
 // next client that asks — the renumbering case the churn tests cover.
+//
+// Leases live in a hash map keyed by client id. Its iteration order never
+// reaches an output: ExpireLeases returns lapsed addresses to the free list
+// in client-id string order ("c10" before "c2"), and the free list is
+// last in, first out, so which client gets which address depends on the
+// ids alone.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/util/status.hpp"
@@ -42,7 +48,8 @@ class DhcpServer {
   /// returning client usually renumbers. No-op for unknown clients.
   void Release(const std::string& client_id);
 
-  /// Expires every lease with expires_at <= now; returns how many lapsed.
+  /// Expires every lease with expires_at <= now, freeing the addresses in
+  /// client-id order; returns how many lapsed.
   std::size_t ExpireLeases(std::uint64_t now);
 
   /// Lease lifetime in virtual time units; 0 (the default) never expires.
@@ -68,7 +75,7 @@ class DhcpServer {
   std::uint64_t lease_ttl_ = 0;
   std::uint64_t exhaustions_ = 0;
   std::vector<std::string> free_ips_;  // released addresses, reused LIFO
-  std::map<std::string, DhcpLease> leases_;
+  std::unordered_map<std::string, DhcpLease> leases_;
 };
 
 }  // namespace connlab::net
