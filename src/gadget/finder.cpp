@@ -3,6 +3,7 @@
 #include <bit>
 
 #include "src/isa/disasm.hpp"
+#include "src/isa/vx86.hpp"
 
 namespace connlab::gadget {
 
@@ -66,6 +67,12 @@ std::vector<Gadget> Finder::FindAll(int max_instrs) const {
   std::vector<Gadget> out;
   const std::size_t step = arch_ == isa::Arch::kVARM ? 4 : 1;
   for (std::size_t start = 0; start < text_.size(); start += step) {
+    // About half of VX86's byte offsets hold no opcode; skip them before
+    // Decode builds an error Status for each.
+    if (arch_ == isa::Arch::kVX86 &&
+        isa::vx86::InstrLength(text_[start]) == 0) {
+      continue;
+    }
     Gadget gadget;
     gadget.addr = text_base_ + static_cast<mem::GuestAddr>(start);
     std::size_t pos = start;
@@ -95,6 +102,7 @@ util::Result<Gadget> Finder::FindPopRet(int pop_count) const {
   }
   Gadget gadget;
   for (std::size_t start = 0; start < text_.size(); ++start) {
+    if (isa::vx86::InstrLength(text_[start]) == 0) continue;  // no opcode
     gadget.instrs.clear();
     std::size_t pos = start;
     for (int n = 0; n <= pop_count; ++n) {
