@@ -1,5 +1,6 @@
 #include "src/defense/victim_pool.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "src/adapt/camstored.hpp"
@@ -21,30 +22,32 @@ std::uint64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
 util::Result<VictimPool::Lane*> VictimPool::GetLane(
     std::uint32_t variant, const DefensePolicy& policy) {
   const std::uint64_t key = LaneKey(variant, policy);
-  auto it = lanes_.find(key);
-  if (it == lanes_.end()) {
-    CONNLAB_ASSIGN_OR_RETURN(
-        auto sys, policy.BootHardened(
-                      config_.arch, config_.base,
-                      config_.seed0 + static_cast<std::uint64_t>(variant)));
-    Lane lane;
-    lane.sys = std::move(sys);
-    lane.snap = loader::TakeSnapshot(*lane.sys);
-    it = lanes_.emplace(key, std::move(lane)).first;
-    ++stats_.lanes;
-    OBS_COUNT("fleet.lanes_booted");
-  }
-  return &it->second;
+  if (Lane** lane = lane_index_.Find(key)) return *lane;
+  CONNLAB_ASSIGN_OR_RETURN(
+      auto sys, policy.BootHardened(
+                    config_.arch, config_.base,
+                    config_.seed0 + static_cast<std::uint64_t>(variant)));
+  Lane& lane = lanes_.emplace_back();
+  lane.sys = std::move(sys);
+  lane.snap = loader::TakeSnapshot(*lane.sys);
+  lane_index_.Insert(key, &lane);
+  ++stats_.lanes;
+  OBS_COUNT("fleet.lanes_booted");
+  return &lane;
+}
+
+util::Status VictimPool::Restore(Lane& lane) {
+  const auto start = std::chrono::steady_clock::now();
+  CONNLAB_RETURN_IF_ERROR(loader::RestoreSnapshot(*lane.sys, lane.snap));
+  OBS_HISTOGRAM("loader.restore_cost", ElapsedNs(start));
+  ++stats_.restores;
+  return util::OkStatus();
 }
 
 util::Status VictimPool::BootVictim(std::uint32_t variant,
                                     const DefensePolicy& policy) {
   CONNLAB_ASSIGN_OR_RETURN(Lane * lane, GetLane(variant, policy));
-  const auto start = std::chrono::steady_clock::now();
-  CONNLAB_RETURN_IF_ERROR(loader::RestoreSnapshot(*lane->sys, lane->snap));
-  OBS_HISTOGRAM("loader.restore_cost", ElapsedNs(start));
-  ++stats_.restores;
-  return util::OkStatus();
+  return Restore(*lane);
 }
 
 VictimPool::VolleyOutcome VictimPool::VolleyOutcome::Of(
@@ -63,17 +66,17 @@ template <typename Deliver>
 util::Result<VictimPool::VolleyOutcome> VictimPool::Evaluate(
     std::uint32_t variant, const DefensePolicy& policy, std::uint64_t memo_id,
     bool bypass_memo, Deliver deliver) {
-  const auto memo_key = std::make_pair(LaneKey(variant, policy), memo_id);
-  if (!bypass_memo) {
-    auto hit = memo_.find(memo_key);
-    if (hit != memo_.end()) {
-      ++stats_.memo_hits;
-      return hit->second;
-    }
+  CONNLAB_ASSIGN_OR_RETURN(Lane * lane, GetLane(variant, policy));
+  auto memo = std::find_if(lane->memo.begin(), lane->memo.end(),
+                           [&](const auto& entry) {
+                             return entry.first == memo_id;
+                           });
+  if (!bypass_memo && memo != lane->memo.end()) {
+    ++stats_.memo_hits;
+    return memo->second;
   }
 
-  CONNLAB_RETURN_IF_ERROR(BootVictim(variant, policy));
-  CONNLAB_ASSIGN_OR_RETURN(Lane * lane, GetLane(variant, policy));
+  CONNLAB_RETURN_IF_ERROR(Restore(*lane));
   const auto start = std::chrono::steady_clock::now();
   CONNLAB_ASSIGN_OR_RETURN(const connman::ProxyOutcome::Kind kind,
                            deliver(*lane->sys));
@@ -81,7 +84,11 @@ util::Result<VictimPool::VolleyOutcome> VictimPool::Evaluate(
   ++stats_.evaluations;
 
   const VolleyOutcome result = VolleyOutcome::Of(kind);
-  memo_[memo_key] = result;
+  if (memo != lane->memo.end()) {
+    memo->second = result;
+  } else {
+    lane->memo.emplace_back(memo_id, result);
+  }
   return result;
 }
 

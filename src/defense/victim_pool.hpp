@@ -12,7 +12,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -23,6 +23,7 @@
 #include "src/loader/boot.hpp"
 #include "src/loader/snapshot.hpp"
 #include "src/util/bytes.hpp"
+#include "src/util/int_map.hpp"
 #include "src/util/status.hpp"
 
 namespace connlab::defense {
@@ -101,6 +102,8 @@ class VictimPool {
   struct Lane {
     std::unique_ptr<loader::System> sys;
     loader::Snapshot snap;
+    /// Outcomes by memo id; a campaign fires one or two volleys per lane.
+    std::vector<std::pair<std::uint64_t, VolleyOutcome>> memo;
   };
 
   static std::uint64_t LaneKey(std::uint32_t variant,
@@ -110,6 +113,7 @@ class VictimPool {
 
   util::Result<Lane*> GetLane(std::uint32_t variant,
                               const DefensePolicy& policy);
+  util::Status Restore(Lane& lane);
 
   /// The one evaluate body: memo lookup on (lane, memo_id), lane restore,
   /// one timed `deliver(system)` returning the outcome kind, memo insert.
@@ -120,8 +124,8 @@ class VictimPool {
                                        Deliver deliver);
 
   Config config_;
-  std::map<std::uint64_t, Lane> lanes_;
-  std::map<std::pair<std::uint64_t, std::uint64_t>, VolleyOutcome> memo_;
+  std::deque<Lane> lanes_;  // a deque never moves a lane it grows past
+  util::IntMap<Lane*> lane_index_;  // LaneKey -> lane
   Stats stats_;
 };
 

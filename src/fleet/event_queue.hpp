@@ -41,6 +41,7 @@ struct Event {
   SimTime at = 0;
   Kind kind = Kind::kJoin;
   std::uint32_t client = 0;  // global client id (== victim index)
+  std::uint32_t slot = 0;    // the driver's state slot the client held
 };
 
 class EventQueue {

@@ -2,18 +2,17 @@
 // plus a bounded DNS response cache the concurrent sessions contend for.
 //
 // The cache is deliberately deterministic: FIFO ring eviction over uint64
-// name-ids, no hash-order iteration anywhere, so a campaign digest is
-// stable across platforms and standard-library implementations.
+// name-ids, with membership in a flat integer set that is never iterated,
+// so a campaign digest is stable across platforms and standard-library
+// implementations.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "src/net/dhcp.hpp"
-#include "src/util/status.hpp"
+#include "src/util/int_map.hpp"
 
 namespace connlab::fleet {
 
@@ -27,7 +26,7 @@ class BoundedCache {
 
   /// True (and counts a hit) if `key` is cached; counts a miss otherwise.
   bool Lookup(std::uint64_t key) {
-    if (members_.count(key) != 0) {
+    if (members_.Find(key) != nullptr) {
       ++hits_;
       return true;
     }
@@ -37,16 +36,15 @@ class BoundedCache {
 
   /// Inserts `key`, evicting the oldest entry when full. No-op if present.
   void Insert(std::uint64_t key) {
-    if (members_.count(key) != 0) return;
+    if (!members_.Insert(key, {}).second) return;
     if (ring_.size() == capacity_) {
-      members_.erase(ring_[head_]);
+      members_.Erase(ring_[head_]);
       ring_[head_] = key;
       head_ = (head_ + 1) % capacity_;
       ++evictions_;
     } else {
       ring_.push_back(key);
     }
-    members_.insert(key);
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return ring_.size(); }
@@ -59,7 +57,7 @@ class BoundedCache {
   std::size_t capacity_;
   std::size_t head_ = 0;  // next eviction slot once the ring is full
   std::vector<std::uint64_t> ring_;
-  std::unordered_set<std::uint64_t> members_;
+  util::IntSet members_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <queue>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "src/adapt/camstored.hpp"
@@ -220,6 +221,87 @@ TEST(BoundedCache, NeverExceedsCapacity) {
   EXPECT_EQ(cache.size(), 8u);
   EXPECT_EQ(cache.evictions(), 992u);
   for (std::uint64_t k = 992; k < 1000; ++k) EXPECT_TRUE(cache.Lookup(k));
+}
+
+/// The cache as it was before membership moved to util::IntSet: the same
+/// FIFO ring, with membership in a std::unordered_set.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(std::size_t capacity)
+      : capacity_(capacity == 0 ? 1 : capacity) {
+    ring_.reserve(capacity_);
+  }
+  bool Lookup(std::uint64_t key) {
+    if (members_.count(key) != 0) {
+      ++hits_;
+      return true;
+    }
+    ++misses_;
+    return false;
+  }
+  void Insert(std::uint64_t key) {
+    if (members_.count(key) != 0) return;
+    if (ring_.size() == capacity_) {
+      members_.erase(ring_[head_]);
+      ring_[head_] = key;
+      head_ = (head_ + 1) % capacity_;
+      ++evictions_;
+    } else {
+      ring_.push_back(key);
+    }
+    members_.insert(key);
+  }
+  [[nodiscard]] std::size_t size() const { return ring_.size(); }
+  [[nodiscard]] std::uint64_t hits() const { return hits_; }
+  [[nodiscard]] std::uint64_t misses() const { return misses_; }
+  [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
+
+ private:
+  std::size_t capacity_;
+  std::size_t head_ = 0;
+  std::vector<std::uint64_t> ring_;
+  std::unordered_set<std::uint64_t> members_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t evictions_ = 0;
+};
+
+TEST(BoundedCache, MatchesReferenceOnRandomSchedule) {
+  const PopulationProfile profile = PopulationProfile::IoTDefault();
+  for (const std::size_t capacity : {1, 3, 256}) {
+    for (const bool clustered : {true, false}) {
+      SCOPED_TRACE("capacity " + std::to_string(capacity) +
+                   (clustered ? ", sequential keys" : ", hot/tail keys"));
+      BoundedCache cache(capacity);
+      ReferenceCache reference(capacity);
+      util::Rng rng(capacity * 2 + (clustered ? 1 : 0));
+      std::uint64_t base = 0;
+      for (int op = 0; op < 200000; ++op) {
+        // Sequential keys: a window of 2x the capacity that slides forward,
+        // so live keys are runs of neighbours. Otherwise the fleet's own
+        // hot-set-plus-tail name draws.
+        std::uint64_t key = 0;
+        if (clustered) {
+          base += rng.NextBelow(2);
+          key = base + rng.NextBelow(2 * capacity);
+        } else {
+          key = fleet::SampleQueryName(profile, rng);
+        }
+        if (rng.NextBool(0.5)) {
+          ASSERT_EQ(cache.Lookup(key), reference.Lookup(key)) << "op " << op;
+        } else {
+          cache.Insert(key);
+          reference.Insert(key);
+        }
+        ASSERT_EQ(cache.hits(), reference.hits()) << "op " << op;
+        ASSERT_EQ(cache.misses(), reference.misses()) << "op " << op;
+        ASSERT_EQ(cache.evictions(), reference.evictions()) << "op " << op;
+        ASSERT_EQ(cache.size(), reference.size()) << "op " << op;
+      }
+      EXPECT_GT(cache.hits(), 0u);
+      EXPECT_GT(cache.evictions(), 0u);
+    }
+  }
 }
 
 // --------------------------------------------------------- victim pool ----
@@ -456,6 +538,14 @@ TEST(FleetCampaign, RejectsBadConfigs) {
   config = SmallCampaign();
   config.profiled_variant = 4;  // outside 2^2 variants
   EXPECT_FALSE(fleet::RunFleetCampaign(config).ok());
+  config = SmallCampaign();
+  config.ap.dhcp_pool = 0;  // every join would retry forever
+  EXPECT_EQ(fleet::RunFleetCampaign(config).status().code(),
+            util::StatusCode::kInvalidArgument);
+  config = SmallCampaign();
+  config.victims = (std::uint64_t{1} << 32) + 1;  // client ids would repeat
+  EXPECT_EQ(fleet::RunFleetCampaign(config).status().code(),
+            util::StatusCode::kInvalidArgument);
 }
 
 // ------------------------------------------------------------ goldens ----

@@ -4,10 +4,12 @@
 
 #include <atomic>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "src/util/bytes.hpp"
 #include "src/util/hexdump.hpp"
+#include "src/util/int_map.hpp"
 #include "src/util/parallel.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/status.hpp"
@@ -257,6 +259,69 @@ TEST(Rng, SplitDiffersFromParentDraws) {
   int same = 0;
   for (int i = 0; i < 64; ++i) same += child.NextU64() == parent.NextU64() ? 1 : 0;
   EXPECT_LT(same, 4);
+}
+
+TEST(IntMap, CollidingKeysSurviveEraseAtAnyPosition) {
+  // Keys whose Fibonacci hash has top four bits 1111 all start probing at
+  // the last of the table's first 16 slots, so their run wraps round to
+  // slot 0. Erasing any one of them must leave the rest reachable.
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t k = 0; keys.size() < 6; ++k) {
+    if ((k * 0x9e3779b97f4a7c15ull) >> 60 == 15) keys.push_back(k);
+  }
+  for (std::size_t gone = 0; gone < keys.size(); ++gone) {
+    util::IntMap<std::uint64_t> map;
+    for (const std::uint64_t k : keys) {
+      EXPECT_TRUE(map.Insert(k, k * 3).second);
+    }
+    EXPECT_FALSE(map.Insert(keys[0], 0).second);  // present: no overwrite
+    ASSERT_TRUE(map.Erase(keys[gone]));
+    EXPECT_FALSE(map.Erase(keys[gone]));
+    EXPECT_EQ(map.Find(keys[gone]), nullptr);
+    EXPECT_EQ(map.size(), keys.size() - 1);
+    for (const std::uint64_t k : keys) {
+      if (k == keys[gone]) continue;
+      ASSERT_NE(map.Find(k), nullptr) << "erased " << gone << ", lost " << k;
+      EXPECT_EQ(*map.Find(k), k * 3);
+    }
+  }
+}
+
+TEST(IntMap, MatchesReferenceAcrossGrowthAndErasure) {
+  // Phases of inserts that grow the table alternate with phases of
+  // erasures, over sequential keys (which cluster in the key space) and
+  // random 64-bit keys, checked against std::unordered_map after every op.
+  util::IntMap<std::uint64_t> map;
+  std::unordered_map<std::uint64_t, std::uint64_t> reference;
+  util::Rng rng(11);
+  for (int op = 0; op < 200000; ++op) {
+    const bool growing = (op / 5000) % 2 == 0;
+    const std::uint64_t key = rng.NextBool(0.5)
+                                  ? rng.NextBelow(4096)
+                                  : rng.NextU64() | (std::uint64_t{1} << 63);
+    if (rng.NextBelow(100) < (growing ? 70u : 30u)) {
+      const bool inserted = map.Insert(key, op).second;
+      ASSERT_EQ(inserted, reference.emplace(key, op).second) << "op " << op;
+    } else {
+      ASSERT_EQ(map.Erase(key), reference.erase(key) == 1) << "op " << op;
+    }
+    ASSERT_EQ(map.size(), reference.size()) << "op " << op;
+    const std::uint64_t probe = rng.NextBelow(4096);
+    const std::uint64_t* found = map.Find(probe);
+    const auto want = reference.find(probe);
+    ASSERT_EQ(found != nullptr, want != reference.end()) << "op " << op;
+    if (found != nullptr) {
+      ASSERT_EQ(*found, want->second) << "op " << op;
+    }
+  }
+  std::size_t visited = 0;
+  map.ForEach([&](std::uint64_t key, std::uint64_t value) {
+    ++visited;
+    const auto want = reference.find(key);
+    ASSERT_NE(want, reference.end());
+    EXPECT_EQ(value, want->second);
+  });
+  EXPECT_EQ(visited, reference.size());
 }
 
 TEST(Parallel, ResolveWorkerCountNeverReturnsZero) {
